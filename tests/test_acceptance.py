@@ -7,6 +7,7 @@ under -rA.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from prodconj.runner import corpus_names, load_shipped, run_scenario
 from prodconj.scenario import make_context
 
 TOL = 1e-9
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +262,13 @@ def test_deterministic_reports_and_anchor_coverage(corpus):
     assert not missing, sorted(missing)
     print(f"PASS determinism and coverage: {len(first)} identical report "
           f"lines, {len(wanted)} anchors all exercised, {passed} passing rows")
+
+
+def test_row_anchors_and_statuses_are_pinned(corpus):
+    """Every corpus row keeps its id, anchor and status, and the catalog
+    keeps its exact text; both tables were taken before the check table
+    became declarative, so a rewrite of the registry cannot move a row."""
+    got = [f"{name}\t{r.row_id}\t{r.anchor}\t{r.status}"
+           for name in corpus_names() for r in corpus[name][1].sorted_rows()]
+    assert got == (DATA / "corpus_pins.tsv").read_text().splitlines()
+    assert catalog_lines() == (DATA / "catalog.txt").read_text().splitlines()
