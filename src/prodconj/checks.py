@@ -3,6 +3,8 @@
 A check kind bundles a runner over resolved scenario objects, a parameter
 schema the loader validates against, an anchor for each row it can emit,
 and the set of rows whose judgment flips under a failure expectation.
+The table in `_kinds` is the only place a kind is declared: most runners
+bind one suite to parameter names (`_suite`, `_row`).
 Anchors are the harness's own catalog labels tying rows to the source
 material's numbered statements; infrastructure rows carry "plumbing".
 
@@ -14,11 +16,13 @@ Expectation semantics, per check:
   hypothesis_fail  at least one hypothesis_* row must exceed the floor
                    and the rows it gates must come back skipped; a check
                    whose hypotheses all hold under this expectation fails.
+A non-finite residual is an error under every expectation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,6 +53,7 @@ from .distributions import (
     restriction_collapse_rows,
     restriction_residual,
     schouten_rows,
+    skew_bridge_rows,
     skew_pair_rows,
     splitting_block_rows,
     structure_rows,
@@ -89,7 +94,8 @@ class ParamSpec:
     metric, oneform, tensor, pair, pencil, distribution), plain values
     (float, str), or composites (vectors = comma-joined vector-field
     names, grid = semicolon-joined coefficient pairs, expr = scalar
-    expression text).
+    expression text).  A vectors parameter reaches its runner as jet
+    vectors evaluated on the run's context.
     """
 
     role: str
@@ -99,209 +105,92 @@ class ParamSpec:
 
 
 @dataclass(frozen=True)
+class AnchorBy:
+    """A row anchor picked by the value of one check parameter."""
+
+    param: str
+    by_value: dict[str, str]
+
+
+@dataclass(frozen=True)
 class CheckKind:
+    """One runnable check: its runner, parameters, anchors and judging.
+
+    `runner(ctx, params, tol)` returns rows as (name, residual_or_None,
+    note) triples, the shared suite convention.  `row_tols` names, per
+    row, the float parameter that replaces the check tolerance for it.
+    """
+
     name: str
     summary: str
     runner: Callable
     params: dict[str, ParamSpec] = field(default_factory=dict)
-    anchors: dict[str, str] = field(default_factory=dict)
+    anchors: dict[str, str | AnchorBy] = field(default_factory=dict)
     default_anchor: str = "plumbing"
     invertible: frozenset = frozenset()
+    row_tols: dict[str, str] = field(default_factory=dict)
 
     def anchor_for(self, row_name: str, params: dict) -> str:
-        override = _ANCHOR_HOOKS.get(self.name)
-        if override is not None:
-            got = override(row_name, params)
-            if got is not None:
-                return got
-        return self.anchors.get(row_name, self.default_anchor)
+        anchor = self.anchors.get(row_name, self.default_anchor)
+        if isinstance(anchor, AnchorBy):
+            return anchor.by_value[params[anchor.param]]
+        return anchor
 
+    def anchor_labels(self) -> set[str]:
+        """Every anchor label a row of this kind can carry."""
+        labels = set()
+        for anchor in self.anchors.values():
+            for value in (anchor.by_value.values() if isinstance(anchor, AnchorBy)
+                          else (anchor,)):
+                labels.update(value.split(","))
+        if not self.anchors:
+            labels.add(self.default_anchor)
+        return labels
 
-def _recurrent_anchor(row_name: str, params: dict) -> str | None:
-    if row_name == "torsion_shape":
-        return "P1.2.i" if params.get("mode") == "structure" else "P1.2.ii"
-    return None
-
-
-_ANCHOR_HOOKS: dict[str, Callable] = {"recurrent": _recurrent_anchor}
+    def runner_params(self, ctx, params: dict) -> dict:
+        """`params` with every vectors parameter evaluated to jet vectors."""
+        return {name: [ctx.vector(f) for f in value]
+                if value is not None and self.params[name].role == "vectors" else value
+                for name, value in params.items()}
 
 
 # ---- runners -----------------------------------------------------------
-# Each runner takes (ctx, params, tol) and returns rows as
-# (name, residual_or_None, note) triples, the shared suite convention.
+
+TOL = object()  # stands for the check tolerance among a runner's arguments
 
 
-def _run_almost_product(ctx, p, tol):
-    return [("involution", almost_product_residual(ctx, p["structure"]), "")]
+def _suite(fn, *args):
+    """Runner calling fn(ctx, *args), each arg a parameter name or TOL.
+
+    `fn` is looked up in its module at every call, as a call written in
+    this module would be, so rebinding the module attribute (a tracer's
+    wrapper, say) reaches the table too.
+    """
+    module, name = sys.modules[fn.__module__], fn.__name__
+
+    def run(ctx, params, tol):
+        return getattr(module, name)(
+            ctx, *(tol if a is TOL else params[a] for a in args))
+    return run
 
 
-def _run_metric_compat(ctx, p, tol):
-    return [("compatibility",
-             metric_compat_residual(ctx, p["metric"], p["structure"]), "")]
+def _row(row_name: str, fn, *args, note: str = ""):
+    """Runner for a kind with the single row `row_name`: fn's residual."""
+    residual = _suite(fn, *args)
+
+    def run(ctx, params, tol):
+        return [(row_name, residual(ctx, params, tol), note)]
+    return run
 
 
-def _run_connection_laws(ctx, p, tol):
+def _connection_laws(ctx, p, tol):
     frame = ctx.frame()
     res = connection_laws_residual(ctx, p["connection"], p["weight"],
                                    frame[0], frame[-1])
     return [("laws", res, "tensoriality and the product rule")]
 
 
-def _run_torsion_free(ctx, p, tol):
-    return [("torsion", torsion_residual(ctx, p["connection"]), "")]
-
-
-def _run_prop11(ctx, p, tol):
-    return conjugate_suite(ctx, p["connection"], p["structure"],
-                           metric=p.get("metric"), compat_tol=tol)
-
-
-def _run_psi_chi(ctx, p, tol):
-    return projector_suite(ctx, p["connection"], p["structure"], p["tau"])
-
-
-def _run_mean_decomposition(ctx, p, tol):
-    return mean_decomposition_suite(ctx, p["connection"], p["structure"])
-
-
-def _run_membership(ctx, p, tol):
-    return membership_suite(ctx, p["connection"], p["structure"])
-
-
-def _run_levi_civita_props(ctx, p, tol):
-    return metric_consequence_suite(ctx, p["connection"], p["structure"],
-                                    p["metric"], tol)
-
-
-def _run_recurrent(ctx, p, tol):
-    return recurrent_suite(ctx, p["connection"], p["structure"],
-                           p["eta"], p["mode"], tol)
-
-
-def _run_pencil(ctx, p, tol):
-    return pencil_suite(ctx, p["connection"], p["pencil"],
-                        eta=p.get("eta"), case=p.get("case"), tol=tol)
-
-
-def _run_kirichenko(ctx, p, tol):
-    return splitting_suite(ctx, p["connection"], p["structure"])
-
-
-def _run_projective(ctx, p, tol):
-    return projective_suite(ctx, p["connection"], p["structure"], p["tau"])
-
-
-def _run_pair_axioms(ctx, p, tol):
-    return pair_axiom_rows(ctx, p["pair"])
-
-
-def _run_structure_from_pair(ctx, p, tol):
-    return structure_rows(ctx, p["pair"])
-
-
-def _run_invariant_distribution(ctx, p, tol):
-    return [("invariance",
-             invariance_residual(ctx, p["distribution"], p["structure"]), "")]
-
-
-def _run_restricts(ctx, p, tol):
-    return [("restriction",
-             restriction_residual(ctx, p["connection"], p["distribution"]), "")]
-
-
-def _run_geodesic_invariant(ctx, p, tol):
-    return [("geodesic",
-             geodesic_residual(ctx, p["connection"], p["distribution"]), "")]
-
-
-def _run_prop22(ctx, p, tol):
-    return conjugate_restriction_rows(ctx, p["connection"], p["distribution"],
-                                      p["structure"], tol)
-
-
-def _run_prop23(ctx, p, tol):
-    return conjugate_geodesic_rows(ctx, p["connection"], p["distribution"],
-                                   p["structure"], tol)
-
-
-def _run_conjugate_hv(ctx, p, tol):
-    return hv_form_rows(ctx, p["connection"], p["pair"])
-
-
-def _run_restriction_collapse(ctx, p, tol):
-    return restriction_collapse_rows(ctx, p["connection"], p["pair"], tol)
-
-
-def _run_schouten(ctx, p, tol):
-    return schouten_rows(ctx, p["connection"], p["pair"], tol)
-
-
-def _run_prop25(ctx, p, tol):
-    return involutivity_rows(ctx, p["connection"], p["pair"], tol)
-
-
-def _run_nonzero_torsion(ctx, p, tol):
-    res = conjugate_torsion_magnitude(ctx, p["connection"], p["pair"])
-    return [("conjugate_torsion", res,
-             "conjugate torsion magnitude; a counterexample must keep it large")]
-
-
-def _run_prop27(ctx, p, tol):
-    return splitting_block_rows(ctx, p["connection"], p["pair"])
-
-
-def _run_skew_pairs(ctx, p, tol):
-    rows = skew_pair_rows(ctx, p["pair"], p["other"])
-    return [r for r in rows if r[0] in ("structure_skew", "projector_skew")]
-
-
-def _run_skew_bridge(ctx, p, tol):
-    rows = skew_pair_rows(ctx, p["pair"], p["other"])
-    return [r for r in rows if r[0] == "defect_bridge"]
-
-
-def _run_duality(ctx, p, tol):
-    return duality_rows(ctx, p["connection"], p["structure"], p["twist"])
-
-
-def _run_family(ctx, p, tol):
-    return family_rows(ctx, p["connection"], p["structure"],
-                       p["lam"], p["mu"], p["weight"])
-
-
-def _vecs(ctx, fields):
-    return None if fields is None else [ctx.vector(f) for f in fields]
-
-
-def _run_prop32_sweep(ctx, p, tol):
-    return sweep_rows(ctx, p["connection"], p["structure"], p["grid"],
-                      _vecs(ctx, p["probes"]), tol, p["floor"])
-
-
-def _run_generalized_identities(ctx, p, tol):
-    return generalized_identity_rows(ctx, p["connection"], p["structure"],
-                                     p["twist"], tol,
-                                     probes=_vecs(ctx, p.get("probes")))
-
-
-def _run_curvature_transcription(ctx, p, tol):
-    res = curvature_transcription_residual(ctx, p["connection"], p["structure"],
-                                           p["twist"],
-                                           probes=_vecs(ctx, p.get("probes")))
-    return [("transcription", res,
-             "shortened curvature form; only a vanishing twist satisfies it")]
-
-
-def _run_degeneration(ctx, p, tol):
-    return degeneration_rows(ctx, p["connection"], p["structure"])
-
-
-def _run_pencil_precondition(ctx, p, tol):
-    return [("skew_commutation",
-             skew_commutation_residual(ctx, p["first"], p["second"]), "")]
-
-
-def _run_psi_laws(ctx, p, tol):
+def _psi_laws(ctx, p, tol):
     psi = psi_connection(p["connection"], p["structure"])
     frame = ctx.frame()
     res = connection_laws_residual(ctx, psi, p["weight"], frame[0], frame[-1])
@@ -318,14 +207,14 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "almost_product",
             "squared structure against the identity",
-            _run_almost_product,
+            _row("involution", almost_product_residual, "structure"),
             params={"structure": ParamSpec("structure", required=True)},
             anchors={"involution": "0.0"},
             invertible=frozenset({"involution"})),
         CheckKind(
             "metric_compat",
             "metric against structure compatibility",
-            _run_metric_compat,
+            _row("compatibility", metric_compat_residual, "metric", "structure"),
             params={"metric": ParamSpec("metric", required=True),
                     "structure": ParamSpec("structure", required=True)},
             anchors={"compatibility": "1.7"},
@@ -333,18 +222,18 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "connection_laws",
             "tensoriality in the direction, product rule in the argument",
-            _run_connection_laws,
+            _connection_laws,
             params=dict(conn, weight=ParamSpec("expr", default=_DEFAULT_WEIGHT))),
         CheckKind(
             "torsion_free",
             "torsion of a connection on the coordinate frame",
-            _run_torsion_free,
+            _row("torsion", torsion_residual, "connection"),
             params=dict(conn),
             invertible=frozenset({"torsion"})),
         CheckKind(
             "prop11",
             "conjugate basics: derivative flip, transport, involution, torsion, curvature, metric",
-            _run_prop11,
+            _suite(conjugate_suite, "connection", "structure", "metric", TOL),
             params=dict(conn_struct, metric=ParamSpec("metric")),
             anchors={
                 "structure_flip": "P1.1.1,1.4",
@@ -357,7 +246,7 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "psi_chi",
             "projector algebra of the averaging pair",
-            _run_psi_chi,
+            _suite(projector_suite, "connection", "structure", "tau"),
             params=dict(conn_struct, tau=ParamSpec("tensor", required=True)),
             anchors={
                 "psi_idempotent": "0.4,0.2",
@@ -368,25 +257,25 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "psi_laws",
             "the averaged operator obeys the connection axioms",
-            _run_psi_laws,
+            _psi_laws,
             params=dict(conn_struct, weight=ParamSpec("expr", default=_DEFAULT_WEIGHT))),
         CheckKind(
             "mean_decomposition",
             "average of base and conjugate, against both presentations",
-            _run_mean_decomposition,
+            _suite(mean_decomposition_suite, "connection", "structure"),
             params=dict(conn_struct),
             anchors={"halving": "0.5", "forms_agreement": "1.1,1.2"}),
         CheckKind(
             "membership",
             "parallel structure and the fixed-point characterization",
-            _run_membership,
+            _suite(membership_suite, "connection", "structure"),
             params=dict(conn_struct),
             anchors={"parallel_structure": "D0.1", "fixed_point": "D0.1"},
             invertible=frozenset({"parallel_structure", "fixed_point"})),
         CheckKind(
             "levi_civita_props",
             "metric-born connection: conjugate metricity and the parallel collapse",
-            _run_levi_civita_props,
+            _suite(metric_consequence_suite, "connection", "structure", "metric", TOL),
             params=dict(conn_struct, metric=ParamSpec("metric", required=True)),
             anchors={
                 "compatibility": "1.7",
@@ -396,7 +285,7 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "recurrent",
             "torsion shape of the conjugate under a recurrence hypothesis",
-            _run_recurrent,
+            _suite(recurrent_suite, "connection", "structure", "eta", "mode", TOL),
             params=dict(conn_struct,
                         eta=ParamSpec("oneform", required=True),
                         mode=ParamSpec("str", required=True,
@@ -404,12 +293,14 @@ def _kinds() -> dict[str, CheckKind]:
             anchors={
                 "hypothesis_recurrence": "P1.2",
                 "hypothesis_symmetry": "P1.2",
+                "torsion_shape": AnchorBy("mode", {"structure": "P1.2.i",
+                                                   "identity": "P1.2.ii"}),
             },
             default_anchor="P1.2"),
         CheckKind(
             "pencil_precondition",
             "skew commutation of two structures",
-            _run_pencil_precondition,
+            _row("skew_commutation", skew_commutation_residual, "first", "second"),
             params={"first": ParamSpec("structure", required=True),
                     "second": ParamSpec("structure", required=True)},
             anchors={"skew_commutation": "1.8"},
@@ -417,7 +308,7 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "pencil",
             "mixing rule of a structure pencil, axis reductions, special cases",
-            _run_pencil,
+            _suite(pencil_suite, "connection", "pencil", "eta", "case", TOL),
             params=dict(conn,
                         pencil=ParamSpec("pencil", required=True),
                         eta=ParamSpec("oneform"),
@@ -434,11 +325,13 @@ def _kinds() -> dict[str, CheckKind]:
                 "hypothesis_mixed": "1.10",
                 "average": "1.10",
                 "pencil_shift": "1.10",
-            }),
+            },
+            row_tols={"axis_reduction_first": "reduction_tol",
+                      "axis_reduction_second": "reduction_tol"}),
         CheckKind(
             "kirichenko",
             "structural and virtual tensors: flips, rotations, decomposition",
-            _run_kirichenko,
+            _suite(splitting_suite, "connection", "structure"),
             params=dict(conn_struct),
             anchors={
                 "structural_flip": "1.13,1.11",
@@ -450,7 +343,7 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "projective_change",
             "projective shift: structural invariance, virtual difference",
-            _run_projective,
+            _suite(projective_suite, "connection", "structure", "tau"),
             params=dict(conn_struct, tau=ParamSpec("oneform", required=True)),
             anchors={
                 "structural_invariance": "1.16",
@@ -459,19 +352,19 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "pair_axioms",
             "complementary projector algebra",
-            _run_pair_axioms,
+            _suite(pair_axiom_rows, "pair"),
             params={"pair": ParamSpec("pair", required=True)},
             default_anchor="D2.1"),
         CheckKind(
             "structure_from_pair",
             "difference structure and the half-sum/half-difference inverses",
-            _run_structure_from_pair,
+            _suite(structure_rows, "pair"),
             params={"pair": ParamSpec("pair", required=True)},
             default_anchor="2.1"),
         CheckKind(
             "invariant_distribution",
             "distribution invariance under the structure",
-            _run_invariant_distribution,
+            _row("invariance", invariance_residual, "distribution", "structure"),
             params={"distribution": ParamSpec("distribution", required=True),
                     "structure": ParamSpec("structure", required=True)},
             anchors={"invariance": "P2.2"},
@@ -479,21 +372,21 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "restricts",
             "covariant derivative stays inside the distribution",
-            _run_restricts,
+            _row("restriction", restriction_residual, "connection", "distribution"),
             params=dict(conn, distribution=ParamSpec("distribution", required=True)),
             anchors={"restriction": "D2.1.i"},
             invertible=frozenset({"restriction"})),
         CheckKind(
             "geodesic_invariant",
             "symmetrized covariant derivative stays inside the distribution",
-            _run_geodesic_invariant,
+            _row("geodesic", geodesic_residual, "connection", "distribution"),
             params=dict(conn, distribution=ParamSpec("distribution", required=True)),
             anchors={"geodesic": "D2.1.ii"},
             invertible=frozenset({"geodesic"})),
         CheckKind(
             "prop22",
             "invariance plus restriction carries over to the conjugate",
-            _run_prop22,
+            _suite(conjugate_restriction_rows, "connection", "distribution", "structure", TOL),
             params=dict(conn,
                         distribution=ParamSpec("distribution", required=True),
                         structure=ParamSpec("structure", required=True)),
@@ -505,7 +398,7 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "prop23",
             "invariance plus restriction makes the conjugate geodesically invariant",
-            _run_prop23,
+            _suite(conjugate_geodesic_rows, "connection", "distribution", "structure", TOL),
             params=dict(conn,
                         distribution=ParamSpec("distribution", required=True),
                         structure=ParamSpec("structure", required=True)),
@@ -517,38 +410,39 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "conjugate_hv",
             "conjugate by the difference structure in projected form",
-            _run_conjugate_hv,
+            _suite(hv_form_rows, "connection", "pair"),
             params=dict(conn, pair=ParamSpec("pair", required=True)),
             anchors={"four_term_form": "2.2"}),
         CheckKind(
             "restriction_collapse",
             "a connection restricting to both sides is its own conjugate",
-            _run_restriction_collapse,
+            _suite(restriction_collapse_rows, "connection", "pair", TOL),
             params=dict(conn, pair=ParamSpec("pair", required=True)),
             default_anchor="2.3"),
         CheckKind(
             "schouten",
             "projected-sum connection: restriction, parallelism, self-conjugacy",
-            _run_schouten,
+            _suite(schouten_rows, "connection", "pair", TOL),
             params=dict(conn, pair=ParamSpec("pair", required=True)),
             default_anchor="2.4"),
         CheckKind(
             "prop25",
             "torsion-free conjugate forces both distributions involutive",
-            _run_prop25,
+            _suite(involutivity_rows, "connection", "pair", TOL),
             params=dict(conn, pair=ParamSpec("pair", required=True)),
             default_anchor="P2.5"),
         CheckKind(
             "nonzero_torsion",
             "conjugate torsion magnitude on a non-involutive pair",
-            _run_nonzero_torsion,
+            _row("conjugate_torsion", conjugate_torsion_magnitude, "connection", "pair",
+                 note="conjugate torsion magnitude; a counterexample must keep it large"),
             params=dict(conn, pair=ParamSpec("pair", required=True)),
             anchors={"conjugate_torsion": "X2.4"},
             invertible=frozenset({"conjugate_torsion"})),
         CheckKind(
             "prop27",
             "block structure of the splitting tensors over the two distributions",
-            _run_prop27,
+            _suite(splitting_block_rows, "connection", "pair"),
             params=dict(conn, pair=ParamSpec("pair", required=True)),
             anchors={
                 "structural_formula": "P2.7,2.5",
@@ -567,7 +461,7 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "skew_pairs",
             "skew commutation of two pair structures and their projectors",
-            _run_skew_pairs,
+            _suite(skew_pair_rows, "pair", "other"),
             params={"pair": ParamSpec("pair", required=True),
                     "other": ParamSpec("pair", required=True)},
             default_anchor="X2.5",
@@ -575,14 +469,14 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "skew_bridge",
             "structure anticommutator rewritten through the projectors",
-            _run_skew_bridge,
+            _suite(skew_bridge_rows, "pair", "other"),
             params={"pair": ParamSpec("pair", required=True),
                     "other": ParamSpec("pair", required=True)},
             default_anchor="X2.5"),
         CheckKind(
             "duality",
             "twist kernel condition and the double application",
-            _run_duality,
+            _suite(duality_rows, "connection", "structure", "twist"),
             params=dict(conn_struct, twist=ParamSpec("tensor", required=True)),
             anchors={
                 "defect": "3.3",
@@ -595,7 +489,7 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "family",
             "one coefficient pair of the scaled family",
-            _run_family,
+            _suite(family_rows, "connection", "structure", "lam", "mu", "weight"),
             params=dict(conn_struct,
                         lam=ParamSpec("float", required=True),
                         mu=ParamSpec("float", required=True),
@@ -608,7 +502,7 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "prop32_sweep",
             "grid sweep of the family: closure set and coefficient extraction",
-            _run_prop32_sweep,
+            _suite(sweep_rows, "connection", "structure", "grid", "probes", TOL, "floor"),
             params=dict(conn_struct,
                         probes=ParamSpec("vectors", required=True),
                         grid=ParamSpec("grid", default=DEFAULT_GRID),
@@ -617,7 +511,8 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "generalized_identities",
             "twisted operator: structure derivative, torsion, curvature",
-            _run_generalized_identities,
+            _suite(generalized_identity_rows, "connection", "structure", "twist", TOL,
+                   "probes"),
             params=dict(conn_struct,
                         twist=ParamSpec("tensor", required=True),
                         probes=ParamSpec("vectors")),
@@ -630,7 +525,9 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "curvature_transcription",
             "shortened curvature form that only a vanishing twist satisfies",
-            _run_curvature_transcription,
+            _row("transcription", curvature_transcription_residual,
+                 "connection", "structure", "twist", "probes",
+                 note="shortened curvature form; only a vanishing twist satisfies it"),
             params=dict(conn_struct,
                         twist=ParamSpec("tensor", required=True),
                         probes=ParamSpec("vectors")),
@@ -639,7 +536,7 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "degeneration",
             "zero twist recovers the plain conjugate",
-            _run_degeneration,
+            _suite(degeneration_rows, "connection", "structure"),
             params=dict(conn_struct),
             anchors={"zero_twist": "D3.1"}),
     ]
@@ -647,12 +544,6 @@ def _kinds() -> dict[str, CheckKind]:
 
 
 REGISTRY: dict[str, CheckKind] = _kinds()
-
-# per-kind tolerance overrides for individual rows: row name -> param name
-_ROW_TOL_PARAMS: dict[str, dict[str, str]] = {
-    "pencil": {"axis_reduction_first": "reduction_tol",
-               "axis_reduction_second": "reduction_tol"},
-}
 
 
 def kind_for(name: str) -> CheckKind:
@@ -667,7 +558,6 @@ def judge(check_id: str, kind: CheckKind, rows, params: dict,
           tol: float, floor: float, expect: str) -> list[CheckRow]:
     """Turn suite rows into judged report rows under the expectation."""
     out: list[CheckRow] = []
-    row_tols = _ROW_TOL_PARAMS.get(kind.name, {})
     hypothesis_violated = False
     for name, res, note in rows:
         row_id = f"{check_id}.{name}"
@@ -678,18 +568,16 @@ def judge(check_id: str, kind: CheckKind, rows, params: dict,
                 note = (note + "; " if note else "") + "skip expected here"
             out.append(CheckRow(row_id, anchor, math.nan, status, note=note))
             continue
-        row_tol = tol
-        if name in row_tols:
-            row_tol = float(params[row_tols[name]])
-        inverted = expect == "fail" and name in kind.invertible
+        row_tol = float(params[kind.row_tols[name]]) if name in kind.row_tols else tol
+        finite = math.isfinite(res.value)
         if expect == "hypothesis_fail" and name.startswith("hypothesis_") \
-                and res.value > floor:
+                and finite and res.value > floor:
             hypothesis_violated = True
             out.append(CheckRow(row_id, anchor, res.value, PASS,
                                 res.worst_point, res.frame,
                                 (note + "; " if note else "") + "hypothesis violated as expected"))
             continue
-        if inverted:
+        if expect == "fail" and name in kind.invertible and finite:
             status = PASS if res.value > floor else FAIL
             out.append(CheckRow(row_id, anchor, res.value, status,
                                 res.worst_point, res.frame,
@@ -711,16 +599,5 @@ def error_row(check_id: str, kind: CheckKind, exc: Exception) -> CheckRow:
 
 def catalog_lines() -> list[str]:
     """Stable catalog listing: kind, anchors, one-line summary."""
-    lines = []
-    for name in sorted(REGISTRY):
-        kind = REGISTRY[name]
-        anchors = set()
-        for value in kind.anchors.values():
-            anchors.update(value.split(","))
-        if kind.name in _ANCHOR_HOOKS or not kind.anchors:
-            anchors.add(kind.default_anchor)
-        if kind.name == "recurrent":
-            anchors.update({"P1.2.i", "P1.2.ii"})
-        label = ",".join(sorted(anchors))
-        lines.append(f"{name}\t{label}\t{kind.summary}")
-    return lines
+    return [f"{name}\t{','.join(sorted(kind.anchor_labels()))}\t{kind.summary}"
+            for name, kind in sorted(REGISTRY.items())]

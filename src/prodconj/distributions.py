@@ -531,57 +531,48 @@ def splitting_block_rows(ctx: EvalContext, nabla: ConnectionOp,
         rhs = vscale(-2.0, vadd(T.apply(ctx, X, hY), A.apply(ctx, X, vY)))
         return vsub(B.apply(ctx, X, Y), rhs)
 
-    def scan(name, fn, note=""):
-        acc = ctx.residuals()
-        frame = ctx.frame()
-        for i, X in enumerate(frame):
-            for j, Y in enumerate(frame):
-                acc.update(fn(X, Y), frame=ctx.chart.frame_label(i, j))
-        return (name, acc.result(), note)
-
-    def vscan(name, fn, note=""):
-        return (name, frame_pair_residual(ctx, fn), note)
-
-    return [
-        vscan("structural_formula", structural_formula),
-        vscan("virtual_formula", virtual_formula),
-        vscan("cross_antisymmetry", cross_antisym),
-        vscan("diagonal_antisymmetry", diag_antisym),
-        scan("cross_vanishing", cross_vanish),
-        scan("diagonal_vanishing", diag_vanish),
-        vscan("structural_split", structural_split),
-        vscan("virtual_split", virtual_split,
-              "mixed blocks carry the whole virtual half"),
-        scan("structural_blocks", structural_blocks),
-        scan("virtual_blocks", virtual_blocks),
-        vscan("fundamental_structural", fundamental_structural),
-        vscan("fundamental_virtual", fundamental_virtual),
+    scans = [
+        ("structural_formula", structural_formula),
+        ("virtual_formula", virtual_formula),
+        ("cross_antisymmetry", cross_antisym),
+        ("diagonal_antisymmetry", diag_antisym),
+        ("cross_vanishing", cross_vanish),
+        ("diagonal_vanishing", diag_vanish),
+        ("structural_split", structural_split),
+        ("virtual_split", virtual_split),
+        ("structural_blocks", structural_blocks),
+        ("virtual_blocks", virtual_blocks),
+        ("fundamental_structural", fundamental_structural),
+        ("fundamental_virtual", fundamental_virtual),
     ]
+    notes = {"virtual_split": "mixed blocks carry the whole virtual half"}
+    return [(name, frame_pair_residual(ctx, fn), notes.get(name, ""))
+            for name, fn in scans]
 
 
 def skew_pair_rows(ctx: EvalContext, pair1: ProjectorPair, pair2: ProjectorPair) -> Rows:
     """Skew-commutation of two splittings, at the structure level and at
-    the projector level, plus the exact algebraic bridge between the two
-    defects.  For pairs sharing a vertical side both defects are forced
-    away from zero, so the first two rows usually carry a flipped
+    the projector level.  For pairs sharing a vertical side both defects
+    are forced away from zero, so these rows usually carry a flipped
     expectation."""
-    E1, E2 = pair1.structure(), pair2.structure()
-    e_skew = skew_commutation_residual(ctx, E1, E2)
+    e_skew = skew_commutation_residual(ctx, pair1.structure(), pair2.structure())
     H1 = jets_matrix_values(ctx.endo(pair1.h))
     H2 = jets_matrix_values(ctx.endo(pair2.h))
-    eye = np.eye(ctx.chart.dim)
-    h_anti = H1 @ H2 + H2 @ H1
     acc = ctx.residuals()
-    acc.update(np.max(np.abs(h_anti), axis=(-2, -1)))
-    h_skew = acc.result()
-    A1 = jets_matrix_values(ctx.endo(E1))
-    A2 = jets_matrix_values(ctx.endo(E2))
-    bridge = (A1 @ A2 + A2 @ A1) - (4.0 * h_anti - 4.0 * (H1 + H2) + 2.0 * eye)
-    acc2 = ctx.residuals()
-    acc2.update(np.max(np.abs(bridge), axis=(-2, -1)))
-    return [
-        ("structure_skew", e_skew, ""),
-        ("projector_skew", h_skew, ""),
-        ("defect_bridge", acc2.result(),
-         "structure defect rewritten through the projectors, always exact"),
-    ]
+    acc.update(np.max(np.abs(H1 @ H2 + H2 @ H1), axis=(-2, -1)))
+    return [("structure_skew", e_skew, ""), ("projector_skew", acc.result(), "")]
+
+
+def skew_bridge_rows(ctx: EvalContext, pair1: ProjectorPair, pair2: ProjectorPair) -> Rows:
+    """The exact algebraic bridge between the structure and projector
+    skew-commutation defects of two splittings."""
+    H1 = jets_matrix_values(ctx.endo(pair1.h))
+    H2 = jets_matrix_values(ctx.endo(pair2.h))
+    A1 = jets_matrix_values(ctx.endo(pair1.structure()))
+    A2 = jets_matrix_values(ctx.endo(pair2.structure()))
+    h_anti = H1 @ H2 + H2 @ H1
+    bridge = (A1 @ A2 + A2 @ A1) - (4.0 * h_anti - 4.0 * (H1 + H2) + 2.0 * np.eye(ctx.chart.dim))
+    acc = ctx.residuals()
+    acc.update(np.max(np.abs(bridge), axis=(-2, -1)))
+    return [("defect_bridge", acc.result(),
+             "structure defect rewritten through the projectors, always exact")]

@@ -223,18 +223,3 @@ def validate_expr(e: Expr, dim: int) -> None:
         case _:
             raise TypeError(f"not an expression: {e!r}")
 
-
-def const(c) -> Const:
-    return Const(Fraction(c))
-
-
-def add(*exprs: Expr) -> Expr:
-    return exprs[0] if len(exprs) == 1 else Sum(tuple(exprs))
-
-
-def mul(*exprs: Expr) -> Expr:
-    return exprs[0] if len(exprs) == 1 else Product(tuple(exprs))
-
-
-def sub(a: Expr, b: Expr) -> Expr:
-    return Sum((a, Neg(b)))

@@ -337,20 +337,19 @@ def jets_matrix_values(M: list[list[Jet]]) -> np.ndarray:
     return np.stack([np.stack([e.value for e in row], axis=-1) for row in M], axis=-2)
 
 
-def lie_bracket(ctx: EvalContext, X: VectorField, Y: VectorField) -> Vec:
-    return bracket(ctx.vector(X), ctx.vector(Y))
-
-
 # ---- structure-level residuals ---------------------------------------
 
 
 def frame_pair_residual(ctx: EvalContext, fn) -> Residual:
-    """Max |fn(X, Y)| over coordinate frame pairs; fn returns a Vec."""
+    """Max |fn(X, Y)| over coordinate frame pairs; fn returns a Vec, or
+    per-sample magnitudes as an array."""
     acc = ctx.residuals()
     frame = ctx.frame()
     for i, X in enumerate(frame):
         for j, Y in enumerate(frame):
-            acc.update(vmax_abs(fn(X, Y)), frame=ctx.chart.frame_label(i, j))
+            out = fn(X, Y)
+            acc.update(out if isinstance(out, np.ndarray) else vmax_abs(out),
+                       frame=ctx.chart.frame_label(i, j))
     return acc.result()
 
 
@@ -382,13 +381,6 @@ def almost_product_residual(ctx: EvalContext, E: EndoField) -> Residual:
     acc = ctx.residuals()
     acc.update(res)
     return acc.result()
-
-
-def check_almost_product(E: EndoField, plan: SamplePlan, tol: float) -> Residual:
-    res = almost_product_residual(context_for(E.chart, plan), E)
-    if res.value > tol:
-        res.frame = "not an involution"
-    return res
 
 
 def metric_compat_residual(ctx: EvalContext, g: MetricField, E: EndoField) -> Residual:

@@ -311,6 +311,23 @@ def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 # ---- derived identities of the twisted operator ------------------------
 
 
+def _curvature_scan(ctx: EvalContext, defect, probes: list[Vec] | None) -> Residual:
+    """Max |defect(X, Y, Z)| over coordinate frame triples, and over probe
+    pairs (X, Y) against every frame Z when probes are supplied, since
+    coordinate frames never exercise the bracket term."""
+    res = frame_triple_residual(ctx, defect)
+    if not probes:
+        return res
+    acc = ctx.residuals()
+    frame = ctx.frame()
+    for i, X in enumerate(probes):
+        for Y in probes[i + 1:]:
+            for k, Z in enumerate(frame):
+                acc.update(vmax_abs(defect(X, Y, Z)),
+                           frame=f"probes,{ctx.chart.frame_label(k)}")
+    return res.merged(acc.result())
+
+
 def generalized_identity_rows(ctx: EvalContext, base: ConnectionOp,
                               structure: EndoField, twist: Tensor12Field,
                               tol: float, probes: list[Vec] | None = None) -> Rows:
@@ -380,17 +397,7 @@ def generalized_identity_rows(ctx: EvalContext, base: ConnectionOp,
                      f"skipped: twist skew {skew_res.value:.3e}, "
                      f"structure derivative {parallel_res.value:.3e}"))
 
-    curv = frame_triple_residual(ctx, curvature_defect)
-    if probes:
-        acc = ctx.residuals()
-        frame = ctx.frame()
-        for i, X in enumerate(probes):
-            for Y in probes[i + 1:]:
-                for k, Z in enumerate(frame):
-                    acc.update(vmax_abs(curvature_defect(X, Y, Z)),
-                               frame=f"probes,{ctx.chart.frame_label(k)}")
-        curv = curv.merged(acc.result())
-    rows.append(("curvature_form", curv,
+    rows.append(("curvature_form", _curvature_scan(ctx, curvature_defect, probes),
                  "curvature against the expanded closed form"))
     return rows
 
@@ -425,17 +432,7 @@ def curvature_transcription_residual(ctx: EvalContext, base: ConnectionOp,
             rhs = vadd(rhs, t)
         return vsub(lhs, rhs)
 
-    res = frame_triple_residual(ctx, defect)
-    if probes:
-        acc = ctx.residuals()
-        frame = ctx.frame()
-        for i, X in enumerate(probes):
-            for Y in probes[i + 1:]:
-                for k, Z in enumerate(frame):
-                    acc.update(vmax_abs(defect(X, Y, Z)),
-                               frame=f"probes,{ctx.chart.frame_label(k)}")
-        res = res.merged(acc.result())
-    return res
+    return _curvature_scan(ctx, defect, probes)
 
 
 def degeneration_rows(ctx: EvalContext, base: ConnectionOp,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,11 @@ SKIP = "skip"
 ERROR = "error"
 
 
+def _worse(a: float, b: float) -> bool:
+    """Whether residual a is worse than b; NaN is worse than any number."""
+    return a > b or (math.isnan(a) and not math.isnan(b))
+
+
 @dataclass
 class Residual:
     """Worst absolute residual over a sample batch, with its witness."""
@@ -20,33 +26,34 @@ class Residual:
     worst_point: tuple[float, ...] | None = None
     frame: str | None = None
 
-    def __le__(self, tol: float) -> bool:
-        return self.value <= tol
-
     def merged(self, other: "Residual") -> "Residual":
         """The worse of two accumulated residuals, witness included."""
-        return self if self.value >= other.value else other
+        return other if _worse(other.value, self.value) else self
 
 
 class ResidualMax:
-    """Accumulates per-frame residual arrays and keeps the worst witness."""
+    """Accumulates per-frame residual arrays and keeps the worst witness.
+
+    A NaN is the worst value: the first one seen stays, so a later finite
+    frame cannot hide a failed evaluation.
+    """
 
     def __init__(self, points: np.ndarray):
         self._points = points
+        self._empty = True
         self.value = 0.0
         self.worst_point: tuple[float, ...] | None = None
         self.frame: str | None = None
 
     def update(self, residual: np.ndarray, frame: str | None = None) -> None:
         residual = np.asarray(residual)
-        if residual.ndim == 0:
-            worst, idx = float(residual), None
-        else:
-            idx = int(np.argmax(residual))
-            worst = float(residual[idx])
-        if worst > self.value or self.worst_point is None:
+        idx = None if residual.ndim == 0 else int(np.argmax(residual))  # argmax finds a NaN
+        worst = float(residual if idx is None else residual[idx])
+        if self._empty or _worse(worst, self.value):
+            self._empty = False
             self.value = worst
             self.frame = frame
+            self.worst_point = None
             if idx is not None and self._points.ndim == 2:
                 self.worst_point = tuple(float(c) for c in self._points[idx])
 
@@ -65,12 +72,15 @@ class CheckRow:
     worst_point: tuple[float, ...] | None = None
     frame: str | None = None
     note: str = ""
-    seconds: float = 0.0
 
     @staticmethod
     def judged(row_id: str, anchor: str, res: Residual, tol: float,
                note: str = "") -> "CheckRow":
-        status = PASS if res.value <= tol else FAIL
+        """Pass within tol, fail beyond it; a non-finite residual is an error."""
+        if not math.isfinite(res.value):
+            status = ERROR
+        else:
+            status = PASS if res.value <= tol else FAIL
         return CheckRow(row_id, anchor, res.value, status,
                         res.worst_point, res.frame, note)
 

@@ -32,6 +32,7 @@ from prodconj.distributions import (
     restriction_collapse_rows,
     restriction_residual,
     schouten_rows,
+    skew_bridge_rows,
     skew_pair_rows,
     splitting_block_rows,
     structure_rows,
@@ -292,7 +293,8 @@ def test_splitting_block_rows_curved():
 def test_skew_pair_rows_bridge_is_exact():
     ctx = _ctx()
     straight = pair_from_h(HPROJ)
-    rows = dict((n, r) for n, r, _ in skew_pair_rows(ctx, SLANTED, straight))
+    rows = dict((n, r) for n, r, _ in skew_pair_rows(ctx, SLANTED, straight)
+                + skew_bridge_rows(ctx, SLANTED, straight))
     assert rows["structure_skew"].value > 1e-3
     assert rows["projector_skew"].value > 1e-3
     assert rows["defect_bridge"].value < 1e-12
@@ -302,7 +304,8 @@ def test_skew_pair_rows_anticommuting_structures():
     ctx = _ctx()
     p1 = pair_from_h(_endo([("1/2", "1/2"), ("1/2", "1/2")], "havg"))
     p2 = pair_from_h(HPROJ)
-    rows = dict((n, r) for n, r, _ in skew_pair_rows(ctx, p2, p1))
+    rows = dict((n, r) for n, r, _ in skew_pair_rows(ctx, p2, p1)
+                + skew_bridge_rows(ctx, p2, p1))
     # structures refl and swap anticommute exactly; projectors never do
     assert rows["structure_skew"].value < 1e-15
     assert rows["projector_skew"].value > 1e-3

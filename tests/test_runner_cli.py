@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from prodconj.checks import catalog_lines
+from prodconj.checks import CheckKind, catalog_lines
 from prodconj.cli import main
+from prodconj.errors import OrderError
 from prodconj.reporting import ERROR, FAIL, PASS, SKIP
 from prodconj.runner import corpus_names, load_shipped, run_scenario
-from prodconj.scenario import load_scenario
+from prodconj.scenario import CheckSpec, load_scenario
 
 GOOD = """\
 [chart]
@@ -63,6 +64,25 @@ def test_run_scenario_detects_failure():
     assert report.failed
     bad = [r for r in report.rows if r.status == FAIL]
     assert bad and all(r.row_id.startswith("not_parallel.") for r in bad)
+
+
+def test_any_exception_in_a_check_becomes_an_error_row():
+    def raising(exc):
+        def runner(ctx, params, tol):
+            raise exc
+        return CheckKind("raising", "raises", runner, default_anchor="X")
+
+    scn = load_scenario(GOOD, name="good")
+    for name, exc in (("order", OrderError("jet carries order 0")),
+                      ("lstsq", np.linalg.LinAlgError("SVD did not converge"))):
+        scn.checks.append(CheckSpec(name, raising(exc), {}, "pass", 1e-3, None, 0))
+    rows = {r.row_id: r for r in run_scenario(scn).rows}
+    assert rows["order.error"].status == ERROR
+    assert rows["order.error"].note == "OrderError: jet carries order 0"
+    assert rows["lstsq.error"].status == ERROR
+    assert rows["lstsq.error"].note == "LinAlgError: SVD did not converge"
+    assert rows["lstsq.error"].anchor == "X"
+    assert sum(r.status == PASS for r in rows.values()) == len(rows) - 2
 
 
 def test_expectation_flip_makes_failure_pass():
