@@ -58,7 +58,6 @@ from .distributions import (
     splitting_block_rows,
     structure_rows,
 )
-from .errors import ConfigError
 from .fields import almost_product_residual, metric_compat_residual
 from .generalized import (
     curvature_transcription_residual,
@@ -119,6 +118,8 @@ class CheckKind:
     `runner(ctx, params, tol)` returns rows as (name, residual_or_None,
     note) triples, the shared suite convention.  `row_tols` names, per
     row, the float parameter that replaces the check tolerance for it.
+    A `probe_exempt` kind measures involution itself, so when it is
+    expected to fail its structures skip the loader's involution probe.
     """
 
     name: str
@@ -129,6 +130,7 @@ class CheckKind:
     default_anchor: str = "plumbing"
     invertible: frozenset = frozenset()
     row_tols: dict[str, str] = field(default_factory=dict)
+    probe_exempt: bool = False
 
     def anchor_for(self, row_name: str, params: dict) -> str:
         anchor = self.anchors.get(row_name, self.default_anchor)
@@ -210,7 +212,8 @@ def _kinds() -> dict[str, CheckKind]:
             _row("involution", almost_product_residual, "structure"),
             params={"structure": ParamSpec("structure", required=True)},
             anchors={"involution": "0.0"},
-            invertible=frozenset({"involution"})),
+            invertible=frozenset({"involution"}),
+            probe_exempt=True),
         CheckKind(
             "metric_compat",
             "metric against structure compatibility",
@@ -544,14 +547,6 @@ def _kinds() -> dict[str, CheckKind]:
 
 
 REGISTRY: dict[str, CheckKind] = _kinds()
-
-
-def kind_for(name: str) -> CheckKind:
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(REGISTRY))
-        raise ConfigError(f"unknown check kind {name!r}; known kinds: {known}")
 
 
 def judge(check_id: str, kind: CheckKind, rows, params: dict,

@@ -73,14 +73,13 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             return _config_error([f"cannot read {path}: {exc}"])
         try:
-            scenario = load_scenario(text, name=path.stem)
+            report = run_scenario(load_scenario(text, name=path.stem), seed=args.seed,
+                                  samples=args.samples, tol=args.tol,
+                                  filter_substr=args.filter, jobs=args.jobs)
         except ScenarioError as exc:
             return _config_error(exc.messages)
-        except ConfigError as exc:
+        except ConfigError as exc:  # a bad --seed or --samples
             return _config_error([str(exc)])
-        report = run_scenario(scenario, seed=args.seed, samples=args.samples,
-                              tol=args.tol, filter_substr=args.filter,
-                              jobs=args.jobs)
         _emit(report.render_lines(), args.report)
         return EXIT_FAIL if report.failed else EXIT_PASS
 
@@ -93,14 +92,13 @@ def main(argv: list[str] | None = None) -> int:
         return _config_error([f"cannot list shipped scenarios: {exc}"])
     for name in names:
         try:
-            scenario = load_shipped(name)
+            report = run_scenario(load_shipped(name), seed=args.seed,
+                                  samples=args.samples, tol=args.tol,
+                                  filter_substr=args.filter, jobs=args.jobs)
         except ScenarioError as exc:
             return _config_error([f"{name}: {m}" for m in exc.messages])
         except ConfigError as exc:
             return _config_error([f"{name}: {exc}"])
-        report = run_scenario(scenario, seed=args.seed, samples=args.samples,
-                              tol=args.tol, filter_substr=args.filter,
-                              jobs=args.jobs)
         lines.extend(report.render_lines())
         any_failed = any_failed or report.failed
     _emit(lines, args.report)

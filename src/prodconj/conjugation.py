@@ -221,7 +221,7 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 
     if metric is not None:
         compat = metric_compat_residual(ctx, metric, structure)
-        if compat.value > compat_tol:
+        if not compat.within(compat_tol):
             rows.append(("metric_transport", None,
                          f"metric not structure-compatible (residual {compat.value:.3e})"))
         else:
@@ -245,13 +245,13 @@ def metric_consequence_suite(ctx: EvalContext, base: ConnectionOp, structure: En
     rows = []
     compat = metric_compat_residual(ctx, metric, structure)
     rows.append(("compatibility", compat,
-                 "gate for the metricity row" if compat.value <= tol else "metric moves under the structure"))
-    if compat.value <= tol:
+                 "gate for the metricity row" if compat.within(tol) else "metric moves under the structure"))
+    if compat.within(tol):
         rows.append(("conjugate_metricity", metricity_residual(ctx, conj, metric), ""))
     else:
         rows.append(("conjugate_metricity", None, "skipped: incompatible metric"))
     par = parallel_structure_residual(ctx, base, structure)
-    if par.value <= tol:
+    if par.within(tol):
         rows.append(("parallel_collapse",
                      frame_pair_residual(ctx, lambda X, Y: vsub(conj.apply(ctx, X, Y),
                                                                 base.apply(ctx, X, Y))),
@@ -291,7 +291,7 @@ def recurrent_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
         ("hypothesis_recurrence", hyp_res, f"mode={mode}"),
         ("hypothesis_symmetry", sym_res, "base torsion must vanish"),
     ]
-    if hyp_res.value > tol or sym_res.value > tol:
+    if not (hyp_res.within(tol) and sym_res.within(tol)):
         rows.append(("torsion_shape", None,
                      f"skipped: hypothesis fails (recurrence {hyp_res.value:.3e}, "
                      f"base torsion {sym_res.value:.3e})"))
@@ -407,8 +407,9 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
                         vscale(oneform_apply(w, X), endo_apply(J, Y)))
         h1 = frame_pair_residual(ctx, lambda X, Y: hyp(J1, X, Y))
         h2 = frame_pair_residual(ctx, lambda X, Y: hyp(J2, X, Y))
-        rows.append(("hypothesis_recurrence", h1.merged(h2), ""))
-        if max(h1.value, h2.value) > tol:
+        hyp = h1.merged(h2)
+        rows.append(("hypothesis_recurrence", hyp, ""))
+        if not hyp.within(tol):
             rows.append(("conjugates_coincide", None, "skipped: recurrence fails"))
             rows.append(("pencil_invariance", None, "skipped: recurrence fails"))
             return rows
@@ -426,8 +427,9 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
                         vscale(oneform_apply(w, X), endo_apply(JB, Y)))
         h1 = frame_pair_residual(ctx, lambda X, Y: hyp_m(J1, J2, X, Y))
         h2 = frame_pair_residual(ctx, lambda X, Y: hyp_m(J2, J1, X, Y))
-        rows.append(("hypothesis_mixed", h1.merged(h2), ""))
-        if max(h1.value, h2.value) > tol:
+        hyp = h1.merged(h2)
+        rows.append(("hypothesis_mixed", hyp, ""))
+        if not hyp.within(tol):
             rows.append(("average", None, "skipped: mixed recurrence fails"))
             rows.append(("pencil_shift", None, "skipped: mixed recurrence fails"))
             return rows

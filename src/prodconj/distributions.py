@@ -14,7 +14,7 @@ complementary projector.  Zero residual means the same thing either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +55,7 @@ _RANK_RTOL = 1e-8  # singular values below this fraction of the largest are rank
 class ProjectorPair:
     h: EndoField
     v: EndoField
+    _structure: EndoField | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.h.chart is not self.v.chart:
@@ -64,8 +65,12 @@ class ProjectorPair:
     def chart(self):
         return self.h.chart
 
-    def structure(self, label: str | None = None) -> EndoField:
-        return endo_from_difference(self.h, self.v, label=label or "E")
+    def structure(self) -> EndoField:
+        """E = h - v, built on first use and the same object on every call,
+        so all suites of one pair share its cached jets."""
+        if self._structure is None:
+            object.__setattr__(self, "_structure", endo_from_difference(self.h, self.v))
+        return self._structure
 
 
 def pair_from_h(h: EndoField) -> ProjectorPair:
@@ -230,7 +235,7 @@ def conjugate_restriction_rows(ctx: EvalContext, nabla: ConnectionOp,
         ("hypothesis_invariance", inv, ""),
         ("hypothesis_restriction", res, ""),
     ]
-    if inv.value > tol or res.value > tol:
+    if not (inv.within(tol) and res.within(tol)):
         rows.append(("conjugate_restricts", None,
                      f"skipped: hypothesis fails (invariance {inv.value:.3e}, "
                      f"restriction {res.value:.3e})"))
@@ -257,7 +262,7 @@ def conjugate_geodesic_rows(ctx: EvalContext, nabla: ConnectionOp,
         ("hypothesis_invariance", inv, ""),
         ("hypothesis_restriction", res, ""),
     ]
-    if inv.value > tol or res.value > tol:
+    if not (inv.within(tol) and res.within(tol)):
         rows.append(("conjugate_geodesic", None,
                      f"skipped: hypothesis fails (invariance {inv.value:.3e}, "
                      f"restriction {res.value:.3e})"))
@@ -298,7 +303,7 @@ def restriction_collapse_rows(ctx: EvalContext, nabla: ConnectionOp,
         ("hypothesis_restricts_h", rh, ""),
         ("hypothesis_restricts_v", rv, ""),
     ]
-    if rh.value > tol or rv.value > tol:
+    if not (rh.within(tol) and rv.within(tol)):
         rows.append(("conjugate_collapse", None,
                      f"skipped: base does not restrict to both sides "
                      f"({rh.value:.3e}, {rv.value:.3e})"))
@@ -358,7 +363,7 @@ def schouten_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair,
     ]
     base_h = restriction_residual(ctx, nabla, Dh)
     base_v = restriction_residual(ctx, nabla, Dv)
-    if base_h.value <= tol and base_v.value <= tol:
+    if base_h.within(tol) and base_v.within(tol):
         rows.append(("reduces_to_base",
                      frame_pair_residual(ctx, lambda X, Y: vsub(s.apply(ctx, X, Y),
                                                                 nabla.apply(ctx, X, Y))),
@@ -384,7 +389,7 @@ def involutivity_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair
     base_t = torsion_residual(ctx, nabla)
     rows = [("hypothesis_torsion_free", hyp,
              f"base torsion {base_t.value:.3e}")]
-    if hyp.value > tol:
+    if not hyp.within(tol):
         rows.append(("vertical_involutive", None,
                      f"skipped: conjugate has torsion ({hyp.value:.3e})"))
         rows.append(("horizontal_involutive", None, "skipped: same hypothesis"))

@@ -252,7 +252,7 @@ def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     sv = np.linalg.svd(design, compute_uv=False)
     scale = max(sv[0], 1.0)
     rows: Rows = []
-    if sv[-1] <= 1e-8 * scale:
+    if not sv[-1] > 1e-8 * scale:  # a NaN singular value is not well conditioned
         note = f"probe responses dependent (sv ratio {sv[-1] / scale:.3e}); sweep inconclusive"
         rows.append(("genericity", None, note))
         for lam, mu in grid:
@@ -387,7 +387,7 @@ def generalized_identity_rows(ctx: EvalContext, base: ConnectionOp,
         ctx, lambda X, Y: vsub(C(ctx, X, Y), C(ctx, Y, X)))
     parallel_res = frame_pair_residual(
         ctx, lambda X, Y: nabla_endo(ctx, base, E, X, Y))
-    if skew_res.value <= tol and parallel_res.value <= tol:
+    if skew_res.within(tol) and parallel_res.within(tol):
         collapse = frame_pair_residual(
             ctx, lambda X, Y: vsub(torsion(ctx, gen, X, Y), torsion(ctx, base, X, Y)))
         rows.append(("torsion_collapse", collapse,

@@ -26,6 +26,10 @@ class Residual:
     worst_point: tuple[float, ...] | None = None
     frame: str | None = None
 
+    def within(self, tol: float) -> bool:
+        """Whether the residual is at most tol; false on NaN, so gates fail closed."""
+        return self.value <= tol
+
     def merged(self, other: "Residual") -> "Residual":
         """The worse of two accumulated residuals, witness included."""
         return other if _worse(other.value, self.value) else self
@@ -80,7 +84,7 @@ class CheckRow:
         if not math.isfinite(res.value):
             status = ERROR
         else:
-            status = PASS if res.value <= tol else FAIL
+            status = PASS if res.within(tol) else FAIL
         return CheckRow(row_id, anchor, res.value, status,
                         res.worst_point, res.frame, note)
 

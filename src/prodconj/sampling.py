@@ -22,6 +22,8 @@ class SamplePlan:
     box: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"sample seed must be nonnegative, got {self.seed}")
         if self.count < 1:
             raise ConfigError(f"sample count must be positive, got {self.count}")
         if not self.box:

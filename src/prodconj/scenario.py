@@ -24,11 +24,15 @@ Section types:
   check NAME           kind = registry kind, its parameters, and the
                        judging controls expect / floor / tol
 
-Loading never evaluates a check; it does probe structural invariants
-(involutivity of endos used as structures, metric symmetry implicitly by
-storage, pencil skew commutation) on a small deterministic point batch so
-misconfigured inputs fail before any residual is computed.  All errors are
-collected and raised together, each with its source line.
+Every section reads its entries the same way: a key its type (or kind)
+does not allow, a repeated key, a malformed or out-of-range index, a
+non-finite number or a negative tolerance is an error.  Loading never
+evaluates a check; it does probe structural invariants (involutivity of
+endos used as structures, pencil skew commutation) on a small
+deterministic point batch so misconfigured inputs fail before any
+residual is computed.  Whatever goes wrong while building or probing a
+section becomes a message with its source line; all of them are raised
+together as one ScenarioError.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .checks import EXPECTATIONS, DEFAULT_FLOOR, CheckKind, kind_for
+from .checks import EXPECTATIONS, DEFAULT_FLOOR, REGISTRY, CheckKind
 from .conjugation import Pencil, skew_commutation_residual
 from .connections import (
     ChristoffelConnection,
@@ -64,12 +69,39 @@ from .generalized import mixed_derivative_twist, structure_derivative_twist
 from .sampling import SamplePlan
 
 _HEADER = re.compile(r"\[\s*([a-z_]+)(?:\s+([A-Za-z_][\w.-]*))?\s*\]$")
-_NAMED_SECTIONS = ("vector", "oneform", "endo", "metric", "tensor",
-                   "connection", "pair", "pencil", "distribution", "check")
 _BARE_SECTIONS = ("chart", "samples", "tolerance")
+# build order: a section may refer to objects of an earlier phase, or of
+# its own phase defined earlier in the file; tensors with a `kind` are
+# derived from connections and wait for them (phase 4)
+_PHASE = {"chart": 0, "samples": 1, "tolerance": 1,
+          "vector": 2, "oneform": 2, "endo": 2, "metric": 2, "tensor": 2,
+          "connection": 3, "pair": 5, "pencil": 5, "distribution": 5, "check": 6}
+_MAX_DIM = 16
 _DEFAULT_TOL = 1e-9
 _PROBE_COUNT = 8
 _PROBE_TOL = 1e-9
+
+# indexed keys: name -> (index count, expressions wanted given dim and indices)
+_INDEXED = {
+    "row": (1, lambda n, k: n),
+    "upper": (1, lambda n, k: n - k),
+    "comp": (3, lambda n, *ijk: 1),
+    "gamma": (3, lambda n, *ijk: 1),
+}
+# keys allowed beside `kind` in a [connection] / derived [tensor], by kind
+_CONNECTION_KEYS = {"flat": (), "christoffel": ("gamma",),
+                    "levi_civita": ("metric",), "sum": ("base", "tensor")}
+_TWIST_KEYS = {"structure_derivative": ("connection", "structure"),
+               "derivative_mix": ("connection", "structure", "lam", "mu")}
+# per check kind: the keys its section allows, and those it requires
+_CHECK_KEYS = {name: (("kind", "expect", "floor", "tol") + tuple(kind.params),
+                      tuple(p for p, spec in kind.params.items() if spec.required))
+               for name, kind in REGISTRY.items()}
+# reference roles and the scenario table each one names an object of
+_TABLES = {"connection": "connections", "structure": "endos", "endo": "endos",
+           "metric": "metrics", "oneform": "oneforms", "tensor": "tensors",
+           "vector": "vectors", "pair": "pairs", "pencil": "pencils",
+           "distribution": "distributions"}
 
 
 @dataclass
@@ -101,16 +133,38 @@ class Scenario:
     checks: list[CheckSpec] = field(default_factory=list)
 
 
+_Entry = tuple[str, str, int]  # key, value, line: one `key = value` line
+
+
 @dataclass
 class _Section:
     type: str
     name: str | None
     line: int
-    entries: list  # (key, value, line)
+    entries: list[_Entry]
+    kind: _Entry | None = None  # the first `kind` entry
+
+    @property
+    def title(self) -> str:
+        return self.type if self.name is None else f"{self.type} {self.name}"
+
+    @property
+    def phase(self) -> int:
+        derived = self.type == "tensor" and self.kind is not None
+        return 4 if derived else _PHASE[self.type]
 
 
-def _split_sexprs(text: str, line: int, errors: list) -> list[str]:
+def _bad(line: int, message: str) -> ScenarioError:
+    return ScenarioError(f"line {line}: {message}")
+
+
+def _describe(exc: Exception) -> str:
+    return str(exc) if isinstance(exc, ConfigError) else f"{type(exc).__name__}: {exc}"
+
+
+def _split_sexprs(entry: _Entry) -> list[str]:
     """Split a value into top-level s-expressions / bare atoms."""
+    _, text, line = entry
     parts, depth, start = [], 0, None
     for i, ch in enumerate(text):
         if ch == "(":
@@ -123,8 +177,7 @@ def _split_sexprs(text: str, line: int, errors: list) -> list[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                errors.append(f"line {line}: unbalanced ')'")
-                return []
+                raise _bad(line, "unbalanced ')'")
             if depth == 0:
                 parts.append(text[start:i + 1])
                 start = None
@@ -136,8 +189,7 @@ def _split_sexprs(text: str, line: int, errors: list) -> list[str]:
             elif start is None:
                 start = i
     if depth != 0:
-        errors.append(f"line {line}: unbalanced '('")
-        return []
+        raise _bad(line, "unbalanced '('")
     if start is not None:
         parts.append(text[start:])
     return parts
@@ -148,38 +200,35 @@ def _sections(text: str, errors: list) -> list[_Section]:
     current: _Section | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        if not line or line[0] in "#;":
             continue
-        if line.startswith("["):
+        if line[0] == "[":
             m = _HEADER.match(line)
+            current = None
             if not m:
                 errors.append(f"line {lineno}: malformed section header {line!r}")
-                current = None
                 continue
             stype, name = m.group(1), m.group(2)
-            if stype in _BARE_SECTIONS:
-                if name is not None:
-                    errors.append(f"line {lineno}: section [{stype}] takes no name")
-            elif stype in _NAMED_SECTIONS:
-                if name is None:
-                    errors.append(f"line {lineno}: section [{stype}] needs a name")
-                    current = None
-                    continue
-            else:
+            if stype not in _PHASE:
                 errors.append(f"line {lineno}: unknown section type {stype!r}")
-                current = None
+                continue
+            if stype in _BARE_SECTIONS and name is not None:
+                errors.append(f"line {lineno}: section [{stype}] takes no name")
+            elif stype not in _BARE_SECTIONS and name is None:
+                errors.append(f"line {lineno}: section [{stype}] needs a name")
                 continue
             current = _Section(stype, name, lineno, [])
             out.append(current)
+        elif "=" not in line:
+            errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
+        elif current is None:
+            errors.append(f"line {lineno}: entry outside any section")
         else:
-            if "=" not in line:
-                errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
-                continue
-            if current is None:
-                errors.append(f"line {lineno}: entry outside any section")
-                continue
             key, _, value = line.partition("=")
-            current.entries.append((key.strip(), value.strip(), lineno))
+            entry = (key.strip(), value.strip(), lineno)
+            current.entries.append(entry)
+            if entry[0] == "kind" and current.kind is None:
+                current.kind = entry
     return out
 
 
@@ -190,607 +239,355 @@ class _Loader:
         self.sections = _sections(text, self.errors)
         self.chart: Chart | None = None
         self.scn: Scenario | None = None
+        self.where: dict[tuple[str, str | None], int] = {}
 
     def fail(self, line: int, message: str) -> None:
         self.errors.append(f"line {line}: {message}")
 
-    def expr(self, text: str, line: int) -> Expr | None:
+    def guarded(self, line: int, build, *args) -> None:
+        """Run one section's build or probe, recording what goes wrong.
+
+        A reader's ScenarioError already names its lines; any other input
+        problem is reported at `line`, the section's header.
+        """
         try:
-            e = parse_expr(text, self.chart.names if self.chart else None)
-            if self.chart is not None:
-                validate_expr(e, self.chart.dim)
+            build(*args)
+        except ScenarioError as exc:
+            self.errors.extend(exc.messages)
+        except (ConfigError, ValueError, ArithmeticError, RecursionError) as exc:
+            self.fail(line, _describe(exc))
+
+    # -- entry readers ----------------------------------------------------
+
+    def entries_map(self, sec: _Section, allowed: tuple[str, ...],
+                    required: tuple[str, ...] = ()) -> dict:
+        """A section's entries by key, reporting every bad or missing one.
+
+        Plain keys map to their `_Entry`, indexed keys by their index
+        tuple to their expressions (see `indexed`).
+        """
+        got, errors = {}, []
+        for entry in sec.entries:
+            key, item = entry[0], entry
+            try:
+                if key not in allowed or key in _INDEXED:
+                    key, item = self.indexed(sec, entry, allowed)
+                if key in got:
+                    raise _bad(entry[2], f"duplicate key {entry[0]!r}")
+                got[key] = item
+            except ScenarioError as exc:
+                errors.extend(exc.messages)
+        for key in required:
+            if key not in got:
+                errors.append(f"line {sec.line}: [{sec.title}] needs {key}")
+        if errors:
+            raise ScenarioError(errors)
+        return got
+
+    def indexed(self, sec: _Section, entry: _Entry, allowed) -> tuple[tuple, list[Expr]]:
+        """An indexed entry's index tuple and expressions.
+
+        The one reader of `row K`, `upper K`, `comp K I J` and `gamma K I J`
+        keys: each index must be an integer in 0..dim-1, and the value must
+        hold as many expressions as the key addresses.
+        """
+        text, _, line = entry
+        name, *index = text.split() or [""]
+        if name not in allowed or name not in _INDEXED or len(index) != _INDEXED[name][0]:
+            raise _bad(line, f"[{sec.type}] takes no key {text!r}")
+        n = self.chart.dim
+        try:
+            key = tuple(int(i) for i in index)
+        except ValueError:
+            key = (-1,)
+        if not all(0 <= i < n for i in key):
+            raise _bad(line, f"indices in {text!r} must be integers in 0..{n - 1}")
+        return key, self.exprs(entry, _INDEXED[name][1](n, *key))
+
+    def kind_of(self, sec: _Section, kinds, default: str | None = None) -> str:
+        entry = sec.kind
+        if entry is None and default is None:
+            raise _bad(sec.line, f"[{sec.title}] needs kind")
+        if entry is None:
+            return default
+        _, kind, line = entry
+        if kind not in kinds:
+            raise _bad(line, f"unknown {sec.type} kind {kind!r}; "
+                             f"known kinds: {', '.join(sorted(kinds))}")
+        return kind
+
+    def ref(self, role: str, entry: _Entry):
+        """The object an entry names, from the scenario table of its role."""
+        _, name, line = entry
+        table = getattr(self.scn, _TABLES[role])
+        if name not in table:
+            raise _bad(line, f"unknown {role} {name!r}")
+        return table[name]
+
+    def refs(self, role: str, entry: _Entry) -> list:
+        key, names, line = entry
+        return [self.ref(role, (key, n.strip(), line)) for n in names.split(",")]
+
+    def integer(self, entry: _Entry, lo: int, hi: int | None = None) -> int:
+        key, text, line = entry
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo or (hi is not None and value > hi):
+            span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+            raise _bad(line, f"{key} must be an integer {span}, got {text!r}")
+        return value
+
+    def number(self, entry: _Entry, exact: bool = False):
+        """A finite decimal or ratio: a float, or a Fraction when `exact`."""
+        key, text, line = entry
+        try:
+            value = Fraction(text)
+            return value if exact else float(value)
+        except (ValueError, ArithmeticError):
+            raise _bad(line, f"bad number {text!r} for {key}, "
+                             "want a finite decimal or ratio") from None
+
+    def tolerance(self, entry: _Entry) -> float:
+        key, text, line = entry
+        value = self.number(entry)
+        if value < 0:
+            raise _bad(line, f"{key} must be nonnegative, got {text!r}")
+        return value
+
+    def interval(self, entry: _Entry) -> tuple[float, float]:
+        key, text, line = entry
+        lo, sep, hi = text.partition(":")
+        if sep:
+            lo, hi = self.number((key, lo, line)), self.number((key, hi, line))
+        if not sep or not lo < hi:
+            raise _bad(line, f"bad interval {text!r}, want lo:hi with lo < hi")
+        return lo, hi
+
+    def expr(self, text: str, line: int) -> Expr:
+        try:
+            e = parse_expr(text, self.chart.names)
+            validate_expr(e, self.chart.dim)
             return e
-        except ConfigError as exc:
-            self.fail(line, str(exc))
-            return None
+        except (ConfigError, ArithmeticError, RecursionError) as exc:
+            raise _bad(line, _describe(exc)) from None
 
-    def exprs(self, value: str, line: int, want: int | None = None) -> list[Expr] | None:
-        parts = _split_sexprs(value, line, self.errors)
-        out = [self.expr(p, line) for p in parts]
-        if any(e is None for e in out):
-            return None
-        if want is not None and len(out) != want:
-            self.fail(line, f"expected {want} expressions, got {len(out)}")
-            return None
-        return out
+    def exprs(self, entry: _Entry, want: int) -> list[Expr]:
+        line = entry[2]
+        parts = _split_sexprs(entry)
+        if len(parts) != want:
+            raise _bad(line, f"expected {want} expressions, got {len(parts)}")
+        return [self.expr(p, line) for p in parts]
 
-    def entries_map(self, sec: _Section, allowed: tuple[str, ...]) -> dict:
-        seen = {}
-        for key, value, line in sec.entries:
-            base = key.split()[0]
-            if base not in allowed:
-                self.fail(line, f"unknown key {key!r} in [{sec.type}]")
-                continue
-            if key in seen:
-                self.fail(line, f"duplicate key {key!r}")
-                continue
-            seen[key] = (value, line)
-        return seen
+    def param(self, spec, entry: _Entry):
+        key, text, line = entry
+        role = spec.role
+        if role in _TABLES:
+            return self.ref(role, entry)
+        if role == "vectors":
+            return self.refs("vector", entry)
+        if role == "expr":
+            return self.expr(text, line)
+        if role == "float":
+            return self.number(entry)
+        if role == "grid":
+            pairs = [part.split(",") for part in text.split(";")]
+            if any(len(p) != 2 for p in pairs):
+                raise _bad(line, f"bad grid {text!r}, want lam,mu; lam,mu ...")
+            return [tuple(self.number((key, b, line)) for b in p) for p in pairs]
+        if role == "str":
+            if spec.choices is not None and text not in spec.choices:
+                raise _bad(line, f"value {text!r} not one of {spec.choices}")
+            return text
+        raise _bad(line, f"unhandled parameter role {role!r}")
 
-    # -- per-section builders -------------------------------------------
+    # -- per-section builders -----------------------------------------------
 
     def build_chart(self, sec: _Section) -> None:
-        got = self.entries_map(sec, ("dim", "names", "box"))
-        if "dim" not in got:
-            self.fail(sec.line, "[chart] needs dim")
-            return
-        try:
-            dim = int(got["dim"][0])
-        except ValueError:
-            self.fail(got["dim"][1], f"bad dim {got['dim'][0]!r}")
-            return
+        got = self.entries_map(sec, ("dim", "names", "box"), required=("dim",))
+        dim = self.integer(got["dim"], 1, _MAX_DIM)
+        names = tuple(f"x{i}" for i in range(dim))
         if "names" in got:
-            names = tuple(n.strip() for n in got["names"][0].split(","))
-        else:
-            names = tuple(f"x{i}" for i in range(dim))
-        box = tuple((-1.0, 1.0) for _ in range(dim))
+            names = tuple(n.strip() for n in got["names"][1].split(","))
+        box = ((-1.0, 1.0),) * dim
         if "box" in got:
-            value, line = got["box"]
-            intervals = []
-            for part in value.split(","):
-                lo, sep, hi = part.strip().partition(":")
-                try:
-                    if not sep:
-                        raise ValueError
-                    intervals.append((float(lo), float(hi)))
-                except ValueError:
-                    self.fail(line, f"bad interval {part.strip()!r}, want lo:hi")
-                    return
-            box = tuple(intervals)
-        try:
-            self.chart = Chart(dim, names, box)
-        except ConfigError as exc:
-            self.fail(sec.line, str(exc))
+            key, text, line = got["box"]
+            box = tuple(self.interval((key, part.strip(), line)) for part in text.split(","))
+        self.chart = Chart(dim, names, box)
 
-    def build_fields(self) -> None:
-        scn = self.scn
-        for sec in self.sections:
-            if sec.type == "vector" or sec.type == "oneform":
-                got = self.entries_map(sec, ("components",))
-                if "components" not in got:
-                    self.fail(sec.line, f"[{sec.type} {sec.name}] needs components")
-                    continue
-                value, line = got["components"]
-                comps = self.exprs(value, line, want=self.chart.dim)
-                if comps is None:
-                    continue
-                cls = VectorField if sec.type == "vector" else OneFormField
-                table = scn.vectors if sec.type == "vector" else scn.oneforms
-                table[sec.name] = cls(self.chart, tuple(comps), label=sec.name)
-            elif sec.type == "endo":
-                rows: dict[int, list[Expr]] = {}
-                ok = True
-                for key, value, line in sec.entries:
-                    parts = key.split()
-                    if len(parts) != 2 or parts[0] != "row":
-                        self.fail(line, f"[endo] keys look like 'row K', got {key!r}")
-                        ok = False
-                        continue
-                    try:
-                        k = int(parts[1])
-                    except ValueError:
-                        self.fail(line, f"bad row index {parts[1]!r}")
-                        ok = False
-                        continue
-                    comps = self.exprs(value, line, want=self.chart.dim)
-                    if comps is None:
-                        ok = False
-                        continue
-                    rows[k] = comps
-                if ok and sorted(rows) != list(range(self.chart.dim)):
-                    self.fail(sec.line,
-                              f"[endo {sec.name}] needs rows 0..{self.chart.dim - 1}")
-                    ok = False
-                if ok:
-                    scn.endos[sec.name] = EndoField(
-                        self.chart,
-                        tuple(tuple(rows[k]) for k in range(self.chart.dim)),
-                        label=sec.name)
-            elif sec.type == "metric":
-                n = self.chart.dim
-                rows: dict[int, list[Expr]] = {}
-                ok = True
-                for key, value, line in sec.entries:
-                    parts = key.split()
-                    if len(parts) != 2 or parts[0] != "upper":
-                        self.fail(line, f"[metric] keys look like 'upper K', got {key!r}")
-                        ok = False
-                        continue
-                    try:
-                        k = int(parts[1])
-                    except ValueError:
-                        self.fail(line, f"bad row index {parts[1]!r}")
-                        ok = False
-                        continue
-                    if not 0 <= k < n:
-                        self.fail(line, f"row index {k} outside 0..{n - 1}")
-                        ok = False
-                        continue
-                    comps = self.exprs(value, line, want=n - k)
-                    if comps is None:
-                        ok = False
-                        continue
-                    rows[k] = comps
-                if ok and sorted(rows) != list(range(n)):
-                    self.fail(sec.line, f"[metric {sec.name}] needs upper rows 0..{n - 1}")
-                    ok = False
-                if ok:
-                    scn.metrics[sec.name] = MetricField(
-                        self.chart, tuple(tuple(rows[k]) for k in range(n)),
-                        label=sec.name)
-            elif sec.type == "tensor":
-                self.build_component_tensor(sec)
+    def build_samples(self, sec: _Section) -> None:
+        got = self.entries_map(sec, ("seed", "count"))
+        self.scn.plan = self.scn.plan.replace(
+            seed=self.integer(got["seed"], 0) if "seed" in got else None,
+            count=self.integer(got["count"], 1) if "count" in got else None)
 
-    def build_component_tensor(self, sec: _Section) -> None:
-        # derived tensors (kind = ...) wait until connections exist
-        if any(k.split()[0] == "kind" for k, _, _ in sec.entries):
-            return
+    def build_tolerance(self, sec: _Section) -> None:
+        got = self.entries_map(sec, ("identity",))
+        if "identity" in got:
+            self.scn.tol = self.tolerance(got["identity"])
+
+    def components(self, sec: _Section) -> tuple[Expr, ...]:
+        entry = self.entries_map(sec, ("components",), required=("components",))["components"]
+        return tuple(self.exprs(entry, self.chart.dim))
+
+    def build_vector(self, sec: _Section) -> None:
+        self.scn.vectors[sec.name] = VectorField(self.chart, self.components(sec),
+                                                 label=sec.name)
+
+    def build_oneform(self, sec: _Section) -> None:
+        self.scn.oneforms[sec.name] = OneFormField(self.chart, self.components(sec),
+                                                   label=sec.name)
+
+    def rows(self, sec: _Section, key: str) -> tuple:
         n = self.chart.dim
-        comp = [[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        ok, seen = True, set()
-        for key, value, line in sec.entries:
-            parts = key.split()
-            if len(parts) != 4 or parts[0] != "comp":
-                self.fail(line, f"[tensor] keys look like 'comp K I J', got {key!r}")
-                ok = False
-                continue
-            try:
-                k, i, j = (int(p) for p in parts[1:])
-            except ValueError:
-                self.fail(line, f"bad indices in {key!r}")
-                ok = False
-                continue
-            if not all(0 <= t < n for t in (k, i, j)):
-                self.fail(line, f"indices in {key!r} outside 0..{n - 1}")
-                ok = False
-                continue
-            if (k, i, j) in seen:
-                self.fail(line, f"duplicate component {key!r}")
-                ok = False
-                continue
-            seen.add((k, i, j))
-            exprs = self.exprs(value, line, want=1)
-            if exprs is None:
-                ok = False
-                continue
-            comp[k][i][j] = exprs[0]
-        if ok:
+        rows = self.entries_map(sec, (key,))
+        if len(rows) != n:
+            raise _bad(sec.line, f"[{sec.title}] needs {key} rows 0..{n - 1}")
+        return tuple(tuple(rows[(k,)]) for k in range(n))
+
+    def build_endo(self, sec: _Section) -> None:
+        self.scn.endos[sec.name] = EndoField(self.chart, self.rows(sec, "row"),
+                                             label=sec.name)
+
+    def build_metric(self, sec: _Section) -> None:
+        self.scn.metrics[sec.name] = MetricField(self.chart, self.rows(sec, "upper"),
+                                                 label=sec.name)
+
+    def coefficients(self, got: dict) -> list:
+        """The (K, I, J) table of an indexed section; absent entries are zero."""
+        n = self.chart.dim
+        table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for key, value in got.items():
+            if isinstance(key, tuple):
+                k, i, j = key
+                table[k][i][j] = value[0]
+        return table
+
+    def build_tensor(self, sec: _Section) -> None:
+        if sec.kind is None:
             self.scn.tensors[sec.name] = Tensor12Field.from_components(
-                self.chart, comp, label=sec.name)
+                self.chart, self.coefficients(self.entries_map(sec, ("comp",))),
+                label=sec.name)
+            return
+        kind = self.kind_of(sec, _TWIST_KEYS)
+        keys = _TWIST_KEYS[kind]
+        got = self.entries_map(sec, ("kind",) + keys, required=keys)
+        nabla = self.ref("connection", got["connection"])
+        endo = self.ref("endo", got["structure"])
+        if kind == "structure_derivative":
+            tensor = structure_derivative_twist(nabla, endo, label=sec.name)
+        else:
+            tensor = mixed_derivative_twist(nabla, endo, self.number(got["lam"]),
+                                            self.number(got["mu"]), label=sec.name)
+        self.scn.tensors[sec.name] = tensor
 
-    def build_connections(self) -> None:
-        scn = self.scn
-        for sec in self.sections:
-            if sec.type != "connection":
-                continue
-            got = {k: (v, ln) for k, v, ln in sec.entries
-                   if " " not in k.strip()}
-            kind = got.get("kind", ("christoffel", sec.line))[0]
-            if kind == "flat":
-                scn.connections[sec.name] = flat_connection(self.chart, label=sec.name)
-            elif kind == "christoffel":
-                n = self.chart.dim
-                gamma = [[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
-                ok, seen = True, set()
-                for key, value, line in sec.entries:
-                    parts = key.split()
-                    if parts[0] == "kind":
-                        continue
-                    if len(parts) != 4 or parts[0] != "gamma":
-                        self.fail(line, f"[connection] keys look like 'gamma K I J', got {key!r}")
-                        ok = False
-                        continue
-                    try:
-                        k, i, j = (int(p) for p in parts[1:])
-                    except ValueError:
-                        self.fail(line, f"bad indices in {key!r}")
-                        ok = False
-                        continue
-                    if not all(0 <= t < n for t in (k, i, j)):
-                        self.fail(line, f"indices in {key!r} outside 0..{n - 1}")
-                        ok = False
-                        continue
-                    if (k, i, j) in seen:
-                        self.fail(line, f"duplicate coefficient {key!r}")
-                        ok = False
-                        continue
-                    seen.add((k, i, j))
-                    exprs = self.exprs(value, line, want=1)
-                    if exprs is None:
-                        ok = False
-                        continue
-                    gamma[k][i][j] = exprs[0]
-                if ok:
-                    scn.connections[sec.name] = ChristoffelConnection(
-                        self.chart, gamma, label=sec.name)
-            elif kind == "levi_civita":
-                if "metric" not in got:
-                    self.fail(sec.line, f"[connection {sec.name}] kind levi_civita needs metric")
-                    continue
-                mname, line = got["metric"]
-                if mname not in scn.metrics:
-                    self.fail(line, f"unknown metric {mname!r}")
-                    continue
-                scn.connections[sec.name] = LeviCivitaConnection(
-                    scn.metrics[mname], label=sec.name)
-            elif kind == "sum":
-                missing = [k for k in ("base", "tensor") if k not in got]
-                if missing:
-                    self.fail(sec.line,
-                              f"[connection {sec.name}] kind sum needs {missing[0]}")
-                    continue
-                bname, bline = got["base"]
-                tname, tline = got["tensor"]
-                if bname not in scn.connections:
-                    self.fail(bline, f"unknown connection {bname!r} "
-                                     "(sum bases must be defined earlier in the file)")
-                    continue
-                if tname not in scn.tensors:
-                    self.fail(tline, f"unknown tensor {tname!r}")
-                    continue
-                scn.connections[sec.name] = SumConnection(
-                    scn.connections[bname], scn.tensors[tname], label=sec.name)
-            else:
-                self.fail(sec.line, f"unknown connection kind {kind!r}")
+    def build_connection(self, sec: _Section) -> None:
+        kind = self.kind_of(sec, _CONNECTION_KEYS, default="christoffel")
+        keys = _CONNECTION_KEYS[kind]
+        got = self.entries_map(sec, ("kind",) + keys,
+                               required=keys if kind != "christoffel" else ())
+        if kind == "flat":
+            conn = flat_connection(self.chart, label=sec.name)
+        elif kind == "christoffel":
+            conn = ChristoffelConnection(self.chart, self.coefficients(got), label=sec.name)
+        elif kind == "levi_civita":
+            conn = LeviCivitaConnection(self.ref("metric", got["metric"]), label=sec.name)
+        else:
+            conn = SumConnection(self.ref("connection", got["base"]),
+                                 self.ref("tensor", got["tensor"]), label=sec.name)
+        self.scn.connections[sec.name] = conn
 
-    def build_derived_tensors(self) -> None:
-        scn = self.scn
-        for sec in self.sections:
-            if sec.type != "tensor":
-                continue
-            got = {k: (v, ln) for k, v, ln in sec.entries if " " not in k.strip()}
-            if "kind" not in got:
-                continue
-            kind, kline = got["kind"]
-            if kind not in ("structure_derivative", "derivative_mix"):
-                self.fail(kline, f"unknown tensor kind {kind!r}")
-                continue
-            missing = [k for k in ("connection", "structure") if k not in got]
-            if missing:
-                self.fail(sec.line, f"[tensor {sec.name}] kind "
-                                    f"{kind} needs {missing[0]}")
-                continue
-            cname, cline = got["connection"]
-            ename, eline = got["structure"]
-            if cname not in scn.connections:
-                self.fail(cline, f"unknown connection {cname!r}")
-                continue
-            if ename not in scn.endos:
-                self.fail(eline, f"unknown endo {ename!r}")
-                continue
-            nabla = scn.connections[cname]
-            endo = scn.endos[ename]
-            if kind == "structure_derivative":
-                scn.tensors[sec.name] = structure_derivative_twist(
-                    nabla, endo, label=sec.name)
-                continue
-            weights = {}
-            ok = True
-            for key in ("lam", "mu"):
-                if key not in got:
-                    self.fail(sec.line, f"[tensor {sec.name}] kind "
-                                        f"derivative_mix needs {key}")
-                    ok = False
-                    continue
-                text, tline = got[key]
-                try:
-                    weights[key] = float(Fraction(text))
-                except (ValueError, ZeroDivisionError):
-                    self.fail(tline, f"bad number {text!r}")
-                    ok = False
-            if ok:
-                scn.tensors[sec.name] = mixed_derivative_twist(
-                    nabla, endo, weights["lam"], weights["mu"], label=sec.name)
+    def build_pair(self, sec: _Section) -> None:
+        got = self.entries_map(sec, ("h", "v"), required=("h",))
+        h = self.ref("endo", got["h"])
+        self.scn.pairs[sec.name] = (ProjectorPair(h, self.ref("endo", got["v"]))
+                                    if "v" in got else pair_from_h(h))
 
-    def build_pairs_pencils_distributions(self) -> None:
-        scn = self.scn
-        for sec in self.sections:
-            if sec.type == "pair":
-                got = self.entries_map(sec, ("h", "v"))
-                if "h" not in got:
-                    self.fail(sec.line, f"[pair {sec.name}] needs h")
-                    continue
-                hname, hline = got["h"]
-                if hname not in scn.endos:
-                    self.fail(hline, f"unknown endo {hname!r}")
-                    continue
-                try:
-                    if "v" in got:
-                        vname, vline = got["v"]
-                        if vname not in scn.endos:
-                            self.fail(vline, f"unknown endo {vname!r}")
-                            continue
-                        scn.pairs[sec.name] = ProjectorPair(
-                            scn.endos[hname], scn.endos[vname])
-                    else:
-                        scn.pairs[sec.name] = pair_from_h(scn.endos[hname])
-                except ConfigError as exc:
-                    self.fail(sec.line, str(exc))
-            elif sec.type == "pencil":
-                got = self.entries_map(sec, ("first", "second", "alpha", "beta"))
-                missing = [k for k in ("first", "second", "alpha", "beta")
-                           if k not in got]
-                if missing:
-                    self.fail(sec.line, f"[pencil {sec.name}] needs {missing[0]}")
-                    continue
-                fname, fline = got["first"]
-                sname, sline = got["second"]
-                if fname not in scn.endos:
-                    self.fail(fline, f"unknown endo {fname!r}")
-                    continue
-                if sname not in scn.endos:
-                    self.fail(sline, f"unknown endo {sname!r}")
-                    continue
-                try:
-                    alpha = Fraction(got["alpha"][0])
-                    beta = Fraction(got["beta"][0])
-                except ValueError:
-                    self.fail(sec.line, "pencil weights must be rationals like 3/5")
-                    continue
-                try:
-                    scn.pencils[sec.name] = Pencil(
-                        scn.endos[fname], scn.endos[sname], alpha, beta)
-                except ConfigError as exc:
-                    self.fail(sec.line, str(exc))
-            elif sec.type == "distribution":
-                got = self.entries_map(sec, ("span", "pair", "side"))
-                if "span" in got and "pair" not in got and "side" not in got:
-                    value, line = got["span"]
-                    names = [n.strip() for n in value.split(",")]
-                    missing = [n for n in names if n not in scn.vectors]
-                    if missing:
-                        self.fail(line, f"unknown vector {missing[0]!r}")
-                        continue
-                    try:
-                        scn.distributions[sec.name] = DistributionSpec.from_span(
-                            [scn.vectors[n] for n in names], label=sec.name)
-                    except ConfigError as exc:
-                        self.fail(sec.line, str(exc))
-                elif "pair" in got and "side" in got and "span" not in got:
-                    pname, pline = got["pair"]
-                    side, sline = got["side"]
-                    if pname not in scn.pairs:
-                        self.fail(pline, f"unknown pair {pname!r}")
-                        continue
-                    try:
-                        scn.distributions[sec.name] = DistributionSpec.from_pair(
-                            scn.pairs[pname], side, label=sec.name)
-                    except ConfigError as exc:
-                        self.fail(sline, str(exc))
-                else:
-                    self.fail(sec.line,
-                              f"[distribution {sec.name}] needs either span "
-                              "or pair + side")
+    def build_pencil(self, sec: _Section) -> None:
+        keys = ("first", "second", "alpha", "beta")
+        got = self.entries_map(sec, keys, required=keys)
+        pencil = Pencil(self.ref("endo", got["first"]), self.ref("endo", got["second"]),
+                        self.number(got["alpha"], exact=True),
+                        self.number(got["beta"], exact=True))
+        self.scn.pencils[sec.name] = pencil
+        res = skew_commutation_residual(self.probes, pencil.first, pencil.second)
+        if not res.within(_PROBE_TOL):
+            raise ConfigError(f"pencil {sec.name!r}: members do not skew-commute "
+                              f"(residual {res.value:.3e} at probe points)")
 
-    _ROLE_TABLES = {
-        "connection": "connections",
-        "structure": "endos",
-        "metric": "metrics",
-        "oneform": "oneforms",
-        "tensor": "tensors",
-        "pair": "pairs",
-        "pencil": "pencils",
-        "distribution": "distributions",
-    }
+    def build_distribution(self, sec: _Section) -> None:
+        got = self.entries_map(sec, ("span", "pair", "side"))
+        if set(got) == {"span"}:
+            spec = DistributionSpec.from_span(self.refs("vector", got["span"]),
+                                              label=sec.name)
+        elif set(got) == {"pair", "side"}:
+            spec = DistributionSpec.from_pair(self.ref("pair", got["pair"]),
+                                              got["side"][1], label=sec.name)
+        else:
+            raise ConfigError(f"[{sec.title}] needs either span or pair + side")
+        self.scn.distributions[sec.name] = spec
 
-    def resolve_param(self, spec, value: str, line: int):
-        scn = self.scn
-        role = spec.role
-        if role in self._ROLE_TABLES:
-            table = getattr(scn, self._ROLE_TABLES[role])
-            if value not in table:
-                self.fail(line, f"unknown {role} {value!r}")
-                return None
-            return table[value]
-        if role == "vectors":
-            names = [n.strip() for n in value.split(",")]
-            missing = [n for n in names if n not in scn.vectors]
-            if missing:
-                self.fail(line, f"unknown vector {missing[0]!r}")
-                return None
-            return [scn.vectors[n] for n in names]
-        if role == "expr":
-            return self.expr(value, line)
-        if role == "float":
-            try:
-                return float(Fraction(value))
-            except (ValueError, ZeroDivisionError):
-                self.fail(line, f"bad number {value!r}")
-                return None
-        if role == "grid":
-            pairs = []
-            for part in value.split(";"):
-                bits = part.split(",")
-                try:
-                    if len(bits) != 2:
-                        raise ValueError
-                    pairs.append((float(bits[0]), float(bits[1])))
-                except ValueError:
-                    self.fail(line, f"bad grid entry {part.strip()!r}, want lam,mu")
-                    return None
-            return pairs
-        if role == "str":
-            if spec.choices is not None and value not in spec.choices:
-                self.fail(line, f"value {value!r} not one of {spec.choices}")
-                return None
-            return value
-        self.fail(line, f"unhandled parameter role {role!r}")
-        return None
+    def build_check(self, sec: _Section) -> None:
+        kind = REGISTRY[self.kind_of(sec, REGISTRY)]
+        got = self.entries_map(sec, *_CHECK_KEYS[kind.name])
+        _, expect, line = got.get("expect", ("expect", "pass", sec.line))
+        if expect not in EXPECTATIONS:
+            raise _bad(line, f"expect must be one of {EXPECTATIONS}, got {expect!r}")
+        floor = self.tolerance(got["floor"]) if "floor" in got else DEFAULT_FLOOR
+        tol = self.tolerance(got["tol"]) if "tol" in got else None
+        params = {p: self.param(spec, got[p]) if p in got else spec.default
+                  for p, spec in kind.params.items()}
+        self.scn.checks.append(CheckSpec(sec.name, kind, params, expect, floor, tol, sec.line))
 
-    def build_checks(self) -> None:
-        scn = self.scn
-        for sec in self.sections:
-            if sec.type != "check":
-                continue
-            got = {k: (v, ln) for k, v, ln in sec.entries}
-            if any(" " in k for k in got):
-                bad = next(k for k in got if " " in k)
-                self.fail(sec.line, f"[check] keys are single words, got {bad!r}")
-                continue
-            if "kind" not in got:
-                self.fail(sec.line, f"[check {sec.name}] needs kind")
-                continue
-            try:
-                kind = kind_for(got["kind"][0])
-            except ConfigError as exc:
-                self.fail(got["kind"][1], str(exc))
-                continue
-            expect = got.get("expect", ("pass", sec.line))[0]
-            if expect not in EXPECTATIONS:
-                self.fail(got["expect"][1],
-                          f"expect must be one of {EXPECTATIONS}, got {expect!r}")
-                continue
-            floor = DEFAULT_FLOOR
-            if "floor" in got:
-                try:
-                    floor = float(got["floor"][0])
-                except ValueError:
-                    self.fail(got["floor"][1], f"bad floor {got['floor'][0]!r}")
-                    continue
-            tol = None
-            if "tol" in got:
-                try:
-                    tol = float(got["tol"][0])
-                except ValueError:
-                    self.fail(got["tol"][1], f"bad tol {got['tol'][0]!r}")
-                    continue
-            reserved = {"kind", "expect", "floor", "tol"}
-            unknown = [k for k in got
-                       if k not in reserved and k not in kind.params]
-            if unknown:
-                self.fail(got[unknown[0]][1],
-                          f"check kind {kind.name!r} takes no parameter {unknown[0]!r}")
-                continue
-            params, ok = {}, True
-            for pname, spec in kind.params.items():
-                if pname in got:
-                    value, line = got[pname]
-                    resolved = self.resolve_param(spec, value, line)
-                    params[pname] = resolved
-                    if resolved is None:
-                        ok = False
-                elif spec.required:
-                    self.fail(sec.line,
-                              f"check kind {kind.name!r} needs parameter {pname!r}")
-                    ok = False
-                else:
-                    params[pname] = spec.default
-            if ok:
-                scn.checks.append(CheckSpec(sec.name, kind, params,
-                                            expect, floor, tol, sec.line))
+    # -- load-time probes -----------------------------------------------------
+
+    @cached_property
+    def probes(self) -> EvalContext:
+        plan = SamplePlan(seed=self.scn.plan.seed, count=_PROBE_COUNT, box=self.chart.box)
+        return context_for(self.chart, plan)
 
     def probe_structures(self) -> None:
-        """Cheap load-time screens on a tiny point batch.
+        """Refuse structures that do not square to the identity.
 
-        Structures used by checks must square to the identity and pencil
-        members must skew-commute; a scenario violating either is refused
-        before any residual work starts.  Endos that only serve as raw
-        projectors (pair members, skew probes) are exempt.
+        Every endo a check uses as a structure is probed, except those of
+        a check whose kind measures involution itself and is expected to
+        fail.  Endos that only serve as raw projectors (pair members, skew
+        probes) are exempt; pencil members are probed with their pencil.
         """
-        if self.errors or self.scn is None:
-            return
-        scn = self.scn
-        used_as_structure: set[str] = set()
-        for check in scn.checks:
+        probed, exempt = set(), set()
+        for check in self.scn.checks:
+            skip = check.kind.probe_exempt and check.expect == "fail"
             for pname, spec in check.kind.params.items():
-                if spec.role == "structure" and check.params.get(pname) is not None:
-                    used_as_structure.add(check.params[pname].label)
-        plan = SamplePlan(seed=scn.plan.seed, count=_PROBE_COUNT, box=scn.chart.box)
-        try:
-            ctx = context_for(scn.chart, plan)
-        except ConfigError as exc:
-            self.errors.append(f"probe sampling failed: {exc}")
-            return
-        skip = {check.params["structure"].label
-                for check in scn.checks
-                if check.kind.name == "almost_product" and check.expect == "fail"}
-        for name in sorted(used_as_structure - skip):
-            if name not in scn.endos:
-                continue  # pencil-built structures are validated via the pencil
-            try:
-                res = almost_product_residual(ctx, scn.endos[name])
-            except Exception as exc:  # noqa: BLE001 - surface as config error
-                self.errors.append(f"endo {name!r}: probe evaluation failed: {exc}")
-                continue
-            if res.value > _PROBE_TOL:
-                self.errors.append(
-                    f"endo {name!r} is not involutive (residual {res.value:.3e} "
-                    f"at probe points); refusing to conjugate by it")
-        for name in sorted(scn.pencils):
-            pencil = scn.pencils[name]
-            res = skew_commutation_residual(ctx, pencil.first, pencil.second)
-            if res.value > _PROBE_TOL:
-                self.errors.append(
-                    f"pencil {name!r}: members do not skew-commute "
-                    f"(residual {res.value:.3e} at probe points)")
+                if spec.role == "structure" and check.params[pname] is not None:
+                    (exempt if skip else probed).add(check.params[pname].label)
+        for name in sorted(probed - exempt):
+            self.guarded(self.where[("endo", name)], self.probe_involution, name)
+
+    def probe_involution(self, name: str) -> None:
+        res = almost_product_residual(self.probes, self.scn.endos[name])
+        if not res.within(_PROBE_TOL):
+            raise ConfigError(f"endo {name!r} is not involutive (residual {res.value:.3e} "
+                              f"at probe points); refusing to conjugate by it")
 
     def load(self) -> Scenario:
-        chart_secs = [s for s in self.sections if s.type == "chart"]
-        if len(chart_secs) != 1:
-            self.errors.append(f"need exactly one [chart] section, found {len(chart_secs)}")
+        for sec in self.sections:
+            if (sec.type, sec.name) in self.where:
+                self.fail(sec.line, f"duplicate [{sec.title}]")
+            self.where.setdefault((sec.type, sec.name), sec.line)
+        charts = [s for s in self.sections if s.type == "chart"]
+        if not charts:
+            self.errors.append("need a [chart] section")
         else:
-            self.build_chart(chart_secs[0])
+            self.guarded(charts[0].line, self.build_chart, charts[0])
         if self.chart is None:
-            raise ScenarioError(self.errors or ["chart section failed to load"])
-
-        seed, count = 7, 200
-        for sec in self.sections:
-            if sec.type == "samples":
-                got = self.entries_map(sec, ("seed", "count"))
-                try:
-                    if "seed" in got:
-                        seed = int(got["seed"][0])
-                    if "count" in got:
-                        count = int(got["count"][0])
-                except ValueError:
-                    self.fail(sec.line, "seed and count must be integers")
-        tol = _DEFAULT_TOL
-        for sec in self.sections:
-            if sec.type == "tolerance":
-                got = self.entries_map(sec, ("identity",))
-                if "identity" in got:
-                    try:
-                        tol = float(got["identity"][0])
-                    except ValueError:
-                        self.fail(got["identity"][1],
-                                  f"bad tolerance {got['identity'][0]!r}")
-
-        names = set()
-        for sec in self.sections:
-            if sec.name is not None:
-                key = (sec.type, sec.name)
-                if key in names:
-                    self.fail(sec.line, f"duplicate [{sec.type} {sec.name}]")
-                names.add(key)
+            raise ScenarioError(self.errors)
 
         self.scn = Scenario(self.name, self.chart,
-                            SamplePlan(seed=seed, count=count, box=self.chart.box),
-                            tol)
-        self.build_fields()
-        self.build_connections()
-        self.build_derived_tensors()
-        self.build_pairs_pencils_distributions()
-        self.build_checks()
+                            SamplePlan(seed=7, count=200, box=self.chart.box), _DEFAULT_TOL)
+        for sec in sorted(self.sections, key=lambda s: s.phase):
+            if sec.type != "chart":
+                self.guarded(sec.line, getattr(self, f"build_{sec.type}"), sec)
         self.probe_structures()
         if self.errors:
             raise ScenarioError(self.errors)
@@ -804,9 +601,4 @@ def load_scenario(text: str, name: str = "scenario") -> Scenario:
 
 def make_context(scenario: Scenario, seed: int | None = None,
                  count: int | None = None) -> EvalContext:
-    plan = scenario.plan
-    if seed is not None or count is not None:
-        plan = SamplePlan(seed=plan.seed if seed is None else seed,
-                          count=plan.count if count is None else count,
-                          box=plan.box)
-    return context_for(scenario.chart, plan)
+    return context_for(scenario.chart, scenario.plan.replace(seed=seed, count=count))

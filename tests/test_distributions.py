@@ -37,6 +37,7 @@ from prodconj.distributions import (
     splitting_block_rows,
     structure_rows,
 )
+from prodconj.reporting import Residual
 from prodconj.sampling import SamplePlan
 
 BOX = ((-1.0, 1.0), (-1.0, 1.0))
@@ -245,6 +246,21 @@ def test_involutivity_rows_gate_and_conclusion():
     gated = involutivity_rows(ctx, _rolled(), SLANTED, 1e-9)
     by_name = dict((n, r) for n, r, _ in gated)
     assert by_name["vertical_involutive"] is None
+
+
+def test_involutivity_gate_fails_closed_on_nan(monkeypatch):
+    monkeypatch.setattr("prodconj.distributions.torsion_residual",
+                        lambda ctx, nabla: Residual(float("nan")))
+    rows = involutivity_rows(_ctx(), FLAT, SLANTED, 1e-9)
+    by_name = dict((n, r) for n, r, _ in rows)
+    assert np.isnan(by_name["hypothesis_torsion_free"].value)
+    assert by_name["vertical_involutive"] is None
+    assert by_name["horizontal_involutive"] is None
+
+
+def test_pair_structure_is_built_once():
+    pair = pair_from_h(HX)
+    assert pair.structure() is pair.structure()
 
 
 # ---- fundamental tensors ---------------------------------------------

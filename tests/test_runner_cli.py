@@ -250,6 +250,17 @@ structure = proj
     assert "not involutive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--samples", "0")])
+def test_cli_bad_sample_flags_are_config_errors(tmp_path, capsys, flag, value):
+    f = tmp_path / "good.scn"
+    f.write_text(GOOD, encoding="utf-8")
+    assert main(["verify", str(f), flag, value]) == 2
+    assert "error: sample" in capsys.readouterr().err
+    assert main(["corpus", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert "error: " in captured.err and not captured.out
+
+
 def test_cli_catalog(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

@@ -1,9 +1,13 @@
 """Scenario grammar: happy paths, aggregated diagnostics, load-time probes."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodconj.errors import ScenarioError
-from prodconj.runner import corpus_names, load_shipped
+from prodconj.reporting import Residual
+from prodconj.runner import corpus_names, corpus_text, load_shipped
 from prodconj.scenario import load_scenario, make_context
 
 HEAD = """\
@@ -288,3 +292,106 @@ kind = pair_axioms
 pair = coords
 """)
     assert "coords" in scn.pairs
+
+
+def test_nan_involution_probe_refuses_the_structure(monkeypatch):
+    monkeypatch.setattr("prodconj.scenario.almost_product_residual",
+                        lambda ctx, endo: Residual(float("nan")))
+    msgs = _errors(HEAD, SWAP, FLAT, """\
+[check c]
+kind = prop11
+connection = flat
+structure = swap
+""")
+    assert any(m.startswith("line 6:") and "not involutive" in m for m in msgs)
+
+
+# ---- every bad input is a line-numbered ScenarioError -------------------
+
+PENCIL = """\
+[endo refl]
+row 0 = 1 0
+row 1 = 0 -1
+
+[pencil p]
+first = refl
+second = swap
+alpha = 3/5
+beta = 4/5
+"""
+
+CHECK = "[check c]\nkind = almost_product\nstructure = swap\n"
+
+METRIC = "[metric g]\nupper 0 = 1 0\nupper 1 = 1\n"
+
+TWIST = "[tensor t]\nkind = structure_derivative\nconnection = flat\nstructure = swap\n"
+
+REFUSED = {
+    "count_zero": ((HEAD, "[samples]\ncount = 0\n"), "count must be"),
+    "box_reversed": (("[chart]\ndim = 2\nbox = 1:0, -1:1\n",), "bad interval '1:0'"),
+    "box_infinite": (("[chart]\ndim = 2\nbox = -inf:inf, -1:1\n",), "bad number '-inf'"),
+    "seed_negative": ((HEAD, "[samples]\nseed = -1\n", SWAP, FLAT, CHECK), "seed must be"),
+    "alpha_division_by_zero": ((HEAD, SWAP, PENCIL.replace("3/5", "1/0")), "bad number '1/0'"),
+    "pencil_member_divides_by_zero":
+        ((HEAD, SWAP, PENCIL.replace("row 1 = 0 -1", "row 1 = 0 (/ 1 0)")),
+         "division by zero"),
+    "duplicate_row": ((HEAD, SWAP + "row 0 = 0 1\n"), "duplicate key 'row 0'"),
+    "duplicate_upper": ((HEAD, METRIC + "upper 1 = 2\n"), "duplicate key 'upper 1'"),
+    "duplicate_connection_kind": ((HEAD, FLAT + "kind = flat\n"), "duplicate key 'kind'"),
+    "metric_under_flat": ((HEAD, METRIC, FLAT + "metric = g\n"), "takes no key 'metric'"),
+    "comp_in_derived_tensor": ((HEAD, SWAP, FLAT, TWIST + "comp 0 0 0 = x\n"),
+                               "takes no key 'comp 0 0 0'"),
+    "lam_in_derived_tensor": ((HEAD, SWAP, FLAT, TWIST + "lam = 1\n"), "takes no key 'lam'"),
+    "duplicate_check_key": ((HEAD, SWAP, FLAT, CHECK + "structure = swap\n"),
+                            "duplicate key 'structure'"),
+    "floor_nan": ((HEAD, SWAP, FLAT, CHECK + "floor = nan\n"), "bad number 'nan'"),
+    "tol_negative": ((HEAD, SWAP, FLAT, CHECK + "tol = -1\n"), "tol must be nonnegative"),
+    "dim_huge": (("[chart]\ndim = 1000000000\n",), "dim must be an integer in 1.."),
+    "expression_nested_too_deep":
+        ((HEAD, "[vector v]\ncomponents = " + "(+ " * 3000 + "x" + ")" * 3000 + " 1\n"),
+         "line 7: RecursionError"),
+}
+
+
+@pytest.mark.parametrize("pieces, message", REFUSED.values(), ids=REFUSED.keys())
+def test_bad_input_is_a_line_numbered_scenario_error(pieces, message):
+    msgs = _errors(*pieces)
+    assert any(message in m for m in msgs), msgs
+    assert all(re.match(r"line \d+: ", m) for m in msgs), msgs
+
+
+_MUTANT_TOKENS = ("0", "-1", "1/0", "nan", "inf", "99999999999999999999999")
+
+
+@st.composite
+def _mutated_corpus_text(draw):
+    lines = corpus_text(draw(st.sampled_from(corpus_names()))).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "duplicate", "swap", "token")))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            parts = re.split(r"([\s(),:;=\[\]]+)", lines[i])
+            words = [k for k, p in enumerate(parts) if p and k % 2 == 0]
+            if words:
+                parts[draw(st.sampled_from(words))] = draw(st.sampled_from(_MUTANT_TOKENS))
+                lines[i] = "".join(parts)
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_mutated_corpus_text())
+def test_mutated_corpus_text_loads_or_is_refused(text):
+    try:
+        load_scenario(text, name="mutant")
+    except ScenarioError as exc:
+        assert all(re.match(r"line \d+: ", m) or m == "need a [chart] section"
+                   for m in exc.messages), exc.messages
