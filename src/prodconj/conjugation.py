@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .connections import (
     ConnectionOp,
     CombinationOp,
@@ -42,13 +40,13 @@ from .fields import (
     endo_apply,
     frame_pair_residual,
     frame_triple_residual,
-    frame_triple_scalar_residual,
     jets_matrix_values,
     metric_compat_residual,
     oneform_apply,
     vadd,
     vscale,
     vsub,
+    worst,
 )
 from .reporting import Residual
 
@@ -232,7 +230,7 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
                 return lhs - nabla_metric(ctx, base, G, X, Y, Z)
 
             rows.append(("metric_transport",
-                         frame_triple_scalar_residual(ctx, item5), ""))
+                         frame_triple_residual(ctx, item5), ""))
     return rows
 
 
@@ -349,10 +347,7 @@ def skew_commutation_residual(ctx: EvalContext, first: EndoField,
                               second: EndoField) -> Residual:
     A = jets_matrix_values(ctx.endo(first))
     B = jets_matrix_values(ctx.endo(second))
-    res = np.max(np.abs(A @ B + B @ A), axis=(-2, -1))
-    acc = ctx.residuals()
-    acc.update(res)
-    return acc.result()
+    return worst(ctx, [(None, A @ B + B @ A)])
 
 
 def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
@@ -400,14 +395,14 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
         raise ConfigError(f"pencil case {case!r} needs a recurrence one-form")
     w = ctx.oneform(eta)
 
+    def recurrence(JA, JB):
+        # max |(nabla_X JA)Y - eta(X) JB Y| over frame pairs
+        return frame_pair_residual(ctx, lambda X, Y: vsub(
+            nabla_endo(ctx, base, JA, X, Y), vscale(oneform_apply(w, X), endo_apply(JB, Y))))
+
     if case == "recurrent":
         # Both structures recurrent with one shared one-form.
-        def hyp(J, X, Y):
-            return vsub(nabla_endo(ctx, base, J, X, Y),
-                        vscale(oneform_apply(w, X), endo_apply(J, Y)))
-        h1 = frame_pair_residual(ctx, lambda X, Y: hyp(J1, X, Y))
-        h2 = frame_pair_residual(ctx, lambda X, Y: hyp(J2, X, Y))
-        hyp = h1.merged(h2)
+        hyp = recurrence(J1, J1).merged(recurrence(J2, J2))
         rows.append(("hypothesis_recurrence", hyp, ""))
         if not hyp.within(tol):
             rows.append(("conjugates_coincide", None, "skipped: recurrence fails"))
@@ -422,12 +417,7 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
         return rows
 
     if case == "mixed":
-        def hyp_m(JA, JB, X, Y):
-            return vsub(nabla_endo(ctx, base, JA, X, Y),
-                        vscale(oneform_apply(w, X), endo_apply(JB, Y)))
-        h1 = frame_pair_residual(ctx, lambda X, Y: hyp_m(J1, J2, X, Y))
-        h2 = frame_pair_residual(ctx, lambda X, Y: hyp_m(J2, J1, X, Y))
-        hyp = h1.merged(h2)
+        hyp = recurrence(J1, J2).merged(recurrence(J2, J1))
         rows.append(("hypothesis_mixed", hyp, ""))
         if not hyp.within(tol):
             rows.append(("average", None, "skipped: mixed recurrence fails"))
@@ -455,28 +445,28 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
 # ---- structural / virtual splitting -----------------------------------
 
 
+def _half_tensor(base: ConnectionOp, structure: EndoField, combine,
+                 label: str) -> Tensor12Field:
+    """Half of combine((nabla_{Ex} E)y, (nabla_x E)Ey)."""
+    def op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
+        E = ctx.endo(structure)
+        left = nabla_endo(ctx, base, E, endo_apply(E, x), y)
+        right = nabla_endo(ctx, base, E, x, endo_apply(E, y))
+        return vscale(0.5, combine(left, right))
+    return Tensor12Field.from_operator(structure.chart, op, label=label)
+
+
 def structural_tensor(base: ConnectionOp, structure: EndoField,
                       label: str | None = None) -> Tensor12Field:
     """Half the sum of the two ways of deriving the structure along its
     own rotation; the symmetric half of the conjugation difference."""
-    def op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        E = ctx.endo(structure)
-        left = nabla_endo(ctx, base, E, endo_apply(E, x), y)
-        right = nabla_endo(ctx, base, E, x, endo_apply(E, y))
-        return vscale(0.5, vadd(left, right))
-    return Tensor12Field.from_operator(structure.chart, op,
-                                       label=label or f"structural({base.label})")
+    return _half_tensor(base, structure, vadd, label or f"structural({base.label})")
 
 
 def virtual_tensor(base: ConnectionOp, structure: EndoField,
                    label: str | None = None) -> Tensor12Field:
-    def op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        E = ctx.endo(structure)
-        left = nabla_endo(ctx, base, E, endo_apply(E, x), y)
-        right = nabla_endo(ctx, base, E, x, endo_apply(E, y))
-        return vscale(0.5, vsub(left, right))
-    return Tensor12Field.from_operator(structure.chart, op,
-                                       label=label or f"virtual({base.label})")
+    """Half the difference of the same two derivatives."""
+    return _half_tensor(base, structure, vsub, label or f"virtual({base.label})")
 
 
 def splitting_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField) -> Rows:

@@ -3,19 +3,20 @@
 A ConnectionOp maps (direction jets, argument jets) at order k to result
 jets at order k-1, against a shared evaluation context.  Operators close
 over each other rather than materializing coefficient tables, so derived
-connections (conjugates, projections, sums) evaluate exactly; a
-materialize-to-coefficients utility exists for reports.
+connections (conjugates, projections, sums) evaluate exactly.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, combinations_with_replacement
+
 import numpy as np
 
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError
 from .expr import Expr
 from .fields import (EvalContext, MetricField, Tensor12Field, Vec, Chart,
                      bracket, dirderiv, endo_apply, is_zero_expr,
-                     metric_pair, vadd, vscale, vsub, vvalues)
+                     metric_pair, vadd, vscale, vsub, vvalues, worst)
 from .jets import Jet, shift
 
 
@@ -231,59 +232,34 @@ def symmetric_product(ctx: EvalContext, nabla: ConnectionOp, x: Vec, y: Vec) -> 
     return vadd(nabla.apply(ctx, x, y), nabla.apply(ctx, y, x))
 
 
-def materialize_christoffels(ctx: EvalContext, nabla: ConnectionOp) -> np.ndarray:
-    """Coefficient values on the coordinate frame, shape (m, n, n, n) = [.., k, i, j]."""
-    n = nabla.chart.dim
-    frame = ctx.frame()
-    out = np.empty((ctx.count, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            vals = vvalues(nabla.apply(ctx, frame[i], frame[j]))
-            out[:, :, i, j] = vals
-    return out
-
-
 # ---- contract residuals ----------------------------------------------
 
 
 def torsion_residual(ctx: EvalContext, nabla: ConnectionOp):
-    acc = ctx.residuals()
-    frame = ctx.frame()
-    n = nabla.chart.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            res = np.max(np.abs(vvalues(torsion(ctx, nabla, frame[i], frame[j]))), axis=-1)
-            acc.update(res, ctx.chart.frame_label(i, j))
-    return acc.result()
+    frame, label = ctx.frame(), ctx.chart.frame_label
+    return worst(ctx, ((label(i, j), torsion(ctx, nabla, frame[i], frame[j]))
+                       for i, j in combinations(range(nabla.chart.dim), 2)))
 
 
 def metricity_residual(ctx: EvalContext, nabla: ConnectionOp, g: MetricField):
-    acc = ctx.residuals()
     G = ctx.metric(g)
     ctx.metric_values(g)
-    frame = ctx.frame()
+    frame, label = ctx.frame(), ctx.chart.frame_label
     n = nabla.chart.dim
-    for i in range(n):
-        for a in range(n):
-            for b in range(a, n):
-                s = nabla_metric(ctx, nabla, G, frame[i], frame[a], frame[b])
-                acc.update(np.abs(s.value), ctx.chart.frame_label(i, a, b))
-    return acc.result()
+    return worst(ctx, ((label(i, a, b), nabla_metric(ctx, nabla, G, frame[i], frame[a], frame[b]))
+                       for i in range(n)
+                       for a, b in combinations_with_replacement(range(n), 2)))
 
 
 def connection_laws_residual(ctx: EvalContext, nabla: ConnectionOp,
                              f: Expr, x: Vec, y: Vec):
     """Direction tensoriality and the Leibniz rule against one weight function."""
     fj = ctx.scalar(f)
-    acc = ctx.residuals()
-    lhs = nabla.apply(ctx, vscale(fj, x), y)
-    rhs = vscale(fj, nabla.apply(ctx, x, y))
-    acc.update(np.max(np.abs(vvalues(lhs) - vvalues(rhs)), axis=-1), "direction")
+    direction = vvalues(nabla.apply(ctx, vscale(fj, x), y)) - \
+        vvalues(vscale(fj, nabla.apply(ctx, x, y)))
     lhs = nabla.apply(ctx, x, vscale(fj, y))
-    xf = dirderiv(x, fj)
-    rhs = vadd(vscale(xf, y), vscale(fj, nabla.apply(ctx, x, y)))
-    acc.update(np.max(np.abs(vvalues(lhs) - vvalues(rhs)), axis=-1), "argument")
-    return acc.result()
+    rhs = vadd(vscale(dirderiv(x, fj), y), vscale(fj, nabla.apply(ctx, x, y)))
+    return worst(ctx, [("direction", direction), ("argument", vvalues(lhs) - vvalues(rhs))])
 
 
 def leibniz_defect_residual(ctx: EvalContext, op: ConnectionOp, coefficient_sum: float,
@@ -293,6 +269,4 @@ def leibniz_defect_residual(ctx: EvalContext, op: ConnectionOp, coefficient_sum:
     lhs = op.apply(ctx, x, vscale(fj, y))
     xf = dirderiv(x, fj)
     rhs = vadd(vscale(fj, op.apply(ctx, x, y)), vscale(xf * coefficient_sum, y))
-    acc = ctx.residuals()
-    acc.update(np.max(np.abs(vvalues(lhs) - vvalues(rhs)), axis=-1), "leibniz-defect")
-    return acc.result()
+    return worst(ctx, [("leibniz-defect", vvalues(lhs) - vvalues(rhs))])

@@ -15,6 +15,7 @@ complementary projector.  Zero residual means the same thing either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -39,10 +40,12 @@ from .fields import (
     endo_from_difference,
     frame_pair_residual,
     jets_matrix_values,
+    magnitude,
     vadd,
     vscale,
     vsub,
     vvalues,
+    worst,
 )
 from .reporting import Residual
 
@@ -77,22 +80,21 @@ def pair_from_h(h: EndoField) -> ProjectorPair:
     return ProjectorPair(h, complement_endo(h))
 
 
+def _pointwise_row(ctx: EvalContext, name: str, defect: np.ndarray, note: str = ""):
+    """A row for a matrix defect given at every sample, shape (m, n, n)."""
+    return (name, worst(ctx, [(None, defect)]), note)
+
+
 def pair_axiom_rows(ctx: EvalContext, pair: ProjectorPair) -> Rows:
     H = jets_matrix_values(ctx.endo(pair.h))
     V = jets_matrix_values(ctx.endo(pair.v))
     eye = np.eye(ctx.chart.dim)
-
-    def row(name, arr):
-        acc = ctx.residuals()
-        acc.update(np.max(np.abs(arr), axis=(-2, -1)))
-        return (name, acc.result(), "")
-
     return [
-        row("partition", H + V - eye),
-        row("h_idempotent", H @ H - H),
-        row("v_idempotent", V @ V - V),
-        row("annihilation_hv", H @ V),
-        row("annihilation_vh", V @ H),
+        _pointwise_row(ctx, "partition", H + V - eye),
+        _pointwise_row(ctx, "h_idempotent", H @ H - H),
+        _pointwise_row(ctx, "v_idempotent", V @ V - V),
+        _pointwise_row(ctx, "annihilation_hv", H @ V),
+        _pointwise_row(ctx, "annihilation_vh", V @ H),
     ]
 
 
@@ -102,16 +104,10 @@ def structure_rows(ctx: EvalContext, pair: ProjectorPair) -> Rows:
     H = jets_matrix_values(ctx.endo(pair.h))
     V = jets_matrix_values(ctx.endo(pair.v))
     eye = np.eye(ctx.chart.dim)
-
-    def row(name, arr, note=""):
-        acc = ctx.residuals()
-        acc.update(np.max(np.abs(arr), axis=(-2, -1)))
-        return (name, acc.result(), note)
-
     return [
         ("involution", almost_product_residual(ctx, E), ""),
-        row("half_sum", (eye + Ev) / 2.0 - H, "recovers h"),
-        row("half_diff", (eye - Ev) / 2.0 - V, "recovers v"),
+        _pointwise_row(ctx, "half_sum", (eye + Ev) / 2.0 - H, "recovers h"),
+        _pointwise_row(ctx, "half_diff", (eye - Ev) / 2.0 - V, "recovers v"),
     ]
 
 
@@ -181,54 +177,43 @@ class DistributionSpec:
     def complement_values(self, ctx: EvalContext, w: Vec) -> np.ndarray:
         """|component of w outside the distribution| at every sample."""
         self.certify(ctx)
-        W = vvalues(w)
         if self.span is not None:
             def build():
                 S = np.stack([vvalues(ctx.vector(f)) for f in self.span], axis=-1)
                 return S @ np.linalg.pinv(S)
             P = ctx.cached((self, "proj"), build)
-            resid = W - np.einsum("mij,mj->mi", P, W)
-            return np.max(np.abs(resid), axis=-1)
-        C = ctx.endo(self._complement_proj())
-        return np.max(np.abs(vvalues(endo_apply(C, w))), axis=-1)
+            W = vvalues(w)
+            return magnitude(W - np.einsum("mij,mj->mi", P, W))
+        return magnitude(endo_apply(ctx.endo(self._complement_proj()), w))
 
 
 def invariance_residual(ctx: EvalContext, D: DistributionSpec, E: EndoField) -> Residual:
     """Closure of the distribution under the structure."""
     J = ctx.endo(E)
-    acc = ctx.residuals()
-    for idx, w in enumerate(D.basis(ctx)):
-        acc.update(D.complement_values(ctx, endo_apply(J, w)), frame=f"basis[{idx}]")
-    return acc.result()
+    return worst(ctx, ((f"basis[{j}]", D.complement_values(ctx, endo_apply(J, w)))
+                       for j, w in enumerate(D.basis(ctx))))
 
 
 def restriction_residual(ctx: EvalContext, nabla: ConnectionOp, D: DistributionSpec) -> Residual:
     """Closure of the distribution under covariant derivatives from any direction."""
-    acc = ctx.residuals()
-    basis = D.basis(ctx)
-    for i, X in enumerate(ctx.frame()):
-        for j, Y in enumerate(basis):
-            acc.update(D.complement_values(ctx, nabla.apply(ctx, X, Y)),
-                       frame=f"(d{ctx.chart.names[i]},basis[{j}])")
-    return acc.result()
+    basis, names = D.basis(ctx), ctx.chart.names
+    return worst(ctx, ((f"(d{names[i]},basis[{j}])",
+                        D.complement_values(ctx, nabla.apply(ctx, X, Y)))
+                       for i, X in enumerate(ctx.frame()) for j, Y in enumerate(basis)))
 
 
 def geodesic_residual(ctx: EvalContext, nabla: ConnectionOp, D: DistributionSpec) -> Residual:
     """Closure under the symmetric product of member fields."""
-    acc = ctx.residuals()
     basis = D.basis(ctx)
-    for i, X in enumerate(basis):
-        for j, Y in enumerate(basis):
-            acc.update(D.complement_values(ctx, symmetric_product(ctx, nabla, X, Y)),
-                       frame=f"(basis[{i}],basis[{j}])")
-    return acc.result()
+    return worst(ctx, ((f"(basis[{i}],basis[{j}])",
+                        D.complement_values(ctx, symmetric_product(ctx, nabla, X, Y)))
+                       for i, X in enumerate(basis) for j, Y in enumerate(basis)))
 
 
-def conjugate_restriction_rows(ctx: EvalContext, nabla: ConnectionOp,
-                               D: DistributionSpec, structure: EndoField,
-                               tol: float) -> Rows:
-    """Invariant distribution plus restricting base forces the conjugate
-    to restrict as well; both hypotheses gate the conclusion."""
+def _carried_over(ctx: EvalContext, nabla: ConnectionOp, D: DistributionSpec,
+                  structure: EndoField, tol: float, name: str, conclusion) -> Rows:
+    """Invariance of D under the structure and restriction of the base to D
+    gate `conclusion(ctx, conjugate, D)`, the statement carried over."""
     inv = invariance_residual(ctx, D, structure)
     res = restriction_residual(ctx, nabla, D)
     rows = [
@@ -236,13 +221,21 @@ def conjugate_restriction_rows(ctx: EvalContext, nabla: ConnectionOp,
         ("hypothesis_restriction", res, ""),
     ]
     if not (inv.within(tol) and res.within(tol)):
-        rows.append(("conjugate_restricts", None,
+        rows.append((name, None,
                      f"skipped: hypothesis fails (invariance {inv.value:.3e}, "
                      f"restriction {res.value:.3e})"))
     else:
-        conj = ConjugateConnection(nabla, structure)
-        rows.append(("conjugate_restricts", restriction_residual(ctx, conj, D), ""))
+        rows.append((name, conclusion(ctx, ConjugateConnection(nabla, structure), D), ""))
     return rows
+
+
+def conjugate_restriction_rows(ctx: EvalContext, nabla: ConnectionOp,
+                               D: DistributionSpec, structure: EndoField,
+                               tol: float) -> Rows:
+    """Invariant distribution plus restricting base forces the conjugate
+    to restrict as well; both hypotheses gate the conclusion."""
+    return _carried_over(ctx, nabla, D, structure, tol, "conjugate_restricts",
+                         restriction_residual)
 
 
 def conjugate_geodesic_rows(ctx: EvalContext, nabla: ConnectionOp,
@@ -256,20 +249,8 @@ def conjugate_geodesic_rows(ctx: EvalContext, nabla: ConnectionOp,
     inside the distribution (the cross terms pick up a bracket that no
     symmetrized hypothesis controls), so the gate measures nabla itself.
     """
-    inv = invariance_residual(ctx, D, structure)
-    res = restriction_residual(ctx, nabla, D)
-    rows = [
-        ("hypothesis_invariance", inv, ""),
-        ("hypothesis_restriction", res, ""),
-    ]
-    if not (inv.within(tol) and res.within(tol)):
-        rows.append(("conjugate_geodesic", None,
-                     f"skipped: hypothesis fails (invariance {inv.value:.3e}, "
-                     f"restriction {res.value:.3e})"))
-    else:
-        conj = ConjugateConnection(nabla, structure)
-        rows.append(("conjugate_geodesic", geodesic_residual(ctx, conj, D), ""))
-    return rows
+    return _carried_over(ctx, nabla, D, structure, tol, "conjugate_geodesic",
+                         geodesic_residual)
 
 
 # ---- the h/v shape of the conjugate -----------------------------------
@@ -395,20 +376,14 @@ def involutivity_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair
         rows.append(("horizontal_involutive", None, "skipped: same hypothesis"))
         return rows
     H, V = ctx.endo(pair.h), ctx.endo(pair.v)
-    frame = ctx.frame()
+    frame, label = ctx.frame(), ctx.chart.frame_label
 
     def closure(P, Q, name):
-        # max |Q [P X, P Y]| over frame pairs: the bracket of two members
-        # of one side must have no component on the other side.
-        acc = ctx.residuals()
-        for i, X in enumerate(frame):
-            for j, Y in enumerate(frame):
-                if j <= i:
-                    continue
-                br = bracket(endo_apply(P, X), endo_apply(P, Y))
-                acc.update(np.max(np.abs(vvalues(endo_apply(Q, br))), axis=-1),
-                           frame=ctx.chart.frame_label(i, j))
-        return (name, acc.result(), "")
+        # max |Q [P X, P Y]| over frame pairs i < j: the bracket of two
+        # members of one side must have no component on the other side.
+        return (name, worst(ctx, (
+            (label(i, j), endo_apply(Q, bracket(endo_apply(P, frame[i]), endo_apply(P, frame[j]))))
+            for i, j in combinations(range(ctx.chart.dim), 2))), "")
 
     rows.append(closure(V, H, "vertical_involutive"))
     rows.append(closure(H, V, "horizontal_involutive"))
@@ -480,19 +455,18 @@ def splitting_block_rows(ctx: EvalContext, nabla: ConnectionOp,
         hY, vY = hv(Y)
         return vadd(B.apply(ctx, hX, hY), B.apply(ctx, vX, vY))
 
+    # The *_vanish and *_blocks scans measure two blocks at once: they
+    # return the components of both as one list, so the reducer takes the
+    # larger of the two at every sample.
     def cross_vanish(X, Y):
         hX, vX = hv(X)
         hY, vY = hv(Y)
-        a = vvalues(C.apply(ctx, hX, vY))
-        b = vvalues(C.apply(ctx, vX, hY))
-        return np.maximum(np.max(np.abs(a), -1), np.max(np.abs(b), -1))
+        return [*C.apply(ctx, hX, vY), *C.apply(ctx, vX, hY)]
 
     def diag_vanish(X, Y):
         hX, vX = hv(X)
         hY, vY = hv(Y)
-        a = vvalues(B.apply(ctx, hX, hY))
-        b = vvalues(B.apply(ctx, vX, vY))
-        return np.maximum(np.max(np.abs(a), -1), np.max(np.abs(b), -1))
+        return [*B.apply(ctx, hX, hY), *B.apply(ctx, vX, vY)]
 
     def structural_split(X, Y):
         hX, vX = hv(X)
@@ -515,7 +489,7 @@ def splitting_block_rows(ctx: EvalContext, nabla: ConnectionOp,
                  vscale(2.0, endo_apply(V, nabla.apply(ctx, hX, hY))))
         b = vsub(C.apply(ctx, vX, vY),
                  vscale(2.0, endo_apply(H, nabla.apply(ctx, vX, vY))))
-        return np.maximum(np.max(np.abs(vvalues(a)), -1), np.max(np.abs(vvalues(b)), -1))
+        return [*a, *b]
 
     def virtual_blocks(X, Y):
         hX, vX = hv(X)
@@ -524,7 +498,7 @@ def splitting_block_rows(ctx: EvalContext, nabla: ConnectionOp,
                  vscale(2.0, endo_apply(H, nabla.apply(ctx, hX, vY))))
         b = vadd(B.apply(ctx, vX, hY),
                  vscale(2.0, endo_apply(V, nabla.apply(ctx, vX, hY))))
-        return np.maximum(np.max(np.abs(vvalues(a)), -1), np.max(np.abs(vvalues(b)), -1))
+        return [*a, *b]
 
     def fundamental_structural(X, Y):
         hY, vY = hv(Y)
@@ -563,9 +537,8 @@ def skew_pair_rows(ctx: EvalContext, pair1: ProjectorPair, pair2: ProjectorPair)
     e_skew = skew_commutation_residual(ctx, pair1.structure(), pair2.structure())
     H1 = jets_matrix_values(ctx.endo(pair1.h))
     H2 = jets_matrix_values(ctx.endo(pair2.h))
-    acc = ctx.residuals()
-    acc.update(np.max(np.abs(H1 @ H2 + H2 @ H1), axis=(-2, -1)))
-    return [("structure_skew", e_skew, ""), ("projector_skew", acc.result(), "")]
+    return [("structure_skew", e_skew, ""),
+            _pointwise_row(ctx, "projector_skew", H1 @ H2 + H2 @ H1)]
 
 
 def skew_bridge_rows(ctx: EvalContext, pair1: ProjectorPair, pair2: ProjectorPair) -> Rows:
@@ -577,7 +550,5 @@ def skew_bridge_rows(ctx: EvalContext, pair1: ProjectorPair, pair2: ProjectorPai
     A2 = jets_matrix_values(ctx.endo(pair2.structure()))
     h_anti = H1 @ H2 + H2 @ H1
     bridge = (A1 @ A2 + A2 @ A1) - (4.0 * h_anti - 4.0 * (H1 + H2) + 2.0 * np.eye(ctx.chart.dim))
-    acc = ctx.residuals()
-    acc.update(np.max(np.abs(bridge), axis=(-2, -1)))
-    return [("defect_bridge", acc.result(),
-             "structure defect rewritten through the projectors, always exact")]
+    return [_pointwise_row(ctx, "defect_bridge", bridge,
+                           "structure defect rewritten through the projectors, always exact")]

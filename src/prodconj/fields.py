@@ -245,9 +245,6 @@ class EvalContext:
         z = self.zero_scalar()
         return [z for _ in range(self.chart.dim)]
 
-    def residuals(self) -> ResidualMax:
-        return ResidualMax(self.points)
-
 
 def context_for(chart: Chart, plan: SamplePlan) -> EvalContext:
     if plan.box != chart.box:
@@ -337,59 +334,55 @@ def jets_matrix_values(M: list[list[Jet]]) -> np.ndarray:
     return np.stack([np.stack([e.value for e in row], axis=-1) for row in M], axis=-2)
 
 
-# ---- structure-level residuals ---------------------------------------
+# ---- residuals --------------------------------------------------------
+
+
+def magnitude(out) -> np.ndarray:
+    """Per-sample size of a check output: max |component| of a Vec, |value|
+    of a Jet, or max |entry| of an array whose first axis is the sample."""
+    if isinstance(out, Jet):
+        return np.abs(out.value)
+    if isinstance(out, np.ndarray):
+        return np.max(np.abs(out), axis=tuple(range(1, out.ndim)))
+    return vmax_abs(out)
+
+
+def worst(ctx: EvalContext, items) -> Residual:
+    """The worst magnitude over (label, output) pairs, with its sample point
+    and label; the first maximum wins ties, and the first NaN stays."""
+    acc = ResidualMax(ctx.points)
+    for label, out in items:
+        acc.update(magnitude(out), frame=label)
+    return acc.result()
 
 
 def frame_pair_residual(ctx: EvalContext, fn) -> Residual:
-    """Max |fn(X, Y)| over coordinate frame pairs; fn returns a Vec, or
-    per-sample magnitudes as an array."""
-    acc = ctx.residuals()
-    frame = ctx.frame()
-    for i, X in enumerate(frame):
-        for j, Y in enumerate(frame):
-            out = fn(X, Y)
-            acc.update(out if isinstance(out, np.ndarray) else vmax_abs(out),
-                       frame=ctx.chart.frame_label(i, j))
-    return acc.result()
+    """Worst fn(X, Y) over coordinate frame pairs."""
+    frame, label = ctx.frame(), ctx.chart.frame_label
+    return worst(ctx, ((label(i, j), fn(X, Y))
+                       for i, X in enumerate(frame) for j, Y in enumerate(frame)))
 
 
 def frame_triple_residual(ctx: EvalContext, fn) -> Residual:
-    acc = ctx.residuals()
-    frame = ctx.frame()
-    for i, X in enumerate(frame):
-        for j, Y in enumerate(frame):
-            for k, Z in enumerate(frame):
-                acc.update(vmax_abs(fn(X, Y, Z)), frame=ctx.chart.frame_label(i, j, k))
-    return acc.result()
+    """Worst fn(X, Y, Z) over coordinate frame triples."""
+    frame, label = ctx.frame(), ctx.chart.frame_label
+    return worst(ctx, ((label(i, j, k), fn(X, Y, Z)) for i, X in enumerate(frame)
+                       for j, Y in enumerate(frame) for k, Z in enumerate(frame)))
 
 
-def frame_triple_scalar_residual(ctx: EvalContext, fn) -> Residual:
-    """Like frame_triple_residual but fn returns a single Jet."""
-    acc = ctx.residuals()
-    frame = ctx.frame()
-    for i, X in enumerate(frame):
-        for j, Y in enumerate(frame):
-            for k, Z in enumerate(frame):
-                acc.update(np.abs(fn(X, Y, Z).value), frame=ctx.chart.frame_label(i, j, k))
-    return acc.result()
+# A second name for the same scan, kept because bench/spans.py traces it by name.
+frame_triple_scalar_residual = frame_triple_residual
 
 
 def almost_product_residual(ctx: EvalContext, E: EndoField) -> Residual:
     A = jets_matrix_values(ctx.endo(E))
-    eye = np.eye(ctx.chart.dim)
-    res = np.max(np.abs(A @ A - eye), axis=(-2, -1))
-    acc = ctx.residuals()
-    acc.update(res)
-    return acc.result()
+    return worst(ctx, [(None, A @ A - np.eye(ctx.chart.dim))])
 
 
 def metric_compat_residual(ctx: EvalContext, g: MetricField, E: EndoField) -> Residual:
     G = ctx.metric_values(g)
     A = jets_matrix_values(ctx.endo(E))
-    res = np.max(np.abs(np.swapaxes(A, -1, -2) @ G @ A - G), axis=(-2, -1))
-    acc = ctx.residuals()
-    acc.update(res)
-    return acc.result()
+    return worst(ctx, [(None, np.swapaxes(A, -1, -2) @ G @ A - G)])
 
 
 def endo_from_difference(h: EndoField, v: EndoField, label: str = "E") -> EndoField:

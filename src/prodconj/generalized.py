@@ -18,6 +18,9 @@ hypothesis gate failed and the caller should skip rather than judge.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import combinations
+
 import numpy as np
 
 from .connections import (
@@ -29,7 +32,7 @@ from .connections import (
     nabla_endo,
     torsion,
 )
-from .conjugation import ConjugateConnection
+from .conjugation import ConjugateConnection, expansion_form
 from .errors import ConfigError
 from .expr import Expr
 from .fields import (
@@ -42,10 +45,10 @@ from .fields import (
     frame_pair_residual,
     frame_triple_residual,
     vadd,
-    vmax_abs,
     vscale,
     vsub,
     vvalues,
+    worst,
 )
 from .reporting import Residual
 
@@ -172,9 +175,7 @@ def family_member(base: ConnectionOp, structure: EndoField,
 def _member_by_expansion(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
                          lam: float, mu: float, x: Vec, y: Vec) -> Vec:
     # independent route: conjugate via the additive presentation, then scale
-    E = ctx.endo(structure)
-    conj = vadd(base.apply(ctx, x, y),
-                endo_apply(E, nabla_endo(ctx, base, E, x, y)))
+    conj = expansion_form(ctx, base, structure, x, y)
     return vadd(vscale(1.0 + mu, conj), vscale(lam, base.apply(ctx, x, y)))
 
 
@@ -225,11 +226,7 @@ def family_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 
 def _pooled_values(ctx: EvalContext, op_fn, probes: list[Vec]) -> np.ndarray:
     """Stack op_fn(X, Y) component values over probe pairs, shape (P, m, n)."""
-    blocks = []
-    for i, X in enumerate(probes):
-        for Y in probes[i + 1:]:
-            blocks.append(vvalues(op_fn(X, Y)))
-    return np.stack(blocks)
+    return np.stack([vvalues(op_fn(X, Y)) for X, Y in combinations(probes, 2)])
 
 
 def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
@@ -318,14 +315,37 @@ def _curvature_scan(ctx: EvalContext, defect, probes: list[Vec] | None) -> Resid
     res = frame_triple_residual(ctx, defect)
     if not probes:
         return res
-    acc = ctx.residuals()
-    frame = ctx.frame()
-    for i, X in enumerate(probes):
-        for Y in probes[i + 1:]:
-            for k, Z in enumerate(frame):
-                acc.update(vmax_abs(defect(X, Y, Z)),
-                           frame=f"probes,{ctx.chart.frame_label(k)}")
-    return res.merged(acc.result())
+    frame, label = ctx.frame(), ctx.chart.frame_label
+    return res.merged(worst(ctx, ((f"probes,{label(k)}", defect(X, Y, Z))
+                                  for X, Y in combinations(probes, 2)
+                                  for k, Z in enumerate(frame))))
+
+
+def _curvature_form_defect(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
+                           twist: Tensor12Field, shortened: bool = False):
+    """(X, Y, Z) -> curvature of the twisted operator minus its closed form,
+    obtained by expanding the definition.  The shortened form differentiates
+    the twist of (Y, Z) along Y instead of X and drops the twist squares."""
+    E = ctx.endo(structure)
+    gen = GeneralizedConjugate(base, structure, twist)
+    C = twist.apply
+
+    def defect(X: Vec, Y: Vec, Z: Vec) -> Vec:
+        lhs = curvature(ctx, gen, X, Y, Z)
+        EZ = endo_apply(E, Z)
+        terms = [
+            endo_apply(E, curvature(ctx, base, X, Y, EZ)),
+            C(ctx, X, endo_apply(E, base.apply(ctx, Y, EZ))),
+            vscale(-1.0, C(ctx, Y, endo_apply(E, base.apply(ctx, X, EZ)))),
+            vscale(-1.0, C(ctx, bracket(X, Y), Z)),
+            endo_apply(E, base.apply(ctx, Y if shortened else X,
+                                     endo_apply(E, C(ctx, Y, Z)))),
+            vscale(-1.0, endo_apply(E, base.apply(ctx, Y, endo_apply(E, C(ctx, X, Z))))),
+        ]
+        if not shortened:
+            terms += [C(ctx, X, C(ctx, Y, Z)), vscale(-1.0, C(ctx, Y, C(ctx, X, Z)))]
+        return vsub(lhs, reduce(vadd, terms))
+    return defect
 
 
 def generalized_identity_rows(ctx: EvalContext, base: ConnectionOp,
@@ -358,24 +378,6 @@ def generalized_identity_rows(ctx: EvalContext, base: ConnectionOp,
                         endo_apply(E, dnabla_endo(ctx, base, E, X, Y))), skew)
         return vsub(lhs, rhs)
 
-    def curvature_defect(X: Vec, Y: Vec, Z: Vec) -> Vec:
-        lhs = curvature(ctx, gen, X, Y, Z)
-        EZ = endo_apply(E, Z)
-        terms = [
-            endo_apply(E, curvature(ctx, base, X, Y, EZ)),
-            C(ctx, X, endo_apply(E, base.apply(ctx, Y, EZ))),
-            vscale(-1.0, C(ctx, Y, endo_apply(E, base.apply(ctx, X, EZ)))),
-            vscale(-1.0, C(ctx, bracket(X, Y), Z)),
-            endo_apply(E, base.apply(ctx, X, endo_apply(E, C(ctx, Y, Z)))),
-            vscale(-1.0, endo_apply(E, base.apply(ctx, Y, endo_apply(E, C(ctx, X, Z))))),
-            C(ctx, X, C(ctx, Y, Z)),
-            vscale(-1.0, C(ctx, Y, C(ctx, X, Z))),
-        ]
-        rhs = terms[0]
-        for t in terms[1:]:
-            rhs = vadd(rhs, t)
-        return vsub(lhs, rhs)
-
     rows: Rows = [
         ("structure_derivative", frame_pair_residual(ctx, structure_defect),
          "derivative of E under the twisted operator"),
@@ -397,7 +399,9 @@ def generalized_identity_rows(ctx: EvalContext, base: ConnectionOp,
                      f"skipped: twist skew {skew_res.value:.3e}, "
                      f"structure derivative {parallel_res.value:.3e}"))
 
-    rows.append(("curvature_form", _curvature_scan(ctx, curvature_defect, probes),
+    rows.append(("curvature_form",
+                 _curvature_scan(ctx, _curvature_form_defect(ctx, base, structure, twist),
+                                 probes),
                  "curvature against the expanded closed form"))
     return rows
 
@@ -412,26 +416,7 @@ def curvature_transcription_residual(ctx: EvalContext, base: ConnectionOp,
     vanishes; callers pair this residual with a failure expectation on any
     scenario with a live twist.
     """
-    E = ctx.endo(structure)
-    gen = GeneralizedConjugate(base, structure, twist)
-    C = twist.apply
-
-    def defect(X: Vec, Y: Vec, Z: Vec) -> Vec:
-        lhs = curvature(ctx, gen, X, Y, Z)
-        EZ = endo_apply(E, Z)
-        terms = [
-            endo_apply(E, curvature(ctx, base, X, Y, EZ)),
-            C(ctx, X, endo_apply(E, base.apply(ctx, Y, EZ))),
-            vscale(-1.0, C(ctx, Y, endo_apply(E, base.apply(ctx, X, EZ)))),
-            vscale(-1.0, C(ctx, bracket(X, Y), Z)),
-            endo_apply(E, base.apply(ctx, Y, endo_apply(E, C(ctx, Y, Z)))),
-            vscale(-1.0, endo_apply(E, base.apply(ctx, Y, endo_apply(E, C(ctx, X, Z))))),
-        ]
-        rhs = terms[0]
-        for t in terms[1:]:
-            rhs = vadd(rhs, t)
-        return vsub(lhs, rhs)
-
+    defect = _curvature_form_defect(ctx, base, structure, twist, shortened=True)
     return _curvature_scan(ctx, defect, probes)
 
 

@@ -38,14 +38,13 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
     tolerance still wins, since those mark deliberate strictness choices.
     `filter_substr` matches against check names and kind names.
     """
+    plan = scenario.plan.replace(seed=seed, count=samples)  # checks the flags
+    report = Report(scenario.name, plan.seed, plan.count)
     default_tol = scenario.tol if tol is None else tol
     specs = scenario.checks
     if filter_substr:
         specs = [s for s in specs
                  if filter_substr in s.name or filter_substr in s.kind.name]
-    plan_seed = scenario.plan.seed if seed is None else seed
-    plan_count = scenario.plan.count if samples is None else samples
-    report = Report(scenario.name, plan_seed, plan_count)
     if not specs:
         return report
     if jobs <= 1:

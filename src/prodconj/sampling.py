@@ -12,6 +12,9 @@ from .errors import ConfigError
 # stay strictly interior even when the generator emits 0.0 exactly.
 _INSET = 1e-6
 
+# Largest sample count a plan accepts, from a scenario file or a flag.
+_MAX_COUNT = 10**6
+
 
 @dataclass(frozen=True)
 class SamplePlan:
@@ -24,8 +27,8 @@ class SamplePlan:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"sample seed must be nonnegative, got {self.seed}")
-        if self.count < 1:
-            raise ConfigError(f"sample count must be positive, got {self.count}")
+        if not 1 <= self.count <= _MAX_COUNT:
+            raise ConfigError(f"sample count must be in 1..{_MAX_COUNT}, got {self.count}")
         if not self.box:
             raise ConfigError("sample box must have at least one coordinate interval")
         for lo, hi in self.box:

@@ -28,7 +28,6 @@ from prodconj.connections import (
     ChristoffelConnection,
     LeviCivitaConnection,
     flat_connection,
-    materialize_christoffels,
 )
 from prodconj.conjugation import (
     ConjugateConnection,
@@ -52,6 +51,7 @@ from prodconj.conjugation import (
 )
 from prodconj.sampling import SamplePlan
 
+from engine_tables import materialize_christoffels
 from oracles import christoffel_fd, conjugate_gamma
 
 BOX = ((-1.0, 1.0), (-1.0, 1.0))

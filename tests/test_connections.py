@@ -29,7 +29,6 @@ from prodconj.connections import (
     curvature,
     flat_connection,
     leibniz_defect_residual,
-    materialize_christoffels,
     metricity_residual,
     nabla_endo,
     torsion,
@@ -37,6 +36,7 @@ from prodconj.connections import (
 )
 from prodconj.sampling import SamplePlan
 
+from engine_tables import materialize_christoffels
 from oracles import christoffel_fd, riemann_fd
 
 BOX = ((-1.0, 1.0), (-1.0, 1.0))

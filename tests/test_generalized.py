@@ -24,7 +24,6 @@ from prodconj.connections import (
     ChristoffelConnection,
     LeviCivitaConnection,
     flat_connection,
-    materialize_christoffels,
 )
 from prodconj.conjugation import ConjugateConnection
 from prodconj.generalized import (
@@ -43,6 +42,7 @@ from prodconj.generalized import (
 )
 from prodconj.sampling import SamplePlan
 
+from engine_tables import materialize_christoffels
 from oracles import recurrence_residual
 
 BOX = ((-1.0, 1.0), (-1.0, 1.0))

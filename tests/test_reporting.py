@@ -1,12 +1,18 @@
 """Residual accumulation and judging, with non-finite residuals."""
 
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import prodconj
+from prodconj import fields
 from prodconj.checks import REGISTRY, judge
-from prodconj.fields import Chart, EvalContext, frame_pair_residual
+from prodconj.fields import Chart, EvalContext, frame_pair_residual, worst
+from prodconj.jets import Jet
 from prodconj.reporting import ERROR, CheckRow, Residual, ResidualMax
 
 POINTS = np.arange(12.0).reshape(6, 2)
@@ -51,6 +57,49 @@ def test_frame_pair_residual_takes_per_sample_arrays():
     res = frame_pair_residual(ctx, lambda X, Y: X[0].value * Y[1].value * POINTS[:, 0])
     assert res.value == 10.0
     assert res.frame == "(dx,dy)" and res.worst_point == (10.0, 11.0)
+
+
+# One per-sample defect, largest at samples 1 and 3, in each output form
+# the reducer takes; the other entries are smaller at every sample.
+DEFECT = np.array([0.1, 0.5, 0.3, 0.5, 0.2, 0.0])
+OUTPUT_FORMS = {
+    "vec": lambda d: [Jet(2, 0, d / 2), Jet(2, 0, -d)],
+    "jet": lambda d: Jet(2, 0, -d),
+    "array": lambda d: np.stack([np.stack([d / 4, -d], -1), np.stack([d / 2, d / 3], -1)], -2),
+}
+
+
+@pytest.mark.parametrize("form", OUTPUT_FORMS)
+def test_worst_reads_every_output_form_alike(form):
+    ctx = EvalContext(Chart(2, ("x", "y"), ((0.0, 20.0), (0.0, 20.0))), POINTS)
+    make = OUTPUT_FORMS[form]
+
+    def items(nan_in=None):
+        for label, scale in (("small", 0.1), ("big", 1.0), ("tie", 1.0)):
+            d = scale * DEFECT
+            if label == nan_in:
+                d = d.copy()
+                d[4] = np.nan
+            yield label, make(d)
+
+    res = worst(ctx, items())
+    assert res.value == 0.5 and res.frame == "big" and res.worst_point == (2.0, 3.0)
+    for label in ("small", "big", "tie"):
+        res = worst(ctx, items(nan_in=label))
+        assert math.isnan(res.value), label
+        assert res.frame == label and res.worst_point == (8.0, 9.0)
+
+
+def test_only_the_reducer_accumulates_residuals():
+    """Every suite measures through `fields.worst`; none keeps its own loop."""
+    reducer = inspect.getsource(fields.worst)
+    for path in sorted(Path(prodconj.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "fields.py":
+            assert reducer in text
+            text = text.replace(reducer, "")
+        for needle in ("ResidualMax(", ".residuals()"):
+            assert needle not in text, f"{path.name} accumulates its own residuals ({needle})"
 
 
 def _judged(res, expect="pass", row="involution"):

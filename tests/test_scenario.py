@@ -328,6 +328,8 @@ TWIST = "[tensor t]\nkind = structure_derivative\nconnection = flat\nstructure =
 
 REFUSED = {
     "count_zero": ((HEAD, "[samples]\ncount = 0\n"), "count must be"),
+    "count_huge": ((HEAD, "[samples]\ncount = 100000000000000000000000\n"),
+                   "sample count must be in 1..1000000"),
     "box_reversed": (("[chart]\ndim = 2\nbox = 1:0, -1:1\n",), "bad interval '1:0'"),
     "box_infinite": (("[chart]\ndim = 2\nbox = -inf:inf, -1:1\n",), "bad number '-inf'"),
     "seed_negative": ((HEAD, "[samples]\nseed = -1\n", SWAP, FLAT, CHECK), "seed must be"),
