@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
                                   filter_substr=args.filter, jobs=args.jobs)
         except ScenarioError as exc:
             return _config_error(exc.messages)
-        except ConfigError as exc:  # a bad --seed or --samples
+        except ConfigError as exc:  # a bad --seed, --samples or --tol
             return _config_error([str(exc)])
         _emit(report.render_lines(), args.report)
         return EXIT_FAIL if report.failed else EXIT_PASS

@@ -39,6 +39,7 @@ from .fields import (
     Vec,
     endo_apply,
     frame_pair_residual,
+    frame_pair_rows,
     frame_triple_residual,
     jets_matrix_values,
     metric_compat_residual,
@@ -125,22 +126,17 @@ def projector_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     shifted = SumConnection(base, tau)
     psi_shifted = psi_connection(shifted, structure)
     E = ctx.endo(structure)
-    rows = [
-        ("psi_idempotent",
-         frame_pair_residual(ctx, lambda X, Y: vsub(psi2.apply(ctx, X, Y),
-                                                    psi1.apply(ctx, X, Y))), ""),
-        ("chi_idempotent",
-         frame_pair_residual(ctx, lambda X, Y: vsub(chi2.apply(ctx, X, Y),
-                                                    chi1.apply(ctx, X, Y))), ""),
-        ("affinity",
-         frame_pair_residual(ctx, lambda X, Y: vsub(
-             psi_shifted.apply(ctx, X, Y),
-             vadd(psi1.apply(ctx, X, Y), chi1.apply(ctx, X, Y)))), ""),
-        ("image_parallel",
-         frame_pair_residual(ctx, lambda X, Y: nabla_endo(ctx, psi1, E, X, Y)),
-         "psi lands in the parallel class for any input"),
-    ]
-    return rows
+
+    def rows(X, Y):
+        p1, c1 = psi1.apply(ctx, X, Y), chi1.apply(ctx, X, Y)
+        yield "psi_idempotent", vsub(psi2.apply(ctx, X, Y), p1)
+        yield "chi_idempotent", vsub(chi2.apply(ctx, X, Y), c1)
+        yield "affinity", vsub(psi_shifted.apply(ctx, X, Y), vadd(p1, c1))
+        yield "image_parallel", nabla_endo(ctx, psi1, E, X, Y)
+
+    notes = {"image_parallel": "psi lands in the parallel class for any input"}
+    return [(name, res, notes.get(name, ""))
+            for name, res in frame_pair_rows(ctx, rows).items()]
 
 
 def mean_decomposition_suite(ctx: EvalContext, base: ConnectionOp,
@@ -182,38 +178,30 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     double = ConjugateConnection(conj, structure)
     E = ctx.endo(structure)
 
-    def item1(X, Y):
-        return vadd(nabla_endo(ctx, conj, E, X, Y), nabla_endo(ctx, base, E, X, Y))
-
-    def transport_out(X, Y):
-        return vsub(conj.apply(ctx, X, endo_apply(E, Y)),
-                    endo_apply(E, base.apply(ctx, X, Y)))
-
-    def transport_in(X, Y):
-        return vsub(endo_apply(E, conj.apply(ctx, X, Y)),
-                    base.apply(ctx, X, endo_apply(E, Y)))
-
-    def item3(X, Y):
-        lhs = torsion(ctx, conj, X, Y)
-        rhs = vadd(torsion(ctx, base, X, Y),
-                   endo_apply(E, dnabla_endo(ctx, base, E, X, Y)))
-        return vsub(lhs, rhs)
+    def pair_rows(X, Y):
+        EY, base_xy = endo_apply(E, Y), base.apply(ctx, X, Y)
+        yield "structure_flip", vadd(nabla_endo(ctx, conj, E, X, Y),
+                                     nabla_endo(ctx, base, E, X, Y))
+        # Measured under two names and merged after the pass, as two scans
+        # would be, so a tie keeps transport_out's witness.
+        yield "transport_out", vsub(conj.apply(ctx, X, EY), endo_apply(E, base_xy))
+        yield "transport_in", vsub(endo_apply(E, conj.apply(ctx, X, Y)), base.apply(ctx, X, EY))
+        yield "involution", vsub(double.apply(ctx, X, Y), base_xy)
+        rhs = vadd(torsion(ctx, base, X, Y), endo_apply(E, dnabla_endo(ctx, base, E, X, Y)))
+        yield "torsion_shift", vsub(torsion(ctx, conj, X, Y), rhs)
 
     def item4(X, Y, Z):
         lhs = curvature(ctx, conj, X, Y, Z)
         rhs = endo_apply(E, curvature(ctx, base, X, Y, endo_apply(E, Z)))
         return vsub(lhs, rhs)
 
+    res = frame_pair_rows(ctx, pair_rows)
     rows = [
-        ("structure_flip", frame_pair_residual(ctx, item1), ""),
-        ("argument_transport",
-         frame_pair_residual(ctx, transport_out).merged(
-             frame_pair_residual(ctx, transport_in)),
+        ("structure_flip", res["structure_flip"], ""),
+        ("argument_transport", res["transport_out"].merged(res["transport_in"]),
          "moving the structure through either slot"),
-        ("involution",
-         frame_pair_residual(ctx, lambda X, Y: vsub(double.apply(ctx, X, Y),
-                                                    base.apply(ctx, X, Y))), ""),
-        ("torsion_shift", frame_pair_residual(ctx, item3), ""),
+        ("involution", res["involution"], ""),
+        ("torsion_shift", res["torsion_shift"], ""),
         ("curvature_transport", frame_triple_residual(ctx, item4), ""),
     ]
 
@@ -365,81 +353,64 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
     b2 = float(pencil.beta ** 2)
     ab = float(pencil.alpha * pencil.beta)
 
-    def mixing(X, Y):
-        cross = vadd(endo_apply(J1, base.apply(ctx, X, endo_apply(J2, Y))),
-                     endo_apply(J2, base.apply(ctx, X, endo_apply(J1, Y))))
-        rhs = vadd(vadd(vscale(a2, conj1.apply(ctx, X, Y)),
-                        vscale(b2, conj2.apply(ctx, X, Y))),
-                   vscale(ab, cross))
-        return vsub(mixed.apply(ctx, X, Y), rhs)
-
-    rows = [
-        ("skew_commutation", skew_commutation_residual(ctx, E1, E2), ""),
-        ("mixing_rule", frame_pair_residual(ctx, mixing), ""),
-    ]
-
+    if case is not None and eta is None:
+        raise ConfigError(f"pencil case {case!r} needs a recurrence one-form")
+    # Each case's hypothesis merges two recurrences (nabla_X JA)Y = eta(X) JB Y.
+    recurrences = {None: (), "recurrent": ((J1, J1), (J2, J2)),
+                   "mixed": ((J1, J2), (J2, J1))}.get(case)
+    if recurrences is None:
+        raise ConfigError(f"unknown pencil case {case!r}")
+    w = ctx.oneform(eta) if case else None
     # Axis reductions rebuild the pencil with exact weights (1,0) and (0,1),
     # so the residual must be exactly representable zero, not merely small.
     axis1 = ConjugateConnection(base, Pencil(E1, E2, Fraction(1), Fraction(0)).endo())
     axis2 = ConjugateConnection(base, Pencil(E1, E2, Fraction(0), Fraction(1)).endo())
-    rows.append(("axis_reduction_first",
-                 frame_pair_residual(ctx, lambda X, Y: vsub(axis1.apply(ctx, X, Y),
-                                                            conj1.apply(ctx, X, Y))), ""))
-    rows.append(("axis_reduction_second",
-                 frame_pair_residual(ctx, lambda X, Y: vsub(axis2.apply(ctx, X, Y),
-                                                            conj2.apply(ctx, X, Y))), ""))
 
+    def rows(X, Y):
+        c1, c2 = conj1.apply(ctx, X, Y), conj2.apply(ctx, X, Y)
+        cross = vadd(endo_apply(J1, base.apply(ctx, X, endo_apply(J2, Y))),
+                     endo_apply(J2, base.apply(ctx, X, endo_apply(J1, Y))))
+        rhs = vadd(vadd(vscale(a2, c1), vscale(b2, c2)), vscale(ab, cross))
+        yield "mixing_rule", vsub(mixed.apply(ctx, X, Y), rhs)
+        yield "axis_reduction_first", vsub(axis1.apply(ctx, X, Y), c1)
+        yield "axis_reduction_second", vsub(axis2.apply(ctx, X, Y), c2)
+        for k, (JA, JB) in enumerate(recurrences):
+            yield f"recurrence{k}", vsub(nabla_endo(ctx, base, JA, X, Y),
+                                         vscale(oneform_apply(w, X), endo_apply(JB, Y)))
+
+    out = [("skew_commutation", skew_commutation_residual(ctx, E1, E2), "")]
+    res = frame_pair_rows(ctx, rows)
+    out += [(name, res[name], "") for name in
+            ("mixing_rule", "axis_reduction_first", "axis_reduction_second")]
     if case is None:
-        return rows
-    if eta is None:
-        raise ConfigError(f"pencil case {case!r} needs a recurrence one-form")
-    w = ctx.oneform(eta)
-
-    def recurrence(JA, JB):
-        # max |(nabla_X JA)Y - eta(X) JB Y| over frame pairs
-        return frame_pair_residual(ctx, lambda X, Y: vsub(
-            nabla_endo(ctx, base, JA, X, Y), vscale(oneform_apply(w, X), endo_apply(JB, Y))))
-
+        return out
+    hyp = res["recurrence0"].merged(res["recurrence1"])
     if case == "recurrent":
         # Both structures recurrent with one shared one-form.
-        hyp = recurrence(J1, J1).merged(recurrence(J2, J2))
-        rows.append(("hypothesis_recurrence", hyp, ""))
+        out.append(("hypothesis_recurrence", hyp, ""))
         if not hyp.within(tol):
-            rows.append(("conjugates_coincide", None, "skipped: recurrence fails"))
-            rows.append(("pencil_invariance", None, "skipped: recurrence fails"))
-            return rows
-        rows.append(("conjugates_coincide",
-                     frame_pair_residual(ctx, lambda X, Y: vsub(conj1.apply(ctx, X, Y),
-                                                                conj2.apply(ctx, X, Y))), ""))
-        rows.append(("pencil_invariance",
-                     frame_pair_residual(ctx, lambda X, Y: vsub(mixed.apply(ctx, X, Y),
-                                                                conj1.apply(ctx, X, Y))), ""))
-        return rows
+            return out + [("conjugates_coincide", None, "skipped: recurrence fails"),
+                          ("pencil_invariance", None, "skipped: recurrence fails")]
 
-    if case == "mixed":
-        hyp = recurrence(J1, J2).merged(recurrence(J2, J1))
-        rows.append(("hypothesis_mixed", hyp, ""))
+        def conclusions(X, Y):
+            c1 = conj1.apply(ctx, X, Y)
+            yield "conjugates_coincide", vsub(c1, conj2.apply(ctx, X, Y))
+            yield "pencil_invariance", vsub(mixed.apply(ctx, X, Y), c1)
+    else:
+        out.append(("hypothesis_mixed", hyp, ""))
         if not hyp.within(tol):
-            rows.append(("average", None, "skipped: mixed recurrence fails"))
-            rows.append(("pencil_shift", None, "skipped: mixed recurrence fails"))
-            return rows
-        rows.append(("average",
-                     frame_pair_residual(ctx, lambda X, Y: vsub(
-                         base.apply(ctx, X, Y),
-                         vscale(0.5, vadd(conj1.apply(ctx, X, Y),
-                                          conj2.apply(ctx, X, Y))))), ""))
+            return out + [("average", None, "skipped: mixed recurrence fails"),
+                          ("pencil_shift", None, "skipped: mixed recurrence fails")]
         coeff = float(pencil.alpha ** 2 - pencil.beta ** 2)
 
-        def shift_rule(X, Y):
+        def conclusions(X, Y):
+            base_xy = base.apply(ctx, X, Y)
+            yield "average", vsub(base_xy, vscale(0.5, vadd(conj1.apply(ctx, X, Y),
+                                                            conj2.apply(ctx, X, Y))))
             prod = endo_apply(J1, endo_apply(J2, Y))
-            rhs = vadd(base.apply(ctx, X, Y),
-                       vscale(coeff, vscale(oneform_apply(w, X), prod)))
-            return vsub(mixed.apply(ctx, X, Y), rhs)
-
-        rows.append(("pencil_shift", frame_pair_residual(ctx, shift_rule), ""))
-        return rows
-
-    raise ConfigError(f"unknown pencil case {case!r}")
+            rhs = vadd(base_xy, vscale(coeff, vscale(oneform_apply(w, X), prod)))
+            yield "pencil_shift", vsub(mixed.apply(ctx, X, Y), rhs)
+    return out + [(name, r, "") for name, r in frame_pair_rows(ctx, conclusions).items()]
 
 
 # ---- structural / virtual splitting -----------------------------------
@@ -480,28 +451,18 @@ def splitting_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField) 
     Bc = virtual_tensor(conj, structure)
     E = ctx.endo(structure)
 
-    def rot(T, sign, X, Y):
-        lhs = T.apply(ctx, endo_apply(E, X), endo_apply(E, Y))
-        rhs = vscale(sign, T.apply(ctx, X, Y))
-        return vsub(lhs, rhs)
+    def rows(X, Y):
+        CXY, BXY = C.apply(ctx, X, Y), B.apply(ctx, X, Y)
+        yield "structural_flip", vadd(Cc.apply(ctx, X, Y), CXY)
+        yield "virtual_flip", vadd(Bc.apply(ctx, X, Y), BXY)
+        yield "decomposition", vsub(conj.apply(ctx, X, Y),
+                                    vadd(vsub(base.apply(ctx, X, Y), CXY), BXY))
+        # Rotating both arguments keeps the structural half and flips the virtual one.
+        EX, EY = endo_apply(E, X), endo_apply(E, Y)
+        yield "structural_rotation", vsub(C.apply(ctx, EX, EY), CXY)
+        yield "virtual_rotation", vadd(B.apply(ctx, EX, EY), BXY)
 
-    return [
-        ("structural_flip",
-         frame_pair_residual(ctx, lambda X, Y: vadd(Cc.apply(ctx, X, Y),
-                                                    C.apply(ctx, X, Y))), ""),
-        ("virtual_flip",
-         frame_pair_residual(ctx, lambda X, Y: vadd(Bc.apply(ctx, X, Y),
-                                                    B.apply(ctx, X, Y))), ""),
-        ("structural_rotation",
-         frame_pair_residual(ctx, lambda X, Y: rot(C, 1.0, X, Y)), ""),
-        ("virtual_rotation",
-         frame_pair_residual(ctx, lambda X, Y: rot(B, -1.0, X, Y)), ""),
-        ("decomposition",
-         frame_pair_residual(ctx, lambda X, Y: vsub(
-             conj.apply(ctx, X, Y),
-             vadd(vsub(base.apply(ctx, X, Y), C.apply(ctx, X, Y)),
-                  B.apply(ctx, X, Y)))), ""),
-    ]
+    return [(name, res, "") for name, res in frame_pair_rows(ctx, rows).items()]
 
 
 def projective_tensor(tau: OneFormField, label: str | None = None) -> Tensor12Field:
@@ -524,15 +485,11 @@ def projective_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     E = ctx.endo(structure)
     w = ctx.oneform(tau)
 
-    def diff_rule(X, Y):
+    def rows(X, Y):
+        yield "structural_invariance", vsub(C1.apply(ctx, X, Y), C0.apply(ctx, X, Y))
         lhs = vsub(B1.apply(ctx, X, Y), B0.apply(ctx, X, Y))
         rhs = vsub(vscale(oneform_apply(w, endo_apply(E, Y)), endo_apply(E, X)),
                    vscale(oneform_apply(w, Y), X))
-        return vsub(lhs, rhs)
+        yield "virtual_difference", vsub(lhs, rhs)
 
-    return [
-        ("structural_invariance",
-         frame_pair_residual(ctx, lambda X, Y: vsub(C1.apply(ctx, X, Y),
-                                                    C0.apply(ctx, X, Y))), ""),
-        ("virtual_difference", frame_pair_residual(ctx, diff_rule), ""),
-    ]
+    return [(name, res, "") for name, res in frame_pair_rows(ctx, rows).items()]

@@ -39,6 +39,7 @@ from .fields import (
     endo_apply,
     endo_from_difference,
     frame_pair_residual,
+    frame_pair_rows,
     jets_matrix_values,
     magnitude,
     vadd,
@@ -292,17 +293,14 @@ def restriction_collapse_rows(ctx: EvalContext, nabla: ConnectionOp,
         return rows
     conj = ConjugateConnection(nabla, pair.structure())
     H, V = ctx.endo(pair.h), ctx.endo(pair.v)
-    rows.append(("conjugate_collapse",
-                 frame_pair_residual(ctx, lambda X, Y: vsub(conj.apply(ctx, X, Y),
-                                                            nabla.apply(ctx, X, Y))), ""))
 
-    def split(X, Y):
-        hY, vY = endo_apply(H, Y), endo_apply(V, Y)
-        return vsub(conj.apply(ctx, X, Y),
-                    vadd(nabla.apply(ctx, X, hY), nabla.apply(ctx, X, vY)))
+    def conclusions(X, Y):
+        conj_xy = conj.apply(ctx, X, Y)
+        yield "conjugate_collapse", vsub(conj_xy, nabla.apply(ctx, X, Y))
+        yield "split_form", vsub(conj_xy, vadd(nabla.apply(ctx, X, endo_apply(H, Y)),
+                                               nabla.apply(ctx, X, endo_apply(V, Y))))
 
-    rows.append(("split_form", frame_pair_residual(ctx, split), ""))
-    return rows
+    return rows + [(name, res, "") for name, res in frame_pair_rows(ctx, conclusions).items()]
 
 
 class SchoutenConnection(ConnectionOp):
@@ -332,16 +330,16 @@ def schouten_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair,
     Dh = DistributionSpec.from_pair(pair, "horizontal", label="Dh")
     Dv = DistributionSpec.from_pair(pair, "vertical", label="Dv")
     conj_s = ConjugateConnection(s, E)
-    rows = [
-        ("restricts_h", restriction_residual(ctx, s, Dh), ""),
-        ("restricts_v", restriction_residual(ctx, s, Dv), ""),
-        ("parallel_structure",
-         frame_pair_residual(ctx, lambda X, Y: nabla_endo(ctx, s, Ej, X, Y)),
-         "the split part always keeps the structure parallel"),
-        ("self_conjugate",
-         frame_pair_residual(ctx, lambda X, Y: vsub(conj_s.apply(ctx, X, Y),
-                                                    s.apply(ctx, X, Y))), ""),
-    ]
+
+    def pair_rows(X, Y):
+        yield "parallel_structure", nabla_endo(ctx, s, Ej, X, Y)
+        yield "self_conjugate", vsub(conj_s.apply(ctx, X, Y), s.apply(ctx, X, Y))
+
+    rows = [("restricts_h", restriction_residual(ctx, s, Dh), ""),
+            ("restricts_v", restriction_residual(ctx, s, Dv), "")]
+    notes = {"parallel_structure": "the split part always keeps the structure parallel"}
+    rows += [(name, res, notes.get(name, ""))
+             for name, res in frame_pair_rows(ctx, pair_rows).items()]
     base_h = restriction_residual(ctx, nabla, Dh)
     base_v = restriction_residual(ctx, nabla, Dv)
     if base_h.within(tol) and base_v.within(tol):
@@ -428,105 +426,45 @@ def splitting_block_rows(ctx: EvalContext, nabla: ConnectionOp,
     T, A = fundamental_tensors(nabla, pair)
     H, V = ctx.endo(pair.h), ctx.endo(pair.v)
 
-    def hv(X):
-        return endo_apply(H, X), endo_apply(V, X)
+    def half(X, Y, S, sign, live, dead, fundamental, names):
+        # S lives on the `live` blocks, where each equals sign * Q(nabla_a b),
+        # and vanishes on the `dead` ones.  The *_vanishing and *_blocks rows
+        # measure two blocks at once: both blocks' components form one list,
+        # so the reducer takes the larger of the two at every sample.  Values
+        # are made in the order that keeps the fewest alive during each
+        # S.apply; the dead blocks are freed when `vanishing` returns.
+        antisym, vanish, fund, split, formula, blocks = names
+        yield from vanishing(S, dead, antisym, vanish)
+        SXY = S.apply(ctx, X, Y)
+        y1, y2 = fundamental
+        yield fund, vsub(SXY, vscale(sign, vadd(T.apply(ctx, X, y1), A.apply(ctx, X, y2))))
+        s = [S.apply(ctx, a, b) for a, b, _ in live]
+        yield split, vsub(SXY, vadd(*s))
+        q = [endo_apply(Q, nabla.apply(ctx, a, b)) for a, b, Q in live]
+        yield formula, vsub(SXY, vscale(sign, vadd(*q)))
+        yield blocks, [*vsub(s[0], vscale(sign, q[0])), *vsub(s[1], vscale(sign, q[1]))]
 
-    def structural_formula(X, Y):
-        hX, vX = hv(X)
-        hY, vY = hv(Y)
-        rhs = vscale(2.0, vadd(endo_apply(H, nabla.apply(ctx, vX, vY)),
-                               endo_apply(V, nabla.apply(ctx, hX, hY))))
-        return vsub(C.apply(ctx, X, Y), rhs)
+    def vanishing(S, dead, antisym, vanish):
+        d = [S.apply(ctx, a, b) for a, b in dead]
+        yield antisym, vadd(*d)
+        yield vanish, [*d[0], *d[1]]
 
-    def virtual_formula(X, Y):
-        hX, vX = hv(X)
-        hY, vY = hv(Y)
-        rhs = vscale(-2.0, vadd(endo_apply(H, nabla.apply(ctx, hX, vY)),
-                                endo_apply(V, nabla.apply(ctx, vX, hY))))
-        return vsub(B.apply(ctx, X, Y), rhs)
-
-    def cross_antisym(X, Y):
-        hX, vX = hv(X)
-        hY, vY = hv(Y)
-        return vadd(C.apply(ctx, hX, vY), C.apply(ctx, vX, hY))
-
-    def diag_antisym(X, Y):
-        hX, vX = hv(X)
-        hY, vY = hv(Y)
-        return vadd(B.apply(ctx, hX, hY), B.apply(ctx, vX, vY))
-
-    # The *_vanish and *_blocks scans measure two blocks at once: they
-    # return the components of both as one list, so the reducer takes the
-    # larger of the two at every sample.
-    def cross_vanish(X, Y):
-        hX, vX = hv(X)
-        hY, vY = hv(Y)
-        return [*C.apply(ctx, hX, vY), *C.apply(ctx, vX, hY)]
-
-    def diag_vanish(X, Y):
-        hX, vX = hv(X)
-        hY, vY = hv(Y)
-        return [*B.apply(ctx, hX, hY), *B.apply(ctx, vX, vY)]
-
-    def structural_split(X, Y):
-        hX, vX = hv(X)
-        hY, vY = hv(Y)
-        return vsub(C.apply(ctx, X, Y),
-                    vadd(C.apply(ctx, hX, hY), C.apply(ctx, vX, vY)))
-
-    def virtual_split(X, Y):
+    def rows(X, Y):
+        hX, vX, hY, vY = (endo_apply(P, W) for W in (X, Y) for P in (H, V))
+        yield from half(X, Y, C, 2.0, ((hX, hY, V), (vX, vY, H)), ((hX, vY), (vX, hY)),
+                        (vY, hY), ("cross_antisymmetry", "cross_vanishing",
+                                   "fundamental_structural", "structural_split",
+                                   "structural_formula", "structural_blocks"))
         # The virtual half lives entirely on the mixed blocks; its diagonal
-        # blocks vanish, so the split runs over the cross terms.
-        hX, vX = hv(X)
-        hY, vY = hv(Y)
-        return vsub(B.apply(ctx, X, Y),
-                    vadd(B.apply(ctx, hX, vY), B.apply(ctx, vX, hY)))
+        # blocks vanish, so its split runs over the cross terms.
+        yield from half(X, Y, B, -2.0, ((hX, vY, H), (vX, hY, V)), ((hX, hY), (vX, vY)),
+                        (hY, vY), ("diagonal_antisymmetry", "diagonal_vanishing",
+                                   "fundamental_virtual", "virtual_split",
+                                   "virtual_formula", "virtual_blocks"))
 
-    def structural_blocks(X, Y):
-        hX, vX = hv(X)
-        hY, vY = hv(Y)
-        a = vsub(C.apply(ctx, hX, hY),
-                 vscale(2.0, endo_apply(V, nabla.apply(ctx, hX, hY))))
-        b = vsub(C.apply(ctx, vX, vY),
-                 vscale(2.0, endo_apply(H, nabla.apply(ctx, vX, vY))))
-        return [*a, *b]
-
-    def virtual_blocks(X, Y):
-        hX, vX = hv(X)
-        hY, vY = hv(Y)
-        a = vadd(B.apply(ctx, hX, vY),
-                 vscale(2.0, endo_apply(H, nabla.apply(ctx, hX, vY))))
-        b = vadd(B.apply(ctx, vX, hY),
-                 vscale(2.0, endo_apply(V, nabla.apply(ctx, vX, hY))))
-        return [*a, *b]
-
-    def fundamental_structural(X, Y):
-        hY, vY = hv(Y)
-        rhs = vscale(2.0, vadd(T.apply(ctx, X, vY), A.apply(ctx, X, hY)))
-        return vsub(C.apply(ctx, X, Y), rhs)
-
-    def fundamental_virtual(X, Y):
-        hY, vY = hv(Y)
-        rhs = vscale(-2.0, vadd(T.apply(ctx, X, hY), A.apply(ctx, X, vY)))
-        return vsub(B.apply(ctx, X, Y), rhs)
-
-    scans = [
-        ("structural_formula", structural_formula),
-        ("virtual_formula", virtual_formula),
-        ("cross_antisymmetry", cross_antisym),
-        ("diagonal_antisymmetry", diag_antisym),
-        ("cross_vanishing", cross_vanish),
-        ("diagonal_vanishing", diag_vanish),
-        ("structural_split", structural_split),
-        ("virtual_split", virtual_split),
-        ("structural_blocks", structural_blocks),
-        ("virtual_blocks", virtual_blocks),
-        ("fundamental_structural", fundamental_structural),
-        ("fundamental_virtual", fundamental_virtual),
-    ]
     notes = {"virtual_split": "mixed blocks carry the whole virtual half"}
-    return [(name, frame_pair_residual(ctx, fn), notes.get(name, ""))
-            for name, fn in scans]
+    return [(name, res, notes.get(name, ""))
+            for name, res in frame_pair_rows(ctx, rows).items()]
 
 
 def skew_pair_rows(ctx: EvalContext, pair1: ProjectorPair, pair2: ProjectorPair) -> Rows:

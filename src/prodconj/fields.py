@@ -356,11 +356,27 @@ def worst(ctx: EvalContext, items) -> Residual:
     return acc.result()
 
 
+def frame_pair_rows(ctx: EvalContext, rows) -> dict:
+    """Worst output per name over coordinate frame pairs, in first-yield order.
+
+    rows(X, Y) yields (name, output) for one pair.  Each output is reduced as
+    it is yielded and merged into its name's running residual, so a name
+    keeps `worst`'s rules: the first maximum wins ties, the first NaN stays.
+    """
+    frame, label = ctx.frame(), ctx.chart.frame_label
+    out: dict = {}
+    for i, X in enumerate(frame):
+        for j, Y in enumerate(frame):
+            for name, value in rows(X, Y):
+                res = worst(ctx, [(label(i, j), value)])
+                del value  # not held while rows computes the next output
+                out[name] = out[name].merged(res) if name in out else res
+    return out
+
+
 def frame_pair_residual(ctx: EvalContext, fn) -> Residual:
     """Worst fn(X, Y) over coordinate frame pairs."""
-    frame, label = ctx.frame(), ctx.chart.frame_label
-    return worst(ctx, ((label(i, j), fn(X, Y))
-                       for i, X in enumerate(frame) for j, Y in enumerate(frame)))
+    return frame_pair_rows(ctx, lambda X, Y: [(None, fn(X, Y))])[None]
 
 
 def frame_triple_residual(ctx: EvalContext, fn) -> Residual:

@@ -43,6 +43,7 @@ from .fields import (
     bracket,
     endo_apply,
     frame_pair_residual,
+    frame_pair_rows,
     frame_triple_residual,
     vadd,
     vscale,
@@ -133,24 +134,22 @@ def duality_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     gen = GeneralizedConjugate(base, structure, twist)
     gen2 = GeneralizedConjugate(gen, structure, twist)
 
-    def double_defect(X: Vec, Y: Vec) -> Vec:
-        return vsub(gen2.apply(ctx, X, Y), base.apply(ctx, X, Y))
-
-    def expansion_defect(X: Vec, Y: Vec) -> Vec:
+    def pair_rows(X: Vec, Y: Vec):
+        square, base_xy = gen2.apply(ctx, X, Y), base.apply(ctx, X, Y)
+        yield "double_application", vsub(square, base_xy)
         # squared operator minus [base + E(C(X, EY)) + C(X, Y)], term by term
         rot = endo_apply(E, twist.apply(ctx, X, endo_apply(E, Y)))
-        rhs = vadd(vadd(base.apply(ctx, X, Y), rot), twist.apply(ctx, X, Y))
-        return vsub(gen2.apply(ctx, X, Y), rhs)
+        yield "expansion", vsub(square, vadd(vadd(base_xy, rot), twist.apply(ctx, X, Y)))
 
     canonical = structure_derivative_twist(base, structure)
     rotated = rotated_twist(canonical, structure)
+    defect = duality_defect_residual(ctx, base, structure, twist)
+    res = frame_pair_rows(ctx, pair_rows)
     rows: Rows = [
-        ("defect", duality_defect_residual(ctx, base, structure, twist),
-         f"twist={twist.label}"),
-        ("double_application", frame_pair_residual(ctx, double_defect),
+        ("defect", defect, f"twist={twist.label}"),
+        ("double_application", res["double_application"],
          "squared operator against the base"),
-        ("expansion", frame_pair_residual(ctx, expansion_defect),
-         "square rewritten through the defect"),
+        ("expansion", res["expansion"], "square rewritten through the defect"),
         ("canonical_solution",
          duality_defect_residual(ctx, base, structure, canonical),
          "structure derivative as the twist"),
@@ -198,29 +197,29 @@ def family_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     member = family_member(base, structure, lam, mu)
     conj = ConjugateConnection(base, structure)
 
-    def route_defect(X: Vec, Y: Vec) -> Vec:
-        return vsub(member.apply(ctx, X, Y),
-                    _member_by_expansion(ctx, base, structure, lam, mu, X, Y))
+    special = _SPECIAL_MEMBERS.get((float(lam), float(mu)))
 
+    def pair_rows(X: Vec, Y: Vec):
+        member_xy = member.apply(ctx, X, Y)
+        yield "route_agreement", vsub(member_xy, _member_by_expansion(
+            ctx, base, structure, lam, mu, X, Y))
+        if special:
+            cb, cc, _ = special
+            expect = vadd(vscale(cb, base.apply(ctx, X, Y)), vscale(cc, conj.apply(ctx, X, Y)))
+            yield "reduction", vsub(member_xy, expect)
+
+    res = frame_pair_rows(ctx, pair_rows)
     frame = ctx.frame()
     rows: Rows = [
-        ("route_agreement", frame_pair_residual(ctx, route_defect),
+        ("route_agreement", res["route_agreement"],
          "combination operator against the expanded form"),
         ("leibniz_scaling",
          leibniz_defect_residual(ctx, member, (1.0 + mu) + lam,
                                  weight, frame[0], frame[-1]),
          f"defect scale {(1.0 + mu) + lam:g}"),
     ]
-
-    key = (float(lam), float(mu))
-    if key in _SPECIAL_MEMBERS:
-        cb, cc, what = _SPECIAL_MEMBERS[key]
-
-        def reduction_defect(X: Vec, Y: Vec) -> Vec:
-            expect = vadd(vscale(cb, base.apply(ctx, X, Y)),
-                          vscale(cc, conj.apply(ctx, X, Y)))
-            return vsub(member.apply(ctx, X, Y), expect)
-        rows.append(("reduction", frame_pair_residual(ctx, reduction_defect), what))
+    if special:
+        rows.append(("reduction", res["reduction"], special[2]))
     return rows
 
 
@@ -290,10 +289,9 @@ def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 
         coeffs, _, _, _ = np.linalg.lstsq(design, Vs.ravel(), rcond=None)
         fitted = design @ coeffs
-        fit_err = max(fit_err, float(np.max(np.abs(fitted - Vs.ravel()))))
-        coeff_err = max(coeff_err,
-                        abs(float(coeffs[0]) - a_pred),
-                        abs(float(coeffs[1]) - b_pred))
+        # np.max, unlike max(), keeps a NaN from any member
+        fit_err = float(np.max([fit_err, np.max(np.abs(fitted - Vs.ravel()))]))
+        coeff_err = float(np.max([coeff_err, abs(coeffs[0] - a_pred), abs(coeffs[1] - b_pred)]))
 
     rows.append(("coefficient_match", Residual(coeff_err, None, None),
                  f"weights against ((1+mu)^2+lam^2, 2 lam (1+mu)) on {len(grid)} members"))
@@ -364,31 +362,28 @@ def generalized_identity_rows(ctx: EvalContext, base: ConnectionOp,
     gen = GeneralizedConjugate(base, structure, twist)
     C = twist.apply
 
-    def structure_defect(X: Vec, Y: Vec) -> Vec:
-        lhs = nabla_endo(ctx, gen, E, X, Y)
-        rhs = vadd(vsub(C(ctx, X, endo_apply(E, Y)),
-                        nabla_endo(ctx, base, E, X, Y)),
+    def pair_rows(X: Vec, Y: Vec):
+        # The two gate measurements, the twist's skew part and the
+        # structure derivative, ride along with the rows that use them.
+        d = nabla_endo(ctx, base, E, X, Y)
+        rhs = vadd(vsub(C(ctx, X, endo_apply(E, Y)), d),
                    vscale(-1.0, endo_apply(E, C(ctx, X, Y))))
-        return vsub(lhs, rhs)
-
-    def torsion_defect(X: Vec, Y: Vec) -> Vec:
-        lhs = torsion(ctx, gen, X, Y)
+        yield "structure_derivative", vsub(nabla_endo(ctx, gen, E, X, Y), rhs)
+        yield "parallel", d
         skew = vsub(C(ctx, X, Y), C(ctx, Y, X))
         rhs = vadd(vadd(torsion(ctx, base, X, Y),
                         endo_apply(E, dnabla_endo(ctx, base, E, X, Y))), skew)
-        return vsub(lhs, rhs)
+        yield "torsion_form", vsub(torsion(ctx, gen, X, Y), rhs)
+        yield "skew", skew
 
+    res = frame_pair_rows(ctx, pair_rows)
     rows: Rows = [
-        ("structure_derivative", frame_pair_residual(ctx, structure_defect),
+        ("structure_derivative", res["structure_derivative"],
          "derivative of E under the twisted operator"),
-        ("torsion_form", frame_pair_residual(ctx, torsion_defect),
+        ("torsion_form", res["torsion_form"],
          "torsion against base torsion, structure curl and twist skew part"),
     ]
-
-    skew_res = frame_pair_residual(
-        ctx, lambda X, Y: vsub(C(ctx, X, Y), C(ctx, Y, X)))
-    parallel_res = frame_pair_residual(
-        ctx, lambda X, Y: nabla_endo(ctx, base, E, X, Y))
+    skew_res, parallel_res = res["skew"], res["parallel"]
     if skew_res.within(tol) and parallel_res.within(tol):
         collapse = frame_pair_residual(
             ctx, lambda X, Y: vsub(torsion(ctx, gen, X, Y), torsion(ctx, base, X, Y)))

@@ -9,6 +9,7 @@ changes output bytes.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
@@ -39,6 +40,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
     `filter_substr` matches against check names and kind names.
     """
     plan = scenario.plan.replace(seed=seed, count=samples)  # checks the flags
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tolerance must be finite and nonnegative, got {tol}")
     report = Report(scenario.name, plan.seed, plan.count)
     default_tol = scenario.tol if tol is None else tol
     specs = scenario.checks

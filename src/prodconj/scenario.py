@@ -69,6 +69,7 @@ from .generalized import mixed_derivative_twist, structure_derivative_twist
 from .sampling import SamplePlan
 
 _HEADER = re.compile(r"\[\s*([a-z_]+)(?:\s+([A-Za-z_][\w.-]*))?\s*\]$")
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _BARE_SECTIONS = ("chart", "samples", "tolerance")
 # build order: a section may refer to objects of an earlier phase, or of
 # its own phase defined earlier in the file; tensors with a `kind` are
@@ -409,7 +410,11 @@ class _Loader:
         dim = self.integer(got["dim"], 1, _MAX_DIM)
         names = tuple(f"x{i}" for i in range(dim))
         if "names" in got:
-            names = tuple(n.strip() for n in got["names"][1].split(","))
+            key, text, line = got["names"]
+            names = tuple(n.strip() for n in text.split(","))
+            for name in names:  # an expression can only refer to an identifier
+                if not _IDENTIFIER.fullmatch(name):
+                    raise _bad(line, f"coordinate name {name!r} is not an identifier")
         box = ((-1.0, 1.0),) * dim
         if "box" in got:
             key, text, line = got["box"]

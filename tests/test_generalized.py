@@ -40,6 +40,7 @@ from prodconj.generalized import (
     structure_derivative_twist,
     sweep_rows,
 )
+from prodconj.runner import load_shipped, run_scenario
 from prodconj.sampling import SamplePlan
 
 from engine_tables import materialize_christoffels
@@ -182,6 +183,23 @@ def test_sweep_finds_exactly_four_solutions():
     assert by_name["coefficient_match"][0].value <= 1e-9
     assert by_name["expansion_fit"][0].value <= 1e-9
     assert by_name["solution_count"][0].value == 0.0
+
+
+def test_sweep_keeps_a_nan_fit(monkeypatch):
+    """A NaN fit for one grid member is not folded away by the finite ones after it."""
+    scenario = load_shipped("prop32_grid")
+    lstsq, calls = np.linalg.lstsq, []
+
+    def nan_for_third_member(a, b, **kwargs):
+        calls.append(None)
+        coeffs, *rest = lstsq(a, b, **kwargs)
+        return (np.full_like(coeffs, np.nan) if len(calls) == 3 else coeffs, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", nan_for_third_member)
+    report = run_scenario(scenario, filter_substr="sweep")
+    status = {r.row_id: r.status for r in report.rows}
+    assert len(calls) > 3
+    assert status["sweep.coefficient_match"] == status["sweep.expansion_fit"] == "error"
 
 
 def test_sweep_refuses_degenerate_probe_basis():

@@ -90,6 +90,61 @@ def test_worst_reads_every_output_form_alike(form):
         assert res.frame == label and res.worst_point == (8.0, 9.0)
 
 
+def _with_nan(sample):
+    d = DEFECT.copy()
+    d[sample] = np.nan
+    return d
+
+
+# NaNs at frame pair (dy,dx) and then at (dy,dy); the first one must stay.
+LATE_NANS = {(1, 0): _with_nan(4), (1, 1): _with_nan(1)}
+
+# case: (dim, per-sample defect at frame pair (i, j) for each yielded name,
+#        (name, expected value, witness frame, witness sample))
+SCANS = {
+    "tie": (2, {"same": lambda i, j: DEFECT, "grows": lambda i, j: (1 + i + j) * DEFECT},
+            ("same", 0.5, "(dx,dx)", 1)),
+    "nan_at_a_later_pair": (2, {"late_nan": lambda i, j: LATE_NANS.get((i, j), DEFECT),
+                                "finite": lambda i, j: (1 + j) * DEFECT},
+                            ("late_nan", math.nan, "(dy,dx)", 4)),
+    "one_call_per_pair": (3, {"grows": lambda i, j: (1 + 3 * i + j) * DEFECT},
+                          ("grows", 4.5, "(dz,dz)", 1)),
+}
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("case", SCANS)
+def test_frame_pair_rows_matches_one_scan_per_name(case):
+    """One pass over the frame pairs gives every name the residual its own
+    scan would: same value, same witness, rows called once per pair."""
+    dim, outputs, (name, value, frame, sample) = SCANS[case]
+    points = np.arange(6.0 * dim).reshape(6, dim)
+    ctx = EvalContext(Chart(dim, ("x", "y", "z")[:dim], ((0.0, 20.0),) * dim), points)
+
+    def pair(X, Y):  # the frame indices (i, j) of a frame pair
+        return tuple(next(k for k, c in enumerate(V) if c.value[0] == 1.0) for V in (X, Y))
+
+    calls = []
+
+    def rows(X, Y):
+        calls.append(pair(X, Y))
+        for key, out in outputs.items():
+            yield key, out(*pair(X, Y))
+
+    res = fields.frame_pair_rows(ctx, rows)
+    assert calls == [(i, j) for i in range(dim) for j in range(dim)]
+    assert list(res) == list(outputs)
+    for key, out in outputs.items():
+        alone = frame_pair_residual(ctx, lambda X, Y: out(*pair(X, Y)))
+        assert _same(res[key].value, alone.value), key
+        assert (res[key].frame, res[key].worst_point) == (alone.frame, alone.worst_point)
+    assert _same(res[name].value, value)
+    assert (res[name].frame, res[name].worst_point) == (frame, tuple(points[sample]))
+
+
 def test_only_the_reducer_accumulates_residuals():
     """Every suite measures through `fields.worst`; none keeps its own loop."""
     reducer = inspect.getsource(fields.worst)

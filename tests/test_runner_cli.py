@@ -251,15 +251,17 @@ structure = proj
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--samples", "0"),
-                                         ("--samples", "100000000000000000000000")])
+                                         ("--samples", "100000000000000000000000"),
+                                         ("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1")])
 def test_cli_bad_sample_flags_are_config_errors(tmp_path, capsys, flag, value):
     f = tmp_path / "good.scn"
     f.write_text(GOOD, encoding="utf-8")
+    message = "error: tolerance" if flag == "--tol" else "error: sample"
     # The flags are checked before the filter picks checks, so a filter
     # that matches nothing does not let a bad value through.
     for extra in ([], ["--filter", "nomatch"]):
         assert main(["verify", str(f), flag, value, *extra]) == 2
-        assert "error: sample" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert main(["corpus", flag, value, *extra]) == 2
         captured = capsys.readouterr()
         assert "error: " in captured.err and not captured.out

@@ -349,6 +349,12 @@ REFUSED = {
     "floor_nan": ((HEAD, SWAP, FLAT, CHECK + "floor = nan\n"), "bad number 'nan'"),
     "tol_negative": ((HEAD, SWAP, FLAT, CHECK + "tol = -1\n"), "tol must be nonnegative"),
     "dim_huge": (("[chart]\ndim = 1000000000\n",), "dim must be an integer in 1.."),
+    "name_numeric": (("[chart]\ndim = 2\nnames = 1, y\n",),
+                     "line 3: coordinate name '1' is not an identifier"),
+    "name_empty": (("[chart]\ndim = 2\nnames = x,\n",),
+                   "line 3: coordinate name '' is not an identifier"),
+    "name_with_parenthesis": (("[chart]\ndim = 2\nnames = x (y, z\n",),
+                              "line 3: coordinate name 'x (y' is not an identifier"),
     "expression_nested_too_deep":
         ((HEAD, "[vector v]\ncomponents = " + "(+ " * 3000 + "x" + ")" * 3000 + " 1\n"),
          "line 7: RecursionError"),
