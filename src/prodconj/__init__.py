@@ -20,7 +20,6 @@ from .connections import (
     LeviCivitaConnection,
     SumConnection,
     flat_connection,
-    levi_civita,
 )
 from .distributions import DistributionSpec, ProjectorPair, SchoutenConnection
 from .errors import ConfigError, EvaluationError, OrderError, ScenarioError
@@ -78,7 +77,6 @@ __all__ = [
     "eval_jet",
     "flat_connection",
     "format_expr",
-    "levi_civita",
     "load_scenario",
     "load_shipped",
     "psi_connection",

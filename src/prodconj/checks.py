@@ -91,10 +91,10 @@ class ParamSpec:
 
     Roles name object tables of the scenario (connection, structure,
     metric, oneform, tensor, pair, pencil, distribution), plain values
-    (float, str), or composites (vectors = comma-joined vector-field
-    names, grid = semicolon-joined coefficient pairs, expr = scalar
-    expression text).  A vectors parameter reaches its runner as jet
-    vectors evaluated on the run's context.
+    (float, str, tolerance = nonnegative float), or composites (vectors =
+    comma-joined vector-field names, grid = semicolon-joined coefficient
+    pairs, expr = scalar expression text).  A vectors parameter reaches
+    its runner as jet vectors evaluated on the run's context.
     """
 
     role: str
@@ -117,7 +117,7 @@ class CheckKind:
 
     `runner(ctx, params, tol)` returns rows as (name, residual_or_None,
     note) triples, the shared suite convention.  `row_tols` names, per
-    row, the float parameter that replaces the check tolerance for it.
+    row, the tolerance parameter that replaces the check tolerance for it.
     A `probe_exempt` kind measures involution itself, so when it is
     expected to fail its structures skip the loader's involution probe.
     """
@@ -316,7 +316,7 @@ def _kinds() -> dict[str, CheckKind]:
                         pencil=ParamSpec("pencil", required=True),
                         eta=ParamSpec("oneform"),
                         case=ParamSpec("str", choices=("recurrent", "mixed")),
-                        reduction_tol=ParamSpec("float", default=1e-12)),
+                        reduction_tol=ParamSpec("tolerance", default=1e-12)),
             anchors={
                 "skew_commutation": "1.8",
                 "mixing_rule": "1.8",

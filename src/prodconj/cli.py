@@ -46,11 +46,17 @@ def _run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1, help="worker threads for checks")
 
 
-def _emit(lines: list[str], report_path: str | None) -> None:
+def _emit(lines: list[str], report_path: str | None, code: int) -> int:
+    """Print the report, copy it to report_path, and return `code`, or
+    the configuration exit code when the copy cannot be written."""
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if report_path:
-        Path(report_path).write_text(text, encoding="utf-8")
+        try:
+            Path(report_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _config_error([f"cannot write {report_path}: {exc}"])
+    return code
 
 
 def _config_error(messages) -> int:
@@ -70,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         path = Path(args.scenario)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             return _config_error([f"cannot read {path}: {exc}"])
         try:
             report = run_scenario(load_scenario(text, name=path.stem), seed=args.seed,
@@ -80,8 +86,8 @@ def main(argv: list[str] | None = None) -> int:
             return _config_error(exc.messages)
         except ConfigError as exc:  # a bad --seed, --samples or --tol
             return _config_error([str(exc)])
-        _emit(report.render_lines(), args.report)
-        return EXIT_FAIL if report.failed else EXIT_PASS
+        return _emit(report.render_lines(), args.report,
+                     EXIT_FAIL if report.failed else EXIT_PASS)
 
     # corpus
     lines: list[str] = []
@@ -101,8 +107,7 @@ def main(argv: list[str] | None = None) -> int:
             return _config_error([f"{name}: {exc}"])
         lines.extend(report.render_lines())
         any_failed = any_failed or report.failed
-    _emit(lines, args.report)
-    return EXIT_FAIL if any_failed else EXIT_PASS
+    return _emit(lines, args.report, EXIT_FAIL if any_failed else EXIT_PASS)
 
 
 if __name__ == "__main__":

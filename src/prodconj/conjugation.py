@@ -19,12 +19,14 @@ from fractions import Fraction
 from .connections import (
     ConnectionOp,
     CombinationOp,
+    Sandwiched,
     SumConnection,
     curvature,
     dnabla_endo,
     metricity_residual,
     nabla_endo,
     nabla_metric,
+    structure_derivative_twist,
     torsion,
     torsion_residual,
 )
@@ -54,21 +56,12 @@ from .reporting import Residual
 Rows = list  # list[tuple[str, Residual | None, str]]
 
 
-class ConjugateConnection(ConnectionOp):
+class ConjugateConnection(Sandwiched):
     """E(nabla_x(Ey)).  Consumes one jet order, same as the base."""
 
     def __init__(self, base: ConnectionOp, structure: EndoField, label: str | None = None):
-        if structure.chart is not base.chart:
-            raise ConfigError(
-                f"structure {structure.label!r} and connection {base.label!r} live on different charts")
-        self.base = base
-        self.structure = structure
-        self.chart = base.chart
-        self.label = label if label is not None else f"conj({base.label},{structure.label})"
-
-    def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        E = ctx.endo(self.structure)
-        return endo_apply(E, self.base.apply(ctx, x, endo_apply(E, y)))
+        super().__init__(base, out=structure, arg=structure, label=label if label is not None
+                         else f"conj({base.label},{structure.label})")
 
 
 def conjugate(base: ConnectionOp, structure: EndoField, label: str | None = None) -> ConjugateConnection:
@@ -99,13 +92,10 @@ def psi_connection(base: ConnectionOp, structure: EndoField,
 
 
 def chi_tensor(tau: Tensor12Field, structure: EndoField,
-               label: str | None = None) -> Tensor12Field:
+               label: str | None = None) -> CombinationOp:
     """The tensor companion of psi: (tau + E tau(.,E.))/2."""
-    def op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        E = ctx.endo(structure)
-        rotated = endo_apply(E, tau.apply(ctx, x, endo_apply(E, y)))
-        return vscale(0.5, vadd(tau.apply(ctx, x, y), rotated))
-    return Tensor12Field.from_operator(tau.chart, op, label=label or f"chi({tau.label})")
+    return CombinationOp(((0.5, tau), (0.5, Sandwiched(tau, out=structure, arg=structure))),
+                         label=label or f"chi({tau.label})")
 
 
 def parallel_structure_residual(ctx: EvalContext, base: ConnectionOp,
@@ -416,28 +406,25 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
 # ---- structural / virtual splitting -----------------------------------
 
 
-def _half_tensor(base: ConnectionOp, structure: EndoField, combine,
-                 label: str) -> Tensor12Field:
-    """Half of combine((nabla_{Ex} E)y, (nabla_x E)Ey)."""
-    def op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        E = ctx.endo(structure)
-        left = nabla_endo(ctx, base, E, endo_apply(E, x), y)
-        right = nabla_endo(ctx, base, E, x, endo_apply(E, y))
-        return vscale(0.5, combine(left, right))
-    return Tensor12Field.from_operator(structure.chart, op, label=label)
+def _half_tensor(base: ConnectionOp, structure: EndoField, sign: float,
+                 label: str) -> CombinationOp:
+    """((nabla_{Ex} E)y + sign (nabla_x E)Ey) / 2."""
+    dE = structure_derivative_twist(base, structure)
+    return CombinationOp(((0.5, Sandwiched(dE, along=structure)),
+                          (0.5 * sign, Sandwiched(dE, arg=structure))), label=label)
 
 
 def structural_tensor(base: ConnectionOp, structure: EndoField,
-                      label: str | None = None) -> Tensor12Field:
+                      label: str | None = None) -> CombinationOp:
     """Half the sum of the two ways of deriving the structure along its
     own rotation; the symmetric half of the conjugation difference."""
-    return _half_tensor(base, structure, vadd, label or f"structural({base.label})")
+    return _half_tensor(base, structure, 1.0, label or f"structural({base.label})")
 
 
 def virtual_tensor(base: ConnectionOp, structure: EndoField,
-                   label: str | None = None) -> Tensor12Field:
+                   label: str | None = None) -> CombinationOp:
     """Half the difference of the same two derivatives."""
-    return _half_tensor(base, structure, vsub, label or f"virtual({base.label})")
+    return _half_tensor(base, structure, -1.0, label or f"virtual({base.label})")
 
 
 def splitting_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField) -> Rows:

@@ -1,9 +1,10 @@
 """Connections as composable jet operators.
 
 A ConnectionOp maps (direction jets, argument jets) at order k to result
-jets at order k-1, against a shared evaluation context.  Operators close
-over each other rather than materializing coefficient tables, so derived
-connections (conjugates, projections, sums) evaluate exactly.
+jets at order k-1, against a shared evaluation context.  Every operator is
+a coefficient-table contraction (ChristoffelConnection), endomorphisms
+applied around another operator (Sandwiched) or a linear combination
+(CombinationOp); composites never materialize tables, so they are exact.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .expr import Expr
-from .fields import (EvalContext, MetricField, Tensor12Field, Vec, Chart,
-                     bracket, dirderiv, endo_apply, is_zero_expr,
+from .fields import (EndoField, EvalContext, MetricField, Tensor12Field, Vec, Chart,
+                     bracket, contract, dirderiv, endo_apply, is_zero_expr,
                      metric_pair, vadd, vscale, vsub, vvalues, worst)
 from .jets import Jet, shift
 
@@ -28,9 +29,6 @@ class ConnectionOp:
 
     def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
         raise NotImplementedError
-
-    def __call__(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        return self.apply(ctx, x, y)
 
 
 class ChristoffelConnection(ConnectionOp):
@@ -56,20 +54,7 @@ class ChristoffelConnection(ConnectionOp):
         return ctx.cached((self, "gamma"), build)
 
     def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        G = self._jets(ctx)
-        n = self.chart.dim
-        out = []
-        for k in range(n):
-            acc = None
-            for i in range(n):
-                term = x[i] * shift(y[k], i)
-                acc = term if acc is None else acc + term
-                for j in range(n):
-                    g = G[k][i][j]
-                    if g is not None:
-                        acc = acc + g * x[i] * y[j]
-            out.append(acc)
-        return out
+        return contract(self._jets(ctx), x, y, start=(dirderiv(x, yk) for yk in y))
 
 
 def flat_connection(chart: Chart, label: str = "flat") -> ChristoffelConnection:
@@ -79,7 +64,7 @@ def flat_connection(chart: Chart, label: str = "flat") -> ChristoffelConnection:
     return ChristoffelConnection(chart, zeros, label=label)
 
 
-class LeviCivitaConnection(ConnectionOp):
+class LeviCivitaConnection(ChristoffelConnection):
     """The unique torsion-free metric connection, built numerically.
 
     Coefficient jets are assembled per context from metric jets and the
@@ -121,50 +106,49 @@ class LeviCivitaConnection(ConnectionOp):
             return gammas
         return ctx.cached((self, "gamma"), build)
 
-    def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        G = self._jets(ctx)
-        n = self.chart.dim
-        out = []
-        for k in range(n):
-            acc = None
-            for i in range(n):
-                term = x[i] * shift(y[k], i)
-                for j in range(n):
-                    term = term + G[k][i][j] * x[i] * y[j]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+
+def _same_chart(pieces, what: str) -> None:
+    if any(p.chart is not pieces[0].chart for p in pieces):
+        raise ConfigError(f"{what} {[p.label for p in pieces]} live on different charts")
 
 
-def levi_civita(metric: MetricField) -> LeviCivitaConnection:
-    return LeviCivitaConnection(metric)
+class Sandwiched(ConnectionOp):
+    """out(op_{along x}(arg y)) for endomorphism fields out, arg and along.
 
+    A None slot is the identity.  op is a connection or a (1,2)-tensor; a
+    connection stays one when out after arg is the identity (E nabla E).
+    """
 
-class SumConnection(ConnectionOp):
-    """base + (1,2)-tensor; still a connection because the defect is tensorial."""
-
-    def __init__(self, base: ConnectionOp, tensor: Tensor12Field, label: str | None = None):
-        self.base = base
-        self.tensor = tensor
-        self.chart = base.chart
-        self.label = label or f"({base.label} + {tensor.label})"
+    def __init__(self, op, out: EndoField | None = None, arg: EndoField | None = None,
+                 along: EndoField | None = None, label: str | None = None):
+        _same_chart([f for f in (op, out, arg, along) if f is not None],
+                    "operator and endomorphisms")
+        self.op, self.out, self.arg, self.along = op, out, arg, along
+        self.chart = op.chart
+        self.label = label if label is not None else op.label
 
     def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        return vadd(self.base.apply(ctx, x, y), self.tensor.apply(ctx, x, y))
+        if self.along is not None:
+            x = endo_apply(ctx.endo(self.along), x)
+        if self.arg is not None:
+            y = endo_apply(ctx.endo(self.arg), y)
+        r = self.op.apply(ctx, x, y)
+        return r if self.out is None else endo_apply(ctx.endo(self.out), r)
 
 
 class CombinationOp(ConnectionOp):
-    """Pointwise linear combination of operators.
+    """Pointwise linear combination of operators and (1,2)-tensors.
 
-    A connection only when the coefficients sum to one; callers that rely
-    on connection axioms must check the Leibniz defect, which for
-    coefficient sum s equals (s - 1) * X(f) * Y exactly.
+    A connection only when the connection terms' coefficients sum to one;
+    callers that rely on connection axioms must check the Leibniz defect,
+    which for coefficient sum s equals (s - 1) * X(f) * Y exactly.
     """
 
     def __init__(self, terms, label: str = "combination"):
         terms = tuple((float(c), op) for c, op in terms)
         if not terms:
             raise ConfigError("combination needs at least one term")
+        _same_chart([op for _, op in terms], "combination terms")
         self.terms = terms
         self.chart = terms[0][1].chart
         self.label = label
@@ -177,6 +161,14 @@ class CombinationOp(ConnectionOp):
                 piece = vscale(c, piece)
             acc = piece if acc is None else vadd(acc, piece)
         return acc
+
+
+class SumConnection(CombinationOp):
+    """base + (1,2)-tensor; still a connection because the defect is tensorial."""
+
+    def __init__(self, base: ConnectionOp, tensor, label: str | None = None):
+        super().__init__(((1.0, base), (1.0, tensor)),
+                         label=label or f"({base.label} + {tensor.label})")
 
 
 class ZeroOp(ConnectionOp):
@@ -211,6 +203,15 @@ def nabla_endo(ctx: EvalContext, nabla: ConnectionOp, E: list[list[Jet]],
     """(derivative of E along x) applied to y: nabla_x(Ey) - E(nabla_x y)."""
     return vsub(nabla.apply(ctx, x, endo_apply(E, y)),
                 endo_apply(E, nabla.apply(ctx, x, y)))
+
+
+def structure_derivative_twist(base: ConnectionOp, structure: EndoField,
+                               label: str | None = None) -> Tensor12Field:
+    """(nabla_x E)y packaged as a twist tensor; the canonical kernel element."""
+    def op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
+        return nabla_endo(ctx, base, ctx.endo(structure), x, y)
+    return Tensor12Field.from_operator(
+        base.chart, op, label=label or f"d{structure.label}")
 
 
 def dnabla_endo(ctx: EvalContext, nabla: ConnectionOp, E: list[list[Jet]],

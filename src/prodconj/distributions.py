@@ -19,7 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .connections import ConnectionOp, nabla_endo, symmetric_product, torsion_residual
+from .connections import (CombinationOp, ConnectionOp, Sandwiched, nabla_endo,
+                          symmetric_product, torsion_residual)
 from .conjugation import (
     ConjugateConnection,
     skew_commutation_residual,
@@ -31,7 +32,6 @@ from .fields import (
     EndoField,
     EvalContext,
     bracket,
-    Tensor12Field,
     Vec,
     VectorField,
     almost_product_residual,
@@ -303,23 +303,14 @@ def restriction_collapse_rows(ctx: EvalContext, nabla: ConnectionOp,
     return rows + [(name, res, "") for name, res in frame_pair_rows(ctx, conclusions).items()]
 
 
-class SchoutenConnection(ConnectionOp):
+class SchoutenConnection(CombinationOp):
     """h(nabla_x(hy)) + v(nabla_x(vy)): the part of the base preserving
     both sides of the splitting."""
 
     def __init__(self, base: ConnectionOp, pair: ProjectorPair, label: str | None = None):
-        if pair.chart is not base.chart:
-            raise ConfigError("pair and connection live on different charts")
-        self.base = base
-        self.pair = pair
-        self.chart = base.chart
-        self.label = label or f"schouten({base.label})"
-
-    def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        H, V = ctx.endo(self.pair.h), ctx.endo(self.pair.v)
-        a = endo_apply(H, self.base.apply(ctx, x, endo_apply(H, y)))
-        b = endo_apply(V, self.base.apply(ctx, x, endo_apply(V, y)))
-        return vadd(a, b)
+        super().__init__(((1.0, Sandwiched(base, out=pair.h, arg=pair.h)),
+                          (1.0, Sandwiched(base, out=pair.v, arg=pair.v))),
+                         label=label or f"schouten({base.label})")
 
 
 def schouten_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair,
@@ -398,21 +389,10 @@ def conjugate_torsion_magnitude(ctx: EvalContext, nabla: ConnectionOp,
 
 def fundamental_tensors(nabla: ConnectionOp, pair: ProjectorPair):
     """The two mixed-derivative invariants of the splitting."""
-    def t_op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        H, V = ctx.endo(pair.h), ctx.endo(pair.v)
-        vx = endo_apply(V, x)
-        return vadd(endo_apply(H, nabla.apply(ctx, vx, endo_apply(V, y))),
-                    endo_apply(V, nabla.apply(ctx, vx, endo_apply(H, y))))
-
-    def a_op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        H, V = ctx.endo(pair.h), ctx.endo(pair.v)
-        hx = endo_apply(H, x)
-        return vadd(endo_apply(V, nabla.apply(ctx, hx, endo_apply(H, y))),
-                    endo_apply(H, nabla.apply(ctx, hx, endo_apply(V, y))))
-
-    chart = pair.chart
-    return (Tensor12Field.from_operator(chart, t_op, label="T"),
-            Tensor12Field.from_operator(chart, a_op, label="A"))
+    h, v = pair.h, pair.v
+    swap = CombinationOp(((1.0, Sandwiched(nabla, out=h, arg=v)),
+                          (1.0, Sandwiched(nabla, out=v, arg=h))))
+    return Sandwiched(swap, along=v, label="T"), Sandwiched(swap, along=h, label="A")
 
 
 def splitting_block_rows(ctx: EvalContext, nabla: ConnectionOp,

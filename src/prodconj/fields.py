@@ -136,20 +136,7 @@ class Tensor12Field:
     def apply(self, ctx: "EvalContext", x: Vec, y: Vec) -> Vec:
         if self.operator is not None:
             return self.operator(ctx, x, y)
-        comp = ctx.tensor_components(self)
-        n = self.chart.dim
-        out = []
-        for k in range(n):
-            acc = None
-            for i in range(n):
-                for j in range(n):
-                    c = comp[k][i][j]
-                    if c is None:
-                        continue
-                    term = c * x[i] * y[j]
-                    acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else x[0].like_constant(0.0))
-        return out
+        return contract(ctx.tensor_components(self), x, y)
 
 
 def is_zero_expr(e: Expr) -> bool:
@@ -272,6 +259,22 @@ def vneg(a: Vec) -> Vec:
 
 def vscale(c, a: Vec) -> Vec:
     return [c * x for x in a] if isinstance(c, Jet) else [x * c for x in a]
+
+
+def contract(table, x: Vec, y: Vec, start=None) -> Vec:
+    """start + sum_ij T^k_ij x^i y^j per output k; a None entry is zero.  A
+    generator `start` is read one k at a time, keeping one start jet alive."""
+    n = len(x)
+    out = []
+    for plane, acc in zip(table, [None] * n if start is None else start):
+        for i in range(n):
+            for j in range(n):
+                c = plane[i][j]
+                if c is not None:
+                    term = c * x[i] * y[j]
+                    acc = term if acc is None else acc + term
+        out.append(acc if acc is not None else x[0].like_constant(0.0))
+    return out
 
 
 def endo_apply(E: list[list[Jet]], v: Vec) -> Vec:

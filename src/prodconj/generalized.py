@@ -26,14 +26,16 @@ import numpy as np
 from .connections import (
     CombinationOp,
     ConnectionOp,
+    Sandwiched,
+    ZeroOp,
     curvature,
     dnabla_endo,
     leibniz_defect_residual,
     nabla_endo,
+    structure_derivative_twist,
     torsion,
 )
 from .conjugation import ConjugateConnection, expansion_form
-from .errors import ConfigError
 from .expr import Expr
 from .fields import (
     EndoField,
@@ -56,44 +58,20 @@ from .reporting import Residual
 Rows = list  # list[tuple[str, Residual | None, str]]
 
 
-class GeneralizedConjugate(ConnectionOp):
+class GeneralizedConjugate(CombinationOp):
     """E(nabla_x(Ey)) + C(x, y) for a chosen twist tensor C."""
 
     def __init__(self, base: ConnectionOp, structure: EndoField,
                  twist: Tensor12Field, label: str | None = None):
-        if structure.chart is not base.chart or twist.chart is not base.chart:
-            raise ConfigError(
-                f"connection {base.label!r}, structure {structure.label!r} and "
-                f"twist {twist.label!r} must share a chart")
-        self.base = base
-        self.structure = structure
-        self.twist = twist
-        self.chart = base.chart
-        self.label = label if label is not None else (
-            f"gconj({base.label},{structure.label},{twist.label})")
-
-    def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        E = ctx.endo(self.structure)
-        conj = endo_apply(E, self.base.apply(ctx, x, endo_apply(E, y)))
-        return vadd(conj, self.twist.apply(ctx, x, y))
+        super().__init__(((1.0, ConjugateConnection(base, structure)), (1.0, twist)),
+                         label=label if label is not None else
+                         f"gconj({base.label},{structure.label},{twist.label})")
 
 
 def rotated_twist(twist: Tensor12Field, structure: EndoField,
-                  label: str | None = None) -> Tensor12Field:
+                  label: str | None = None) -> Sandwiched:
     """E composed after the twist; preserves membership in the duality kernel."""
-    def op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        return endo_apply(ctx.endo(structure), twist.apply(ctx, x, y))
-    return Tensor12Field.from_operator(
-        twist.chart, op, label=label or f"rot({twist.label})")
-
-
-def structure_derivative_twist(base: ConnectionOp, structure: EndoField,
-                               label: str | None = None) -> Tensor12Field:
-    """(nabla_x E)y packaged as a twist tensor; the canonical kernel element."""
-    def op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        return nabla_endo(ctx, base, ctx.endo(structure), x, y)
-    return Tensor12Field.from_operator(
-        base.chart, op, label=label or f"d{structure.label}")
+    return Sandwiched(twist, out=structure, label=label or f"rot({twist.label})")
 
 
 def mixed_derivative_twist(base: ConnectionOp, structure: EndoField,
@@ -418,9 +396,7 @@ def curvature_transcription_residual(ctx: EvalContext, base: ConnectionOp,
 def degeneration_rows(ctx: EvalContext, base: ConnectionOp,
                       structure: EndoField) -> Rows:
     """Zero twist collapses the twisted operator onto the plain conjugate."""
-    zero = Tensor12Field.from_operator(
-        base.chart, lambda c, x, y: c.zero_vector(), label="0")
-    gen = GeneralizedConjugate(base, structure, zero)
+    gen = GeneralizedConjugate(base, structure, ZeroOp(base.chart))
     conj = ConjugateConnection(base, structure)
 
     def defect(X: Vec, Y: Vec) -> Vec:

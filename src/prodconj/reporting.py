@@ -105,7 +105,7 @@ class Report:
     def failed(self) -> bool:
         return any(r.status in (FAIL, ERROR) for r in self.rows)
 
-    def render_lines(self, prefix: str = "", detail: bool = True) -> list[str]:
+    def render_lines(self) -> list[str]:
         """Deterministic serialization: 4 tab-separated fields per record.
 
         Witness data goes to '#' comment lines so the record grammar stays
@@ -113,13 +113,10 @@ class Report:
         """
         lines = [f"# scenario={self.scenario} seed={self.seed} samples={self.count}"]
         for r in self.sorted_rows():
-            lines.append(f"{prefix}{r.row_id}\t{r.anchor}\t{r.residual:.6e}\t{r.status}")
-            if detail:
-                where = "-" if r.worst_point is None else \
-                    "(" + ", ".join(f"{c:.12g}" for c in r.worst_point) + ")"
-                frame = r.frame or "-"
-                note = r.note or "-"
-                lines.append(f"#   at={where} frame={frame} note={note}")
+            lines.append(f"{r.row_id}\t{r.anchor}\t{r.residual:.6e}\t{r.status}")
+            where = "-" if r.worst_point is None else \
+                "(" + ", ".join(f"{c:.12g}" for c in r.worst_point) + ")"
+            lines.append(f"#   at={where} frame={r.frame or '-'} note={r.note or '-'}")
         npass = sum(r.status == PASS for r in self.rows)
         nfail = sum(r.status == FAIL for r in self.rows)
         nskip = sum(r.status == SKIP for r in self.rows)

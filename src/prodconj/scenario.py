@@ -50,6 +50,7 @@ from .connections import (
     LeviCivitaConnection,
     SumConnection,
     flat_connection,
+    structure_derivative_twist,
 )
 from .distributions import DistributionSpec, ProjectorPair, pair_from_h
 from .errors import ConfigError, ScenarioError
@@ -65,7 +66,7 @@ from .fields import (
     almost_product_residual,
     context_for,
 )
-from .generalized import mixed_derivative_twist, structure_derivative_twist
+from .generalized import mixed_derivative_twist
 from .sampling import SamplePlan
 
 _HEADER = re.compile(r"\[\s*([a-z_]+)(?:\s+([A-Za-z_][\w.-]*))?\s*\]$")
@@ -392,6 +393,8 @@ class _Loader:
             return self.expr(text, line)
         if role == "float":
             return self.number(entry)
+        if role == "tolerance":
+            return self.tolerance(entry)
         if role == "grid":
             pairs = [part.split(",") for part in text.split(";")]
             if any(len(p) != 2 for p in pairs):

@@ -10,19 +10,24 @@ import pytest
 
 from prodconj.errors import ConfigError
 from prodconj.expr import ZERO, parse_expr
+from prodconj.conjugation import chi_tensor, structural_tensor, virtual_tensor
+from prodconj.distributions import fundamental_tensors, pair_from_h
 from prodconj.fields import (
     Chart,
+    EndoField,
     EvalContext,
     MetricField,
     Tensor12Field,
     VectorField,
     context_for,
+    vscale,
     vvalues,
 )
 from prodconj.connections import (
     ChristoffelConnection,
     CombinationOp,
     LeviCivitaConnection,
+    Sandwiched,
     SumConnection,
     ZeroOp,
     connection_laws_residual,
@@ -31,9 +36,11 @@ from prodconj.connections import (
     leibniz_defect_residual,
     metricity_residual,
     nabla_endo,
+    structure_derivative_twist,
     torsion,
     torsion_residual,
 )
+from prodconj.generalized import rotated_twist
 from prodconj.sampling import SamplePlan
 
 from engine_tables import materialize_christoffels
@@ -236,3 +243,56 @@ def test_endo_derivative_of_flat_is_coordinate_derivative():
     assert np.allclose(out, np.broadcast_to([1.0, 0.0], out.shape))
     out = vvalues(nabla_endo(ctx, flat, Ej, frame[1], frame[1]))
     assert np.all(out == 0.0)
+
+
+# ---- operator algebra ---------------------------------------------------
+
+OTHER = Chart(2, ("x", "y"), BOX)
+
+
+def _shear(chart, label="shear"):
+    return EndoField(chart, ((_p("1"), _p("x")), (_p("0"), _p("-1"))), label=label)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CombinationOp([(1.0, flat_connection(CHART)), (0.5, flat_connection(OTHER))]),
+    lambda: SumConnection(flat_connection(CHART),
+                          Tensor12Field.from_components(OTHER, [[[ZERO] * 2] * 2] * 2)),
+    lambda: Sandwiched(flat_connection(CHART), out=_shear(OTHER)),
+    lambda: Sandwiched(flat_connection(CHART), arg=_shear(CHART), along=_shear(OTHER)),
+], ids=["combination", "sum", "sandwiched_out", "sandwiched_along"])
+def test_operators_refuse_mixed_charts(build):
+    with pytest.raises(ConfigError, match="different charts"):
+        build()
+
+
+def _derived_tensors():
+    # h = (I + shear)/2, so the pair's structure h - v is the shear itself
+    pair = pair_from_h(EndoField(CHART, ((_p("1"), _p("(* 1/2 x)")), (ZERO, ZERO)), label="h"))
+    base, E = LeviCivitaConnection(WARPED), pair.structure()
+    tau = Tensor12Field.from_components(CHART, [[[_p("x"), ZERO], [_p("y"), _p("1")]],
+                                                [[ZERO, _p("(* x y)")], [ZERO, ZERO]]])
+    dE = structure_derivative_twist(base, E)
+    T, A = fundamental_tensors(base, pair)
+    return {"chi": chi_tensor(tau, E), "structural": structural_tensor(base, E),
+            "virtual": virtual_tensor(base, E), "structure_derivative": dE,
+            "rotated": rotated_twist(dE, E), "fundamental_T": T, "fundamental_A": A}
+
+
+DERIVED = _derived_tensors()
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_derived_tensors_are_bilinear_over_functions(name):
+    """S(fX, Y) = f S(X, Y) = S(X, fY) for non-constant X, Y and f: the
+    spot check that closure and composed tensors owe their callers."""
+    S = DERIVED[name]
+    ctx = _ctx(CHART, count=30)
+    x = ctx.vector(VectorField(CHART, (_p("(+ 1 y)"), _p("(sin x)"))))
+    y = ctx.vector(VectorField(CHART, (_p("(* x y)"), _p("(+ 2 x)"))))
+    f = ctx.scalar(WEIGHT)
+    expect = vvalues(vscale(f, S.apply(ctx, x, y)))
+    scale = np.max(np.abs(expect))
+    assert scale > 1e-2, "a vanishing tensor makes the check vacuous"
+    for got in (S.apply(ctx, vscale(f, x), y), S.apply(ctx, x, vscale(f, y))):
+        assert np.max(np.abs(vvalues(got) - expect)) <= 1e-13 * max(scale, 1.0)

@@ -220,6 +220,23 @@ def test_cli_missing_file_is_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_undecodable_file_is_config_error(tmp_path, capsys):
+    f = tmp_path / "latin1.scn"
+    f.write_bytes(("# r\u00e9sum\u00e9\n" + GOOD).encode("latin-1"))
+    assert main(["verify", str(f)]) == 2
+    assert f"error: cannot read {f}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "corpus"])
+def test_cli_unwritable_report_is_config_error(tmp_path, capsys, command):
+    f = tmp_path / "good.scn"
+    f.write_text(GOOD, encoding="utf-8")
+    args = ["verify", str(f)] if command == "verify" else ["corpus", "--filter", "nomatch"]
+    target = tmp_path / "absent" / "x.tsv"
+    assert main([*args, "--report", str(target)]) == 2
+    assert f"error: cannot write {target}" in capsys.readouterr().err
+
+
 def test_cli_bad_scenario_is_config_error(tmp_path, capsys):
     f = tmp_path / "bad.scn"
     f.write_text("[chart]\ndim = 2\n\n[endo e]\nrow 0 = 1\n", encoding="utf-8")

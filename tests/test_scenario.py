@@ -348,6 +348,10 @@ REFUSED = {
                             "duplicate key 'structure'"),
     "floor_nan": ((HEAD, SWAP, FLAT, CHECK + "floor = nan\n"), "bad number 'nan'"),
     "tol_negative": ((HEAD, SWAP, FLAT, CHECK + "tol = -1\n"), "tol must be nonnegative"),
+    "reduction_tol_negative":
+        ((HEAD, SWAP, FLAT, PENCIL,
+          "[check pc]\nkind = pencil\nconnection = flat\npencil = p\nreduction_tol = -1\n"),
+         "reduction_tol must be nonnegative"),
     "dim_huge": (("[chart]\ndim = 1000000000\n",), "dim must be an integer in 1.."),
     "name_numeric": (("[chart]\ndim = 2\nnames = 1, y\n",),
                      "line 3: coordinate name '1' is not an identifier"),
