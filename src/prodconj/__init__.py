@@ -11,7 +11,6 @@ from .conjugation import (
     ConjugateConnection,
     Pencil,
     chi_tensor,
-    conjugate,
     psi_connection,
 )
 from .connections import (
@@ -71,7 +70,6 @@ __all__ = [
     "Tensor12Field",
     "VectorField",
     "chi_tensor",
-    "conjugate",
     "context_for",
     "corpus_names",
     "eval_jet",

@@ -48,9 +48,16 @@ def _run_flags(p: argparse.ArgumentParser) -> None:
 
 def _emit(lines: list[str], report_path: str | None, code: int) -> int:
     """Print the report, copy it to report_path, and return `code`, or
-    the configuration exit code when the copy cannot be written."""
+    the configuration exit code when the copy cannot be written.  A reader
+    that closes stdout early (`prodconj corpus | head`) only cuts the
+    printed copy short."""
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Drop the stream, so the flush at exit does not raise again.
+        sys.stdout = None
     if report_path:
         try:
             Path(report_path).write_text(text, encoding="utf-8")
@@ -69,8 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
 
     if args.command == "catalog":
-        sys.stdout.write("\n".join(catalog_lines()) + "\n")
-        return EXIT_PASS
+        return _emit(catalog_lines(), None, EXIT_PASS)
 
     if args.command == "verify":
         path = Path(args.scenario)

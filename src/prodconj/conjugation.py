@@ -22,23 +22,20 @@ from .connections import (
     Sandwiched,
     SumConnection,
     curvature,
-    dnabla_endo,
     metricity_residual,
-    nabla_endo,
     nabla_metric,
     structure_derivative_twist,
     torsion,
     torsion_residual,
 )
 from .errors import ConfigError
-from .expr import Const, Product, Sum
+from .expr import ZERO, Const, Product, Sum
 from .fields import (
     EndoField,
     EvalContext,
     MetricField,
     OneFormField,
     Tensor12Field,
-    Vec,
     endo_apply,
     frame_pair_residual,
     frame_pair_rows,
@@ -64,23 +61,18 @@ class ConjugateConnection(Sandwiched):
                          else f"conj({base.label},{structure.label})")
 
 
-def conjugate(base: ConnectionOp, structure: EndoField, label: str | None = None) -> ConjugateConnection:
-    return ConjugateConnection(base, structure, label)
-
-
-def expansion_form(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
-                   x: Vec, y: Vec) -> Vec:
-    """The additive presentation: nabla_x y + E((nabla_x E)y)."""
-    E = ctx.endo(structure)
-    return vadd(base.apply(ctx, x, y), endo_apply(E, nabla_endo(ctx, base, E, x, y)))
+def expansion_form(base: ConnectionOp, structure: EndoField) -> SumConnection:
+    """The additive presentation of the conjugate: nabla_x y + E((nabla_x E)y)."""
+    return SumConnection(base, Sandwiched(structure_derivative_twist(base, structure),
+                                          out=structure))
 
 
 def forms_agreement_residual(ctx: EvalContext, base: ConnectionOp,
                              structure: EndoField) -> Residual:
     conj = ConjugateConnection(base, structure)
+    expansion = expansion_form(base, structure)
     return frame_pair_residual(
-        ctx, lambda X, Y: vsub(conj.apply(ctx, X, Y),
-                               expansion_form(ctx, base, structure, X, Y)))
+        ctx, lambda X, Y: vsub(conj.apply(ctx, X, Y), expansion.apply(ctx, X, Y)))
 
 
 def psi_connection(base: ConnectionOp, structure: EndoField,
@@ -101,8 +93,8 @@ def chi_tensor(tau: Tensor12Field, structure: EndoField,
 def parallel_structure_residual(ctx: EvalContext, base: ConnectionOp,
                                 structure: EndoField) -> Residual:
     """Max |(nabla_X E)Y| over frame pairs; zero iff the structure is parallel."""
-    E = ctx.endo(structure)
-    return frame_pair_residual(ctx, lambda X, Y: nabla_endo(ctx, base, E, X, Y))
+    dE = structure_derivative_twist(base, structure)
+    return frame_pair_residual(ctx, lambda X, Y: dE.apply(ctx, X, Y))
 
 
 def projector_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
@@ -115,14 +107,14 @@ def projector_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     chi2 = chi_tensor(chi1, structure)
     shifted = SumConnection(base, tau)
     psi_shifted = psi_connection(shifted, structure)
-    E = ctx.endo(structure)
+    dE_psi = structure_derivative_twist(psi1, structure)
 
     def rows(X, Y):
         p1, c1 = psi1.apply(ctx, X, Y), chi1.apply(ctx, X, Y)
         yield "psi_idempotent", vsub(psi2.apply(ctx, X, Y), p1)
         yield "chi_idempotent", vsub(chi2.apply(ctx, X, Y), c1)
         yield "affinity", vsub(psi_shifted.apply(ctx, X, Y), vadd(p1, c1))
-        yield "image_parallel", nabla_endo(ctx, psi1, E, X, Y)
+        yield "image_parallel", dE_psi.apply(ctx, X, Y)
 
     notes = {"image_parallel": "psi lands in the parallel class for any input"}
     return [(name, res, notes.get(name, ""))
@@ -166,18 +158,20 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     transport of the metric."""
     conj = ConjugateConnection(base, structure)
     double = ConjugateConnection(conj, structure)
+    dE = structure_derivative_twist(base, structure)
+    dE_conj = structure_derivative_twist(conj, structure)
     E = ctx.endo(structure)
 
     def pair_rows(X, Y):
         EY, base_xy = endo_apply(E, Y), base.apply(ctx, X, Y)
-        yield "structure_flip", vadd(nabla_endo(ctx, conj, E, X, Y),
-                                     nabla_endo(ctx, base, E, X, Y))
+        d = dE.apply(ctx, X, Y)
+        yield "structure_flip", vadd(dE_conj.apply(ctx, X, Y), d)
         # Measured under two names and merged after the pass, as two scans
         # would be, so a tie keeps transport_out's witness.
         yield "transport_out", vsub(conj.apply(ctx, X, EY), endo_apply(E, base_xy))
         yield "transport_in", vsub(endo_apply(E, conj.apply(ctx, X, Y)), base.apply(ctx, X, EY))
         yield "involution", vsub(double.apply(ctx, X, Y), base_xy)
-        rhs = vadd(torsion(ctx, base, X, Y), endo_apply(E, dnabla_endo(ctx, base, E, X, Y)))
+        rhs = vadd(torsion(ctx, base, X, Y), endo_apply(E, vsub(d, dE.apply(ctx, Y, X))))
         yield "torsion_shift", vsub(torsion(ctx, conj, X, Y), rhs)
 
     def item4(X, Y, Z):
@@ -254,9 +248,10 @@ def recurrent_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     E = ctx.endo(structure)
     w = ctx.oneform(eta)
     conj = ConjugateConnection(base, structure)
+    dE = structure_derivative_twist(base, structure)
 
     def hyp(X, Y):
-        lhs = nabla_endo(ctx, base, E, X, Y)
+        lhs = dE.apply(ctx, X, Y)
         scale = oneform_apply(w, X)
         target = endo_apply(E, Y) if mode == "structure" else Y
         return vsub(lhs, vscale(scale, target))
@@ -345,9 +340,10 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
 
     if case is not None and eta is None:
         raise ConfigError(f"pencil case {case!r} needs a recurrence one-form")
-    # Each case's hypothesis merges two recurrences (nabla_X JA)Y = eta(X) JB Y.
-    recurrences = {None: (), "recurrent": ((J1, J1), (J2, J2)),
-                   "mixed": ((J1, J2), (J2, J1))}.get(case)
+    # Each case's hypothesis merges two recurrences (nabla_X EA)Y = eta(X) EB Y.
+    dE1, dE2 = structure_derivative_twist(base, E1), structure_derivative_twist(base, E2)
+    recurrences = {None: (), "recurrent": ((dE1, J1), (dE2, J2)),
+                   "mixed": ((dE1, J2), (dE2, J1))}.get(case)
     if recurrences is None:
         raise ConfigError(f"unknown pencil case {case!r}")
     w = ctx.oneform(eta) if case else None
@@ -364,8 +360,8 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
         yield "mixing_rule", vsub(mixed.apply(ctx, X, Y), rhs)
         yield "axis_reduction_first", vsub(axis1.apply(ctx, X, Y), c1)
         yield "axis_reduction_second", vsub(axis2.apply(ctx, X, Y), c2)
-        for k, (JA, JB) in enumerate(recurrences):
-            yield f"recurrence{k}", vsub(nabla_endo(ctx, base, JA, X, Y),
+        for k, (dEA, JB) in enumerate(recurrences):
+            yield f"recurrence{k}", vsub(dEA.apply(ctx, X, Y),
                                          vscale(oneform_apply(w, X), endo_apply(JB, Y)))
 
     out = [("skew_commutation", skew_commutation_residual(ctx, E1, E2), "")]
@@ -453,11 +449,16 @@ def splitting_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField) 
 
 
 def projective_tensor(tau: OneFormField, label: str | None = None) -> Tensor12Field:
-    """tau(x) y + tau(y) x, the symmetric rank-one shift of a connection."""
-    def op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        w = ctx.oneform(tau)
-        return vadd(vscale(oneform_apply(w, x), y), vscale(oneform_apply(w, y), x))
-    return Tensor12Field.from_operator(tau.chart, op, label=label or f"proj({tau.label})")
+    """tau(x) y + tau(y) x, the symmetric rank-one shift of a connection:
+    T^k_ij = tau_i delta_jk + tau_j delta_ik."""
+    n, w = tau.chart.dim, tau.components
+
+    def entry(k: int, i: int, j: int):
+        terms = tuple(t for t, hit in ((w[i], j == k), (w[j], i == k)) if hit)
+        return Sum(terms) if len(terms) == 2 else terms[0] if terms else ZERO
+    return Tensor12Field.from_components(
+        tau.chart, [[[entry(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)],
+        label=label or f"proj({tau.label})")
 
 
 def projective_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,

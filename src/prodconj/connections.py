@@ -2,9 +2,10 @@
 
 A ConnectionOp maps (direction jets, argument jets) at order k to result
 jets at order k-1, against a shared evaluation context.  Every operator is
-a coefficient-table contraction (ChristoffelConnection), endomorphisms
-applied around another operator (Sandwiched) or a linear combination
-(CombinationOp); composites never materialize tables, so they are exact.
+a coefficient-table contraction (ChristoffelConnection, or a component
+Tensor12Field), endomorphisms applied around another operator (Sandwiched),
+a linear combination (CombinationOp) or ZeroOp; composites never
+materialize tables, so they are exact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .expr import Expr
 from .fields import (EndoField, EvalContext, MetricField, Tensor12Field, Vec, Chart,
-                     bracket, contract, dirderiv, endo_apply, is_zero_expr,
+                     bracket, contract, dirderiv, endo_apply,
                      metric_pair, vadd, vscale, vsub, vvalues, worst)
 from .jets import Jet, shift
 
@@ -35,23 +36,17 @@ class ChristoffelConnection(ConnectionOp):
     """Coordinate connection from a table of coefficient expressions.
 
     gamma[k][i][j] is the k-th output component of the derivative of the
-    j-th frame field along the i-th frame field.
+    j-th frame field along the i-th frame field.  The table is held as a
+    component tensor; apply adds the coordinate derivative to it.
     """
 
     def __init__(self, chart: Chart, gamma, label: str = "nabla"):
-        n = chart.dim
-        if len(gamma) != n or any(
-                len(plane) != n or any(len(row) != n for row in plane) for plane in gamma):
-            raise ConfigError(f"connection {label!r} needs a {n}x{n}x{n} coefficient grid")
         self.chart = chart
-        self.gamma = tuple(tuple(tuple(row) for row in plane) for plane in gamma)
+        self.table = Tensor12Field.from_components(chart, gamma, label)
         self.label = label
 
     def _jets(self, ctx: EvalContext):
-        def build():
-            return [[[None if is_zero_expr(e) else ctx.scalar(e) for e in row]
-                     for row in plane] for plane in self.gamma]
-        return ctx.cached((self, "gamma"), build)
+        return ctx.tensor_components(self.table)
 
     def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
         return contract(self._jets(ctx), x, y, start=(dirderiv(x, yk) for yk in y))
@@ -198,26 +193,13 @@ def curvature(ctx: EvalContext, nabla: ConnectionOp, x: Vec, y: Vec, z: Vec) -> 
     return vsub(vsub(t1, t2), t3)
 
 
-def nabla_endo(ctx: EvalContext, nabla: ConnectionOp, E: list[list[Jet]],
-               x: Vec, y: Vec) -> Vec:
-    """(derivative of E along x) applied to y: nabla_x(Ey) - E(nabla_x y)."""
-    return vsub(nabla.apply(ctx, x, endo_apply(E, y)),
-                endo_apply(E, nabla.apply(ctx, x, y)))
-
-
 def structure_derivative_twist(base: ConnectionOp, structure: EndoField,
-                               label: str | None = None) -> Tensor12Field:
-    """(nabla_x E)y packaged as a twist tensor; the canonical kernel element."""
-    def op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        return nabla_endo(ctx, base, ctx.endo(structure), x, y)
-    return Tensor12Field.from_operator(
-        base.chart, op, label=label or f"d{structure.label}")
-
-
-def dnabla_endo(ctx: EvalContext, nabla: ConnectionOp, E: list[list[Jet]],
-                x: Vec, y: Vec) -> Vec:
-    """Antisymmetrized endomorphism derivative (exterior-derivative style)."""
-    return vsub(nabla_endo(ctx, nabla, E, x, y), nabla_endo(ctx, nabla, E, y, x))
+                               label: str | None = None) -> CombinationOp:
+    """(nabla_x E)y = nabla_x(Ey) - E(nabla_x y) as a tensor node; the
+    canonical kernel element."""
+    return CombinationOp(((1.0, Sandwiched(base, arg=structure)),
+                          (-1.0, Sandwiched(base, out=structure))),
+                         label=label or f"d{structure.label}")
 
 
 def nabla_metric(ctx: EvalContext, nabla: ConnectionOp, G: list[list[Jet]],

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .connections import (CombinationOp, ConnectionOp, Sandwiched, nabla_endo,
+from .connections import (CombinationOp, ConnectionOp, Sandwiched, structure_derivative_twist,
                           symmetric_product, torsion_residual)
 from .conjugation import (
     ConjugateConnection,
@@ -317,13 +317,13 @@ def schouten_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair,
                   tol: float) -> Rows:
     s = SchoutenConnection(nabla, pair)
     E = pair.structure()
-    Ej = ctx.endo(E)
+    dE = structure_derivative_twist(s, E)
     Dh = DistributionSpec.from_pair(pair, "horizontal", label="Dh")
     Dv = DistributionSpec.from_pair(pair, "vertical", label="Dv")
     conj_s = ConjugateConnection(s, E)
 
     def pair_rows(X, Y):
-        yield "parallel_structure", nabla_endo(ctx, s, Ej, X, Y)
+        yield "parallel_structure", dE.apply(ctx, X, Y)
         yield "self_conjugate", vsub(conj_s.apply(ctx, X, Y), s.apply(ctx, X, Y))
 
     rows = [("restricts_h", restriction_residual(ctx, s, Dh), ""),

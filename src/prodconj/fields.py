@@ -107,35 +107,26 @@ class MetricField:
 
 @dataclass(frozen=True, eq=False)
 class Tensor12Field:
-    """A (1,2)-tensor, either by components T^k_ij or as a closure.
-
-    The closure form promises bilinearity over point functions; nothing
-    enforces it structurally, so property tests spot-check closures.
-    """
+    """A (1,2)-tensor by its components: components[k][i][j] = T^k_ij."""
 
     chart: Chart
+    components: tuple[tuple[tuple[Expr, ...], ...], ...]
     label: str = "T"
-    components: tuple[tuple[tuple[Expr, ...], ...], ...] | None = None
-    operator: object = None
 
     @staticmethod
     def from_components(chart: Chart, components, label: str = "T") -> "Tensor12Field":
+        """Checks the grid is n x n x n with every entry valid on the chart;
+        a ChristoffelConnection's coefficient table is built here too."""
         n = chart.dim
         if len(components) != n or any(
                 len(plane) != n or any(len(row) != n for row in plane) for plane in components):
-            raise ConfigError(f"tensor {label!r} needs a {n}x{n}x{n} component grid")
+            raise ConfigError(f"{label!r} needs a {n}x{n}x{n} coefficient grid")
         for plane in components:
             for row in plane:
                 _validated(chart, row)
-        return Tensor12Field(chart, label, components=tuple(tuple(tuple(r) for r in p) for p in components))
-
-    @staticmethod
-    def from_operator(chart: Chart, operator, label: str = "T") -> "Tensor12Field":
-        return Tensor12Field(chart, label, operator=operator)
+        return Tensor12Field(chart, tuple(tuple(tuple(r) for r in p) for p in components), label)
 
     def apply(self, ctx: "EvalContext", x: Vec, y: Vec) -> Vec:
-        if self.operator is not None:
-            return self.operator(ctx, x, y)
         return contract(ctx.tensor_components(self), x, y)
 
 
@@ -208,7 +199,8 @@ class EvalContext:
         return self.cached((f, "metric_values"), build)
 
     def tensor_components(self, f: Tensor12Field):
-        """Component jets with zero entries dropped (None)."""
+        """Component jets with zero entries dropped (None): the jets of every
+        coefficient table read from expressions, Christoffel ones included."""
         def build():
             return [[[None if is_zero_expr(e) else self.scalar(e) for e in row]
                      for row in plane] for plane in f.components]

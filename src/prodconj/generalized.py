@@ -29,9 +29,7 @@ from .connections import (
     Sandwiched,
     ZeroOp,
     curvature,
-    dnabla_endo,
     leibniz_defect_residual,
-    nabla_endo,
     structure_derivative_twist,
     torsion,
 )
@@ -76,15 +74,11 @@ def rotated_twist(twist: Tensor12Field, structure: EndoField,
 
 def mixed_derivative_twist(base: ConnectionOp, structure: EndoField,
                            lam: float, mu: float,
-                           label: str | None = None) -> Tensor12Field:
+                           label: str | None = None) -> CombinationOp:
     """lam * (nabla E) + mu * E(nabla E); the kernel is linear, so any mix stays inside."""
-    def op(ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        E = ctx.endo(structure)
-        d = nabla_endo(ctx, base, E, x, y)
-        return vadd(vscale(lam, d), vscale(mu, endo_apply(E, d)))
-    return Tensor12Field.from_operator(
-        base.chart, op,
-        label=label or f"mix({lam:g},{mu:g})d{structure.label}")
+    dE = structure_derivative_twist(base, structure)
+    return CombinationOp(((lam, dE), (mu, Sandwiched(dE, out=structure))),
+                         label=label or f"mix({lam:g},{mu:g})d{structure.label}")
 
 
 def duality_defect_residual(ctx: EvalContext, base: ConnectionOp,
@@ -149,13 +143,6 @@ def family_member(base: ConnectionOp, structure: EndoField,
                          label=label or f"family({lam:g},{mu:g})")
 
 
-def _member_by_expansion(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
-                         lam: float, mu: float, x: Vec, y: Vec) -> Vec:
-    # independent route: conjugate via the additive presentation, then scale
-    conj = expansion_form(ctx, base, structure, x, y)
-    return vadd(vscale(1.0 + mu, conj), vscale(lam, base.apply(ctx, x, y)))
-
-
 _SPECIAL_MEMBERS = {
     (0.0, 0.0): (0.0, 1.0, "conjugate itself"),
     (1.0, -1.0): (1.0, 0.0, "base itself"),
@@ -173,14 +160,15 @@ def family_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     predicted by the coefficient sum, so it holds for every (lam, mu).
     """
     member = family_member(base, structure, lam, mu)
+    # independent route: the conjugate by its additive presentation, then scaled
+    by_expansion = CombinationOp(((1.0 + mu, expansion_form(base, structure)), (lam, base)))
     conj = ConjugateConnection(base, structure)
 
     special = _SPECIAL_MEMBERS.get((float(lam), float(mu)))
 
     def pair_rows(X: Vec, Y: Vec):
         member_xy = member.apply(ctx, X, Y)
-        yield "route_agreement", vsub(member_xy, _member_by_expansion(
-            ctx, base, structure, lam, mu, X, Y))
+        yield "route_agreement", vsub(member_xy, by_expansion.apply(ctx, X, Y))
         if special:
             cb, cc, _ = special
             expect = vadd(vscale(cb, base.apply(ctx, X, Y)), vscale(cc, conj.apply(ctx, X, Y)))
@@ -338,19 +326,21 @@ def generalized_identity_rows(ctx: EvalContext, base: ConnectionOp,
     """
     E = ctx.endo(structure)
     gen = GeneralizedConjugate(base, structure, twist)
+    dE = structure_derivative_twist(base, structure)
+    dE_gen = structure_derivative_twist(gen, structure)
     C = twist.apply
 
     def pair_rows(X: Vec, Y: Vec):
         # The two gate measurements, the twist's skew part and the
         # structure derivative, ride along with the rows that use them.
-        d = nabla_endo(ctx, base, E, X, Y)
+        d = dE.apply(ctx, X, Y)
         rhs = vadd(vsub(C(ctx, X, endo_apply(E, Y)), d),
                    vscale(-1.0, endo_apply(E, C(ctx, X, Y))))
-        yield "structure_derivative", vsub(nabla_endo(ctx, gen, E, X, Y), rhs)
+        yield "structure_derivative", vsub(dE_gen.apply(ctx, X, Y), rhs)
         yield "parallel", d
         skew = vsub(C(ctx, X, Y), C(ctx, Y, X))
         rhs = vadd(vadd(torsion(ctx, base, X, Y),
-                        endo_apply(E, dnabla_endo(ctx, base, E, X, Y))), skew)
+                        endo_apply(E, vsub(d, dE.apply(ctx, Y, X)))), skew)
         yield "torsion_form", vsub(torsion(ctx, gen, X, Y), rhs)
         yield "skew", skew
 

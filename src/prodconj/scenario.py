@@ -128,7 +128,7 @@ class Scenario:
     metrics: dict[str, MetricField] = field(default_factory=dict)
     oneforms: dict[str, OneFormField] = field(default_factory=dict)
     vectors: dict[str, VectorField] = field(default_factory=dict)
-    tensors: dict[str, Tensor12Field] = field(default_factory=dict)
+    tensors: dict[str, Tensor12Field | ConnectionOp] = field(default_factory=dict)
     pairs: dict[str, ProjectorPair] = field(default_factory=dict)
     pencils: dict[str, Pencil] = field(default_factory=dict)
     distributions: dict[str, DistributionSpec] = field(default_factory=dict)
@@ -387,8 +387,11 @@ class _Loader:
         role = spec.role
         if role in _TABLES:
             return self.ref(role, entry)
-        if role == "vectors":
-            return self.refs("vector", entry)
+        if role == "vectors":  # probe fields, only ever used in pairs
+            vectors = self.refs("vector", entry)
+            if len(vectors) < 2:
+                raise _bad(line, f"{key} needs at least two vector fields, got {text!r}")
+            return vectors
         if role == "expr":
             return self.expr(text, line)
         if role == "float":

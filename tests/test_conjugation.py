@@ -22,6 +22,9 @@ from prodconj.fields import (
     Tensor12Field,
     VectorField,
     context_for,
+    oneform_apply,
+    vadd,
+    vscale,
     vvalues,
 )
 from prodconj.connections import (
@@ -33,7 +36,6 @@ from prodconj.conjugation import (
     ConjugateConnection,
     Pencil,
     chi_tensor,
-    conjugate,
     conjugate_suite,
     forms_agreement_residual,
     mean_decomposition_suite,
@@ -41,6 +43,7 @@ from prodconj.conjugation import (
     metric_consequence_suite,
     pencil_suite,
     projective_suite,
+    projective_tensor,
     projector_suite,
     psi_connection,
     recurrent_suite,
@@ -101,7 +104,7 @@ def _assert_rows(rows, bound=1e-9, absent=()):
 
 def test_flat_shear_conjugate_frozen_table():
     ctx = _ctx(count=25)
-    gam = materialize_christoffels(ctx, conjugate(FLAT, SHEAR))
+    gam = materialize_christoffels(ctx, ConjugateConnection(FLAT, SHEAR))
     assert np.allclose(gam[:, 0, 0, 1], 1.0, atol=1e-14)
     gam[:, 0, 0, 1] = 0.0
     assert np.max(np.abs(gam)) < 1e-14
@@ -109,7 +112,7 @@ def test_flat_shear_conjugate_frozen_table():
 
 def test_conjugate_matches_pointwise_oracle():
     lc = LeviCivitaConnection(WARPED)
-    conj = conjugate(lc, SHEAR)
+    conj = ConjugateConnection(lc, SHEAR)
     pts = [(0.5, -0.2), (-0.3, 0.8), (0.9, 0.1)]
     ctx = _ctx_at(*pts)
     got = materialize_christoffels(ctx, conj)
@@ -124,7 +127,7 @@ def test_conjugate_matches_pointwise_oracle():
 def test_conjugation_requires_shared_chart():
     other = Chart(2, ("x", "y"), BOX)
     with pytest.raises(ConfigError):
-        conjugate(FLAT, EndoField(other, ((_p("1"), _p("0")), (_p("0"), _p("-1")))))
+        ConjugateConnection(FLAT, EndoField(other, ((_p("1"), _p("0")), (_p("0"), _p("-1")))))
 
 
 def test_two_presentations_agree():
@@ -135,7 +138,7 @@ def test_two_presentations_agree():
 def test_double_conjugate_restores_base():
     ctx = _ctx()
     base = _rolled()
-    double = conjugate(conjugate(base, SHEAR), SHEAR)
+    double = ConjugateConnection(ConjugateConnection(base, SHEAR), SHEAR)
     got = materialize_christoffels(ctx, double)
     want = materialize_christoffels(ctx, base)
     assert np.max(np.abs(got - want)) < 1e-12
@@ -151,7 +154,7 @@ def test_involution_for_random_trace_free_structures(num, den):
         (Const(Fraction(1)), Const(-t))), label="et")
     ctx = _ctx(count=12)
     base = _rolled()
-    double = conjugate(conjugate(base, E), E)
+    double = ConjugateConnection(ConjugateConnection(base, E), E)
     got = materialize_christoffels(ctx, double)
     want = materialize_christoffels(ctx, base)
     assert np.max(np.abs(got - want)) < 1e-9
@@ -257,6 +260,19 @@ def test_projective_suite_laws():
     ctx = _ctx()
     tau = OneFormField(CHART, (_p("(cos y)"), _p("x")))
     _assert_rows(projective_suite(ctx, LeviCivitaConnection(WARPED), SHEAR, tau))
+
+
+def test_projective_tensor_is_the_rank_one_shift():
+    """T(X, Y) = tau(X) Y + tau(Y) X on non-frame fields, from the table."""
+    ctx = _ctx()
+    tau = OneFormField(CHART, (_p("(cos y)"), _p("(* x (+ 1 y))")))
+    X = ctx.vector(VectorField(CHART, (_p("(+ 1 y)"), _p("(sin x)"))))
+    Y = ctx.vector(VectorField(CHART, (_p("(* x y)"), _p("(+ 2 x)"))))
+    w = ctx.oneform(tau)
+    expect = vvalues(vadd(vscale(oneform_apply(w, X), Y), vscale(oneform_apply(w, Y), X)))
+    scale = np.max(np.abs(expect))
+    got = vvalues(projective_tensor(tau).apply(ctx, X, Y))
+    assert np.max(np.abs(got - expect)) <= 1e-13 * max(scale, 1.0)
 
 
 # ---- recurrence -------------------------------------------------------

@@ -10,13 +10,15 @@ import pytest
 
 from prodconj.errors import ConfigError
 from prodconj.expr import ZERO, parse_expr
-from prodconj.conjugation import chi_tensor, structural_tensor, virtual_tensor
+from prodconj.conjugation import (chi_tensor, projective_tensor, structural_tensor,
+                                  virtual_tensor)
 from prodconj.distributions import fundamental_tensors, pair_from_h
 from prodconj.fields import (
     Chart,
     EndoField,
     EvalContext,
     MetricField,
+    OneFormField,
     Tensor12Field,
     VectorField,
     context_for,
@@ -35,12 +37,12 @@ from prodconj.connections import (
     flat_connection,
     leibniz_defect_residual,
     metricity_residual,
-    nabla_endo,
     structure_derivative_twist,
     torsion,
     torsion_residual,
 )
-from prodconj.generalized import rotated_twist
+from prodconj.generalized import mixed_derivative_twist, rotated_twist
+from prodconj.runner import corpus_names, load_shipped
 from prodconj.sampling import SamplePlan
 
 from engine_tables import materialize_christoffels
@@ -236,12 +238,11 @@ def test_endo_derivative_of_flat_is_coordinate_derivative():
     E = EndoField(CHART, ((_p("1"), _p("x")), (_p("0"), _p("-1"))), label="shear")
     ctx = _ctx(CHART, count=20)
     frame = ctx.frame()
-    flat = flat_connection(CHART)
-    Ej = ctx.endo(E)
+    dE = structure_derivative_twist(flat_connection(CHART), E)
     # d(shear)/dx applied to d1 is (1, 0); along y everything is constant
-    out = vvalues(nabla_endo(ctx, flat, Ej, frame[0], frame[1]))
+    out = vvalues(dE.apply(ctx, frame[0], frame[1]))
     assert np.allclose(out, np.broadcast_to([1.0, 0.0], out.shape))
-    out = vvalues(nabla_endo(ctx, flat, Ej, frame[1], frame[1]))
+    out = vvalues(dE.apply(ctx, frame[1], frame[1]))
     assert np.all(out == 0.0)
 
 
@@ -276,7 +277,9 @@ def _derived_tensors():
     T, A = fundamental_tensors(base, pair)
     return {"chi": chi_tensor(tau, E), "structural": structural_tensor(base, E),
             "virtual": virtual_tensor(base, E), "structure_derivative": dE,
-            "rotated": rotated_twist(dE, E), "fundamental_T": T, "fundamental_A": A}
+            "rotated": rotated_twist(dE, E), "fundamental_T": T, "fundamental_A": A,
+            "derivative_mix": mixed_derivative_twist(base, E, 0.7, -1.3),
+            "projective": projective_tensor(OneFormField(CHART, (_p("(cos y)"), _p("(* x y)"))))}
 
 
 DERIVED = _derived_tensors()
@@ -285,7 +288,7 @@ DERIVED = _derived_tensors()
 @pytest.mark.parametrize("name", DERIVED)
 def test_derived_tensors_are_bilinear_over_functions(name):
     """S(fX, Y) = f S(X, Y) = S(X, fY) for non-constant X, Y and f: the
-    spot check that closure and composed tensors owe their callers."""
+    spot check that composed tensors owe their callers."""
     S = DERIVED[name]
     ctx = _ctx(CHART, count=30)
     x = ctx.vector(VectorField(CHART, (_p("(+ 1 y)"), _p("(sin x)"))))
@@ -296,3 +299,36 @@ def test_derived_tensors_are_bilinear_over_functions(name):
     assert scale > 1e-2, "a vanishing tensor makes the check vacuous"
     for got in (S.apply(ctx, vscale(f, x), y), S.apply(ctx, x, vscale(f, y))):
         assert np.max(np.abs(vvalues(got) - expect)) <= 1e-13 * max(scale, 1.0)
+
+
+def _leaves(op):
+    """The leaves under the composition nodes of an operator tree."""
+    if isinstance(op, Sandwiched):
+        yield from _leaves(op.op)
+    elif isinstance(op, CombinationOp):
+        for _, term in op.terms:
+            yield from _leaves(term)
+    else:
+        yield op
+
+
+def _is_component_table(t, n):
+    return isinstance(t, Tensor12Field) and len(t.components) == n and all(
+        len(plane) == n and all(len(row) == n for row in plane) for plane in t.components)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_shipped_operators_are_tables_under_composition_nodes(name):
+    """Every shipped connection and tensor, and the projective tensor of
+    every shipped one-form, is a tree of Sandwiched and CombinationOp nodes
+    over component tables, Christoffel connections and zeros."""
+    scn = load_shipped(name)
+    n = scn.chart.dim
+    ops = [*scn.connections.values(), *scn.tensors.values(),
+           *(projective_tensor(tau) for tau in scn.oneforms.values())]
+    for op in ops:
+        for leaf in _leaves(op):
+            assert (isinstance(leaf, (ChristoffelConnection, ZeroOp))
+                    or _is_component_table(leaf, n)), (op.label, leaf)
+            table = getattr(leaf, "table", None)
+            assert table is None or _is_component_table(table, n), (op.label, leaf)

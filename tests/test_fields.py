@@ -216,21 +216,6 @@ def test_difference_and_complement_endos():
     assert np.allclose(A, np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
-def test_tensor_from_components_and_operator_agree():
-    comps = [[[_p("0"), _p("x")], [_p("0"), _p("0")]],
-             [[_p("1"), _p("0")], [_p("0"), _p("y")]]]
-    T = Tensor12Field.from_components(CHART, comps)
-
-    def op(ctx, x, y):
-        return T.apply(ctx, x, y)
-
-    U = Tensor12Field.from_operator(CHART, op)
-    ctx = _ctx(count=12)
-    v = ctx.vector(VectorField(CHART, (_p("y"), _p("1"))))
-    w = ctx.vector(VectorField(CHART, (_p("1"), _p("x"))))
-    assert np.allclose(vvalues(T.apply(ctx, v, w)), vvalues(U.apply(ctx, v, w)))
-
-
 def test_tensor_shape_validation():
     with pytest.raises(ConfigError):
         Tensor12Field.from_components(CHART, [[[_p("0")]]])

@@ -139,7 +139,7 @@ def test_duality_rows_expansion_is_twist_independent():
 def test_twisted_operator_charts_must_match():
     from prodconj.errors import ConfigError
     other_chart = Chart(2, ("x", "y"), BOX)
-    alien = Tensor12Field.from_operator(other_chart, lambda c, x, y: c.zero_vector())
+    alien = Tensor12Field.from_components(other_chart, [[[ZERO] * 2] * 2] * 2)
     with pytest.raises(ConfigError):
         GeneralizedConjugate(FLAT, SHEAR, alien)
 
@@ -231,7 +231,7 @@ def test_generalized_identity_rows_gate_torsion_collapse():
 
 def test_transcribed_curvature_only_matches_for_zero_twist():
     ctx = _ctx()
-    zero = Tensor12Field.from_operator(CHART, lambda c, x, y: c.zero_vector(), label="0")
+    zero = Tensor12Field.from_components(CHART, [[[ZERO] * 2] * 2] * 2, label="0")
     assert curvature_transcription_residual(ctx, WARPED_LC, SHEAR, zero,
                                             probes=_probes(ctx)).value < 1e-10
     live = structure_derivative_twist(FLAT, SHEAR)

@@ -1,5 +1,7 @@
 """Report execution and the command-line surface."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,32 @@ def test_cli_bad_sample_flags_are_config_errors(tmp_path, capsys, flag, value):
         assert main(["corpus", flag, value, *extra]) == 2
         captured = capsys.readouterr()
         assert "error: " in captured.err and not captured.out
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, as in `prodconj corpus | head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command, code", [("catalog", 0), ("verify", 1), ("corpus", 0)])
+def test_cli_closed_stdout_keeps_exit_code_and_report(tmp_path, capsys, monkeypatch,
+                                                      command, code):
+    f = tmp_path / "red.scn"
+    f.write_text(RED, encoding="utf-8")
+    report = tmp_path / "out.tsv"
+    args = {"catalog": ["catalog"],
+            "verify": ["verify", str(f), "--report", str(report)],
+            "corpus": ["corpus", "--filter", "almost_product", "--report", str(report)]}[command]
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(args) == code
+    assert capsys.readouterr().err == ""
+    if command != "catalog":
+        assert report.read_text(encoding="utf-8").startswith("# scenario=")
 
 
 def test_cli_catalog(capsys):

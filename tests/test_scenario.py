@@ -359,6 +359,12 @@ REFUSED = {
                    "line 3: coordinate name '' is not an identifier"),
     "name_with_parenthesis": (("[chart]\ndim = 2\nnames = x (y, z\n",),
                               "line 3: coordinate name 'x (y' is not an identifier"),
+    "probes_single_sweep":
+        ((corpus_text("prop32_grid").replace("probes = p1, p2", "probes = p1"),),
+         "probes needs at least two vector fields, got 'p1'"),
+    "probes_single_curvature":
+        ((corpus_text("shear").replace("probes = px, py", "probes = px"),),
+         "probes needs at least two vector fields, got 'px'"),
     "expression_nested_too_deep":
         ((HEAD, "[vector v]\ncomponents = " + "(+ " * 3000 + "x" + ")" * 3000 + " 1\n"),
          "line 7: RecursionError"),
