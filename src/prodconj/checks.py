@@ -13,9 +13,10 @@ Expectation semantics, per check:
   fail             rows listed as invertible must EXCEED the floor (the
                    instance is a deliberate counterexample); other rows
                    are judged normally.
-  hypothesis_fail  at least one hypothesis_* row must exceed the floor
-                   and the rows it gates must come back skipped; a check
-                   whose hypotheses all hold under this expectation fails.
+  hypothesis_fail  at least one of the kind's hypothesis rows must exceed
+                   the floor and the rows it gates must come back skipped;
+                   a check whose hypotheses all hold under this expectation
+                   fails.  Only a kind declaring hypothesis rows takes it.
 A non-finite residual is an error under every expectation.
 """
 
@@ -118,7 +119,9 @@ class CheckKind:
     `runner(ctx, params, tol)` returns rows as (name, residual_or_None,
     note) triples, the shared suite convention.  `row_tols` names, per
     row, the tolerance parameter that replaces the check tolerance for it.
-    A `probe_exempt` kind measures involution itself, so when it is
+    `hypotheses` names the rows measuring a gate's hypotheses, where an
+    `expect = hypothesis_fail` check looks for the violation.  A
+    `probe_exempt` kind measures involution itself, so when it is
     expected to fail its structures skip the loader's involution probe.
     """
 
@@ -130,6 +133,7 @@ class CheckKind:
     default_anchor: str = "plumbing"
     invertible: frozenset = frozenset()
     row_tols: dict[str, str] = field(default_factory=dict)
+    hypotheses: frozenset = frozenset()
     probe_exempt: bool = False
 
     def anchor_for(self, row_name: str, params: dict) -> str:
@@ -299,7 +303,8 @@ def _kinds() -> dict[str, CheckKind]:
                 "torsion_shape": AnchorBy("mode", {"structure": "P1.2.i",
                                                    "identity": "P1.2.ii"}),
             },
-            default_anchor="P1.2"),
+            default_anchor="P1.2",
+            hypotheses=frozenset({"hypothesis_recurrence", "hypothesis_symmetry"})),
         CheckKind(
             "pencil_precondition",
             "skew commutation of two structures",
@@ -330,7 +335,8 @@ def _kinds() -> dict[str, CheckKind]:
                 "pencil_shift": "1.10",
             },
             row_tols={"axis_reduction_first": "reduction_tol",
-                      "axis_reduction_second": "reduction_tol"}),
+                      "axis_reduction_second": "reduction_tol"},
+            hypotheses=frozenset({"hypothesis_recurrence", "hypothesis_mixed"})),
         CheckKind(
             "kirichenko",
             "structural and virtual tensors: flips, rotations, decomposition",
@@ -397,7 +403,8 @@ def _kinds() -> dict[str, CheckKind]:
                 "hypothesis_invariance": "P2.2",
                 "hypothesis_restriction": "D2.1.i",
                 "conjugate_restricts": "P2.2",
-            }),
+            },
+            hypotheses=frozenset({"hypothesis_invariance", "hypothesis_restriction"})),
         CheckKind(
             "prop23",
             "invariance plus restriction makes the conjugate geodesically invariant",
@@ -409,7 +416,8 @@ def _kinds() -> dict[str, CheckKind]:
                 "hypothesis_invariance": "P2.3",
                 "hypothesis_restriction": "D2.1.i",
                 "conjugate_geodesic": "P2.3",
-            }),
+            },
+            hypotheses=frozenset({"hypothesis_invariance", "hypothesis_restriction"})),
         CheckKind(
             "conjugate_hv",
             "conjugate by the difference structure in projected form",
@@ -421,7 +429,8 @@ def _kinds() -> dict[str, CheckKind]:
             "a connection restricting to both sides is its own conjugate",
             _suite(restriction_collapse_rows, "connection", "pair", TOL),
             params=dict(conn, pair=ParamSpec("pair", required=True)),
-            default_anchor="2.3"),
+            default_anchor="2.3",
+            hypotheses=frozenset({"hypothesis_restricts_h", "hypothesis_restricts_v"})),
         CheckKind(
             "schouten",
             "projected-sum connection: restriction, parallelism, self-conjugacy",
@@ -433,7 +442,8 @@ def _kinds() -> dict[str, CheckKind]:
             "torsion-free conjugate forces both distributions involutive",
             _suite(involutivity_rows, "connection", "pair", TOL),
             params=dict(conn, pair=ParamSpec("pair", required=True)),
-            default_anchor="P2.5"),
+            default_anchor="P2.5",
+            hypotheses=frozenset({"hypothesis_torsion_free"})),
         CheckKind(
             "nonzero_torsion",
             "conjugate torsion magnitude on a non-involutive pair",
@@ -565,7 +575,7 @@ def judge(check_id: str, kind: CheckKind, rows, params: dict,
             continue
         row_tol = float(params[kind.row_tols[name]]) if name in kind.row_tols else tol
         finite = math.isfinite(res.value)
-        if expect == "hypothesis_fail" and name.startswith("hypothesis_") \
+        if expect == "hypothesis_fail" and name in kind.hypotheses \
                 and finite and res.value > floor:
             hypothesis_violated = True
             out.append(CheckRow(row_id, anchor, res.value, PASS,

@@ -7,8 +7,8 @@ splitting of the difference, pencils of two skew-commuting structures, and
 the torsion shapes produced by recurrent structures.
 
 Suite functions return rows as (name, residual_or_None, note) triples; a
-None residual marks a row skipped by a failed hypothesis gate.  Judging
-rows against tolerances is the caller's job.
+None residual marks a row skipped by a failed hypothesis gate
+(`fields.gated`).  Judging rows against tolerances is the caller's job.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .connections import (
     torsion_residual,
 )
 from .errors import ConfigError
-from .expr import ZERO, Const, Product, Sum
+from .expr import ZERO, Sum
 from .fields import (
     EndoField,
     EvalContext,
@@ -37,9 +37,11 @@ from .fields import (
     OneFormField,
     Tensor12Field,
     endo_apply,
+    endo_combination,
     frame_pair_residual,
     frame_pair_rows,
     frame_triple_residual,
+    gated,
     jets_matrix_values,
     metric_compat_residual,
     oneform_apply,
@@ -151,8 +153,7 @@ def membership_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField)
 
 
 def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
-                    metric: MetricField | None = None,
-                    compat_tol: float = 1e-9) -> Rows:
+                    metric: MetricField | None = None, tol: float = 1e-9) -> Rows:
     """Structure derivative flip, involution, torsion and curvature
     transport, and (metric given and compatible) covariant-derivative
     transport of the metric."""
@@ -179,6 +180,10 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
         rhs = endo_apply(E, curvature(ctx, base, X, Y, endo_apply(E, Z)))
         return vsub(lhs, rhs)
 
+    def item5(X, Y, Z):
+        lhs = nabla_metric(ctx, conj, G, X, endo_apply(E, Y), endo_apply(E, Z))
+        return lhs - nabla_metric(ctx, base, G, X, Y, Z)
+
     res = frame_pair_rows(ctx, pair_rows)
     rows = [
         ("structure_flip", res["structure_flip"], ""),
@@ -188,22 +193,12 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
         ("torsion_shift", res["torsion_shift"], ""),
         ("curvature_transport", frame_triple_residual(ctx, item4), ""),
     ]
-
-    if metric is not None:
-        compat = metric_compat_residual(ctx, metric, structure)
-        if not compat.within(compat_tol):
-            rows.append(("metric_transport", None,
-                         f"metric not structure-compatible (residual {compat.value:.3e})"))
-        else:
-            G = ctx.metric(metric)
-
-            def item5(X, Y, Z):
-                lhs = nabla_metric(ctx, conj, G, X, endo_apply(E, Y), endo_apply(E, Z))
-                return lhs - nabla_metric(ctx, base, G, X, Y, Z)
-
-            rows.append(("metric_transport",
-                         frame_triple_residual(ctx, item5), ""))
-    return rows
+    if metric is None:
+        return rows
+    G = ctx.metric(metric)
+    return rows + gated(tol, [("compatibility", metric_compat_residual(ctx, metric, structure))],
+                        ["metric_transport"],
+                        lambda: [("metric_transport", frame_triple_residual(ctx, item5), "")])
 
 
 def metric_consequence_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
@@ -212,24 +207,18 @@ def metric_consequence_suite(ctx: EvalContext, base: ConnectionOp, structure: En
     when the metric is structure-compatible, and a parallel structure
     collapses the conjugate back onto the base."""
     conj = ConjugateConnection(base, structure)
-    rows = []
+
+    def collapse(X, Y):
+        return vsub(conj.apply(ctx, X, Y), base.apply(ctx, X, Y))
+
     compat = metric_compat_residual(ctx, metric, structure)
-    rows.append(("compatibility", compat,
-                 "gate for the metricity row" if compat.within(tol) else "metric moves under the structure"))
-    if compat.within(tol):
-        rows.append(("conjugate_metricity", metricity_residual(ctx, conj, metric), ""))
-    else:
-        rows.append(("conjugate_metricity", None, "skipped: incompatible metric"))
     par = parallel_structure_residual(ctx, base, structure)
-    if par.within(tol):
-        rows.append(("parallel_collapse",
-                     frame_pair_residual(ctx, lambda X, Y: vsub(conj.apply(ctx, X, Y),
-                                                                base.apply(ctx, X, Y))),
-                     "parallel structure, conjugate must equal the base"))
-    else:
-        rows.append(("parallel_collapse", None,
-                     f"skipped: structure not parallel (residual {par.value:.3e})"))
-    return rows
+    return [("compatibility", compat, "gate for the metricity row"),
+            *gated(tol, [("compatibility", compat)], ["conjugate_metricity"],
+                   lambda: [("conjugate_metricity", metricity_residual(ctx, conj, metric), "")]),
+            *gated(tol, [("parallel_structure", par)], ["parallel_collapse"],
+                   lambda: [("parallel_collapse", frame_pair_residual(ctx, collapse),
+                             "parallel structure, conjugate must equal the base")])]
 
 
 # ---- recurrent structures ---------------------------------------------
@@ -256,18 +245,6 @@ def recurrent_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
         target = endo_apply(E, Y) if mode == "structure" else Y
         return vsub(lhs, vscale(scale, target))
 
-    hyp_res = frame_pair_residual(ctx, hyp)
-    sym_res = torsion_residual(ctx, base)
-    rows = [
-        ("hypothesis_recurrence", hyp_res, f"mode={mode}"),
-        ("hypothesis_symmetry", sym_res, "base torsion must vanish"),
-    ]
-    if not (hyp_res.within(tol) and sym_res.within(tol)):
-        rows.append(("torsion_shape", None,
-                     f"skipped: hypothesis fails (recurrence {hyp_res.value:.3e}, "
-                     f"base torsion {sym_res.value:.3e})"))
-        return rows
-
     def shape(X, Y):
         lhs = torsion(ctx, conj, X, Y)
         a, b = oneform_apply(w, X), oneform_apply(w, Y)
@@ -277,8 +254,12 @@ def recurrent_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
             rhs = vsub(vscale(a, endo_apply(E, Y)), vscale(b, endo_apply(E, X)))
         return vsub(lhs, rhs)
 
-    rows.append(("torsion_shape", frame_pair_residual(ctx, shape), f"mode={mode}"))
-    return rows
+    hyp_res = frame_pair_residual(ctx, hyp)
+    sym_res = torsion_residual(ctx, base)
+    return [("hypothesis_recurrence", hyp_res, f"mode={mode}"),
+            ("hypothesis_symmetry", sym_res, "base torsion must vanish"),
+            *gated(tol, [("recurrence", hyp_res), ("symmetry", sym_res)], ["torsion_shape"],
+                   lambda: [("torsion_shape", frame_pair_residual(ctx, shape), f"mode={mode}")])]
 
 
 # ---- pencils ----------------------------------------------------------
@@ -305,15 +286,8 @@ class Pencil:
                 f"pencil weights ({self.alpha}, {self.beta}) are off the unit circle")
 
     def endo(self, label: str | None = None) -> EndoField:
-        chart = self.first.chart
-        n = chart.dim
-        a, b = Const(self.alpha), Const(self.beta)
-        rows = tuple(
-            tuple(Sum((Product((a, self.first.entries[k][j])),
-                       Product((b, self.second.entries[k][j]))))
-                  for j in range(n))
-            for k in range(n))
-        return EndoField(chart, rows, label=label or f"pencil({self.alpha},{self.beta})")
+        return endo_combination(((self.alpha, self.first), (self.beta, self.second)),
+                                label=label or f"pencil({self.alpha},{self.beta})")
 
 
 def skew_commutation_residual(ctx: EvalContext, first: EndoField,
@@ -370,23 +344,14 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
             ("mixing_rule", "axis_reduction_first", "axis_reduction_second")]
     if case is None:
         return out
-    hyp = res["recurrence0"].merged(res["recurrence1"])
     if case == "recurrent":
         # Both structures recurrent with one shared one-form.
-        out.append(("hypothesis_recurrence", hyp, ""))
-        if not hyp.within(tol):
-            return out + [("conjugates_coincide", None, "skipped: recurrence fails"),
-                          ("pencil_invariance", None, "skipped: recurrence fails")]
-
         def conclusions(X, Y):
             c1 = conj1.apply(ctx, X, Y)
             yield "conjugates_coincide", vsub(c1, conj2.apply(ctx, X, Y))
             yield "pencil_invariance", vsub(mixed.apply(ctx, X, Y), c1)
+        label, names = "recurrence", ("conjugates_coincide", "pencil_invariance")
     else:
-        out.append(("hypothesis_mixed", hyp, ""))
-        if not hyp.within(tol):
-            return out + [("average", None, "skipped: mixed recurrence fails"),
-                          ("pencil_shift", None, "skipped: mixed recurrence fails")]
         coeff = float(pencil.alpha ** 2 - pencil.beta ** 2)
 
         def conclusions(X, Y):
@@ -396,7 +361,11 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
             prod = endo_apply(J1, endo_apply(J2, Y))
             rhs = vadd(base_xy, vscale(coeff, vscale(oneform_apply(w, X), prod)))
             yield "pencil_shift", vsub(mixed.apply(ctx, X, Y), rhs)
-    return out + [(name, r, "") for name, r in frame_pair_rows(ctx, conclusions).items()]
+        label, names = "mixed", ("average", "pencil_shift")
+    hyp = res["recurrence0"].merged(res["recurrence1"])
+    return out + [(f"hypothesis_{label}", hyp, "")] + gated(
+        tol, [(label, hyp)], names,
+        lambda: [(name, r, "") for name, r in frame_pair_rows(ctx, conclusions).items()])
 
 
 # ---- structural / virtual splitting -----------------------------------

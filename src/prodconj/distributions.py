@@ -40,6 +40,7 @@ from .fields import (
     endo_from_difference,
     frame_pair_residual,
     frame_pair_rows,
+    gated,
     jets_matrix_values,
     magnitude,
     vadd,
@@ -217,17 +218,9 @@ def _carried_over(ctx: EvalContext, nabla: ConnectionOp, D: DistributionSpec,
     gate `conclusion(ctx, conjugate, D)`, the statement carried over."""
     inv = invariance_residual(ctx, D, structure)
     res = restriction_residual(ctx, nabla, D)
-    rows = [
-        ("hypothesis_invariance", inv, ""),
-        ("hypothesis_restriction", res, ""),
-    ]
-    if not (inv.within(tol) and res.within(tol)):
-        rows.append((name, None,
-                     f"skipped: hypothesis fails (invariance {inv.value:.3e}, "
-                     f"restriction {res.value:.3e})"))
-    else:
-        rows.append((name, conclusion(ctx, ConjugateConnection(nabla, structure), D), ""))
-    return rows
+    return [("hypothesis_invariance", inv, ""), ("hypothesis_restriction", res, ""),
+            *gated(tol, [("invariance", inv), ("restriction", res)], [name],
+                   lambda: [(name, conclusion(ctx, ConjugateConnection(nabla, structure), D), "")])]
 
 
 def conjugate_restriction_rows(ctx: EvalContext, nabla: ConnectionOp,
@@ -279,18 +272,6 @@ def restriction_collapse_rows(ctx: EvalContext, nabla: ConnectionOp,
     and the connection already splits through the projectors."""
     Dh = DistributionSpec.from_pair(pair, "horizontal", label="Dh")
     Dv = DistributionSpec.from_pair(pair, "vertical", label="Dv")
-    rh = restriction_residual(ctx, nabla, Dh)
-    rv = restriction_residual(ctx, nabla, Dv)
-    rows = [
-        ("hypothesis_restricts_h", rh, ""),
-        ("hypothesis_restricts_v", rv, ""),
-    ]
-    if not (rh.within(tol) and rv.within(tol)):
-        rows.append(("conjugate_collapse", None,
-                     f"skipped: base does not restrict to both sides "
-                     f"({rh.value:.3e}, {rv.value:.3e})"))
-        rows.append(("split_form", None, "skipped: same hypothesis"))
-        return rows
     conj = ConjugateConnection(nabla, pair.structure())
     H, V = ctx.endo(pair.h), ctx.endo(pair.v)
 
@@ -300,7 +281,13 @@ def restriction_collapse_rows(ctx: EvalContext, nabla: ConnectionOp,
         yield "split_form", vsub(conj_xy, vadd(nabla.apply(ctx, X, endo_apply(H, Y)),
                                                nabla.apply(ctx, X, endo_apply(V, Y))))
 
-    return rows + [(name, res, "") for name, res in frame_pair_rows(ctx, conclusions).items()]
+    rh = restriction_residual(ctx, nabla, Dh)
+    rv = restriction_residual(ctx, nabla, Dv)
+    return [("hypothesis_restricts_h", rh, ""), ("hypothesis_restricts_v", rv, ""),
+            *gated(tol, [("restricts_h", rh), ("restricts_v", rv)],
+                   ["conjugate_collapse", "split_form"],
+                   lambda: [(name, res, "") for name, res
+                            in frame_pair_rows(ctx, conclusions).items()])]
 
 
 class SchoutenConnection(CombinationOp):
@@ -326,6 +313,9 @@ def schouten_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair,
         yield "parallel_structure", dE.apply(ctx, X, Y)
         yield "self_conjugate", vsub(conj_s.apply(ctx, X, Y), s.apply(ctx, X, Y))
 
+    def reduction(X, Y):
+        return vsub(s.apply(ctx, X, Y), nabla.apply(ctx, X, Y))
+
     rows = [("restricts_h", restriction_residual(ctx, s, Dh), ""),
             ("restricts_v", restriction_residual(ctx, s, Dv), "")]
     notes = {"parallel_structure": "the split part always keeps the structure parallel"}
@@ -333,16 +323,10 @@ def schouten_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair,
              for name, res in frame_pair_rows(ctx, pair_rows).items()]
     base_h = restriction_residual(ctx, nabla, Dh)
     base_v = restriction_residual(ctx, nabla, Dv)
-    if base_h.within(tol) and base_v.within(tol):
-        rows.append(("reduces_to_base",
-                     frame_pair_residual(ctx, lambda X, Y: vsub(s.apply(ctx, X, Y),
-                                                                nabla.apply(ctx, X, Y))),
-                     "base restricts to both sides"))
-    else:
-        rows.append(("reduces_to_base", None,
-                     f"skipped: base does not restrict to both sides "
-                     f"({base_h.value:.3e}, {base_v.value:.3e})"))
-    return rows
+    return rows + gated(tol, [("base_restricts_h", base_h), ("base_restricts_v", base_v)],
+                        ["reduces_to_base"],
+                        lambda: [("reduces_to_base", frame_pair_residual(ctx, reduction),
+                                  "base restricts to both sides")])
 
 
 def involutivity_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair,
@@ -357,13 +341,6 @@ def involutivity_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair
     conj = ConjugateConnection(nabla, pair.structure())
     hyp = torsion_residual(ctx, conj)
     base_t = torsion_residual(ctx, nabla)
-    rows = [("hypothesis_torsion_free", hyp,
-             f"base torsion {base_t.value:.3e}")]
-    if not hyp.within(tol):
-        rows.append(("vertical_involutive", None,
-                     f"skipped: conjugate has torsion ({hyp.value:.3e})"))
-        rows.append(("horizontal_involutive", None, "skipped: same hypothesis"))
-        return rows
     H, V = ctx.endo(pair.h), ctx.endo(pair.v)
     frame, label = ctx.frame(), ctx.chart.frame_label
 
@@ -374,9 +351,10 @@ def involutivity_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair
             (label(i, j), endo_apply(Q, bracket(endo_apply(P, frame[i]), endo_apply(P, frame[j]))))
             for i, j in combinations(range(ctx.chart.dim), 2))), "")
 
-    rows.append(closure(V, H, "vertical_involutive"))
-    rows.append(closure(H, V, "horizontal_involutive"))
-    return rows
+    return [("hypothesis_torsion_free", hyp, f"base torsion {base_t.value:.3e}"),
+            *gated(tol, [("torsion_free", hyp)], ["vertical_involutive", "horizontal_involutive"],
+                   lambda: [closure(V, H, "vertical_involutive"),
+                            closure(H, V, "horizontal_involutive")])]
 
 
 def conjugate_torsion_magnitude(ctx: EvalContext, nabla: ConnectionOp,

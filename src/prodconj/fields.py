@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EvaluationError
-from .expr import Expr, Neg, Sum, validate_expr, ZERO, ONE
+from .expr import Const, Expr, Neg, Product, Sum, validate_expr, ZERO, ONE
 from .jets import Jet, eval_jet, shift
 from .reporting import Residual, ResidualMax
 from .sampling import SamplePlan, sample_points
@@ -131,7 +131,6 @@ class Tensor12Field:
 
 
 def is_zero_expr(e: Expr) -> bool:
-    from .expr import Const
     return isinstance(e, Const) and e.value == 0
 
 
@@ -219,10 +218,6 @@ class EvalContext:
 
     def zero_scalar(self) -> Jet:
         return Jet.constant(0.0, self.chart.dim, 2, (self.count,))
-
-    def zero_vector(self) -> Vec:
-        z = self.zero_scalar()
-        return [z for _ in range(self.chart.dim)]
 
 
 def context_for(chart: Chart, plan: SamplePlan) -> EvalContext:
@@ -351,6 +346,17 @@ def worst(ctx: EvalContext, items) -> Residual:
     return acc.result()
 
 
+def gated(tol: float, hypotheses, conclusions, measure) -> list:
+    """measure()'s rows when every (label, Residual) hypothesis is within tol;
+    otherwise each named conclusion as a skipped row (residual None) whose
+    note gives every hypothesis value.  A NaN hypothesis never holds, so the
+    gate fails closed, and a closed gate never calls measure."""
+    if all(res.within(tol) for _, res in hypotheses):
+        return measure()
+    values = ", ".join(f"{label} {res.value:.3e}" for label, res in hypotheses)
+    return [(name, None, f"skipped: hypothesis fails ({values})") for name in conclusions]
+
+
 def frame_pair_rows(ctx: EvalContext, rows) -> dict:
     """Worst output per name over coordinate frame pairs, in first-yield order.
 
@@ -396,23 +402,29 @@ def metric_compat_residual(ctx: EvalContext, g: MetricField, E: EndoField) -> Re
     return worst(ctx, [(None, np.swapaxes(A, -1, -2) @ G @ A - G)])
 
 
+def endo_combination(terms, label: str = "E") -> EndoField:
+    """sum c F entrywise at the expression level over (c, F) terms, a None F
+    standing for the identity.  A weight 1 adds the entry itself and -1 its
+    negation; any other weight multiplies it as a rational constant."""
+    chart = next(F.chart for _, F in terms if F is not None)
+    n = chart.dim
+    weighted = [(c, F, Const(c)) for c, F in terms]
+
+    def entry(k: int, j: int) -> Expr:
+        parts = []
+        for c, F, w in weighted:
+            e = (ONE if k == j else ZERO) if F is None else F.entries[k][j]
+            parts.append(e if c == 1 else Neg(e) if c == -1 else Product((w, e)))
+        return Sum(tuple(parts))
+    return EndoField(chart, tuple(tuple(entry(k, j) for j in range(n)) for k in range(n)),
+                     label=label)
+
+
 def endo_from_difference(h: EndoField, v: EndoField, label: str = "E") -> EndoField:
     """Entrywise h - v at the expression level."""
-    n = h.chart.dim
-    rows = tuple(
-        tuple(Sum((h.entries[k][j], Neg(v.entries[k][j]))) for j in range(n))
-        for k in range(n))
-    return EndoField(h.chart, rows, label=label)
+    return endo_combination(((1, h), (-1, v)), label=label)
 
 
 def complement_endo(h: EndoField, label: str = "v") -> EndoField:
     """I - h at the expression level."""
-    n = h.chart.dim
-    rows = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            diag = ONE if k == j else ZERO
-            row.append(Sum((diag, Neg(h.entries[k][j]))))
-        rows.append(tuple(row))
-    return EndoField(h.chart, tuple(rows), label=label)
+    return endo_combination(((1, None), (-1, h)), label=label)

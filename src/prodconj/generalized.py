@@ -42,9 +42,11 @@ from .fields import (
     Vec,
     bracket,
     endo_apply,
+    endo_combination,
     frame_pair_residual,
     frame_pair_rows,
     frame_triple_residual,
+    gated,
     vadd,
     vscale,
     vsub,
@@ -54,6 +56,10 @@ from .fields import (
 from .reporting import Residual
 
 Rows = list  # list[tuple[str, Residual | None, str]]
+
+# the sweep's least-squares basis counts as independent up to this
+# condition number (largest over smallest singular value)
+_MAX_CONDITION = 1e8
 
 
 class GeneralizedConjugate(CombinationOp):
@@ -74,11 +80,13 @@ def rotated_twist(twist: Tensor12Field, structure: EndoField,
 
 def mixed_derivative_twist(base: ConnectionOp, structure: EndoField,
                            lam: float, mu: float,
-                           label: str | None = None) -> CombinationOp:
-    """lam * (nabla E) + mu * E(nabla E); the kernel is linear, so any mix stays inside."""
-    dE = structure_derivative_twist(base, structure)
-    return CombinationOp(((lam, dE), (mu, Sandwiched(dE, out=structure))),
-                         label=label or f"mix({lam:g},{mu:g})d{structure.label}")
+                           label: str | None = None) -> Sandwiched:
+    """lam * (nabla E) + mu * E(nabla E), as (lam I + mu E) after one nabla E;
+    the kernel is linear, so any mix stays inside."""
+    weights = endo_combination(((lam, None), (mu, structure)),
+                               label=f"{lam:g}I+{mu:g}{structure.label}")
+    return Sandwiched(structure_derivative_twist(base, structure), out=weights,
+                      label=label or f"mix({lam:g},{mu:g})d{structure.label}")
 
 
 def duality_defect_residual(ctx: EvalContext, base: ConnectionOp,
@@ -213,60 +221,55 @@ def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     design = np.stack([Vb.ravel(), Vc.ravel()], axis=1)
     sv = np.linalg.svd(design, compute_uv=False)
     scale = max(sv[0], 1.0)
-    rows: Rows = []
-    if not sv[-1] > 1e-8 * scale:  # a NaN singular value is not well conditioned
-        note = f"probe responses dependent (sv ratio {sv[-1] / scale:.3e}); sweep inconclusive"
-        rows.append(("genericity", None, note))
+    with np.errstate(all="ignore"):  # a rank-deficient design has condition inf
+        condition = Residual(float(scale / sv[-1]))
+
+    def measure() -> Rows:
+        rows: Rows = [("genericity", Residual(0.0, None, "singular values"),
+                       f"basis well conditioned (relative ratio {sv[-1] / scale:.3e})")]
+        coeff_err = 0.0
+        fit_err = 0.0
+        solution_set = []
         for lam, mu in grid:
-            rows.append((f"member({lam:g},{mu:g})", None, "skipped: degenerate basis"))
-        rows.append(("coefficient_match", None, "skipped: degenerate basis"))
-        rows.append(("expansion_fit", None, "skipped: degenerate basis"))
-        return rows
+            member = family_member(base, structure, lam, mu)
+            squared = CombinationOp(((1.0 + mu, ConjugateConnection(member, structure)),
+                                     (lam, member)))
+            Vs = _pooled_values(ctx, lambda X, Y: squared.apply(ctx, X, Y), probes)
+            diff = np.max(np.abs(Vs - Vb))
 
-    rows.append(("genericity", Residual(0.0, None, "singular values"),
-                 f"basis well conditioned (relative ratio {sv[-1] / scale:.3e})"))
-
-    coeff_err = 0.0
-    fit_err = 0.0
-    solution_set = []
-    for lam, mu in grid:
-        member = family_member(base, structure, lam, mu)
-        squared = CombinationOp(((1.0 + mu, ConjugateConnection(member, structure)),
-                                 (lam, member)))
-        Vs = _pooled_values(ctx, lambda X, Y: squared.apply(ctx, X, Y), probes)
-        diff = np.max(np.abs(Vs - Vb))
-
-        a_pred = (1.0 + mu) ** 2 + lam ** 2
-        b_pred = 2.0 * lam * (1.0 + mu)
-        closes = abs(a_pred - 1.0) <= 1e-12 and abs(b_pred) <= 1e-12
-        # the row residual is judged against tol downstream, so a member
-        # predicted not to close reports 0 when the square visibly moves
-        # away from the base and infinity when it fails to
-        if closes:
-            solution_set.append((lam, mu))
-            note = f"closure predicted; residual {diff:.3e}"
+            a_pred = (1.0 + mu) ** 2 + lam ** 2
+            b_pred = 2.0 * lam * (1.0 + mu)
+            if abs(a_pred - 1.0) <= 1e-12 and abs(b_pred) <= 1e-12:
+                solution_set.append((lam, mu))
+                residual, note = diff, f"closure predicted; residual {diff:.3e}"
+            else:
+                # judged against tol downstream like any row: a member
+                # predicted not to close reports how far its square falls
+                # short of moving the floor away from the base
+                residual = np.maximum(floor - diff, 0.0)
+                note = f"non-closure predicted; residual {diff:.3e} against floor {floor:g}"
             rows.append((f"member({lam:g},{mu:g})",
-                         Residual(float(diff), None, f"({lam:g},{mu:g})"), note))
-        else:
-            note = f"non-closure predicted; residual {diff:.3e} against floor {floor:g}"
-            margin = 0.0 if diff > floor else np.inf
-            rows.append((f"member({lam:g},{mu:g})",
-                         Residual(margin, None, f"({lam:g},{mu:g})"), note))
+                         Residual(float(residual), None, f"({lam:g},{mu:g})"), note))
 
-        coeffs, _, _, _ = np.linalg.lstsq(design, Vs.ravel(), rcond=None)
-        fitted = design @ coeffs
-        # np.max, unlike max(), keeps a NaN from any member
-        fit_err = float(np.max([fit_err, np.max(np.abs(fitted - Vs.ravel()))]))
-        coeff_err = float(np.max([coeff_err, abs(coeffs[0] - a_pred), abs(coeffs[1] - b_pred)]))
+            coeffs, _, _, _ = np.linalg.lstsq(design, Vs.ravel(), rcond=None)
+            fitted = design @ coeffs
+            # np.max, unlike max(), keeps a NaN from any member
+            fit_err = float(np.max([fit_err, np.max(np.abs(fitted - Vs.ravel()))]))
+            coeff_err = float(np.max([coeff_err, abs(coeffs[0] - a_pred),
+                                      abs(coeffs[1] - b_pred)]))
 
-    rows.append(("coefficient_match", Residual(coeff_err, None, None),
-                 f"weights against ((1+mu)^2+lam^2, 2 lam (1+mu)) on {len(grid)} members"))
-    rows.append(("expansion_fit", Residual(fit_err, None, None),
-                 "squared member lies in the span of base and conjugate"))
-    rows.append(("solution_count",
-                 Residual(float(abs(len(solution_set) - 4)), None, None),
-                 f"closing members found: {sorted(solution_set)}"))
-    return rows
+        return rows + [
+            ("coefficient_match", Residual(coeff_err, None, None),
+             f"weights against ((1+mu)^2+lam^2, 2 lam (1+mu)) on {len(grid)} members"),
+            ("expansion_fit", Residual(fit_err, None, None),
+             "squared member lies in the span of base and conjugate"),
+            ("solution_count", Residual(float(abs(len(solution_set) - 4)), None, None),
+             f"closing members found: {sorted(solution_set)}"),
+        ]
+
+    skipped = ["genericity", *(f"member({lam:g},{mu:g})" for lam, mu in grid),
+               "coefficient_match", "expansion_fit"]
+    return gated(_MAX_CONDITION, [("condition", condition)], skipped, measure)
 
 
 # ---- derived identities of the twisted operator ------------------------
@@ -344,6 +347,9 @@ def generalized_identity_rows(ctx: EvalContext, base: ConnectionOp,
         yield "torsion_form", vsub(torsion(ctx, gen, X, Y), rhs)
         yield "skew", skew
 
+    def collapse(X: Vec, Y: Vec) -> Vec:
+        return vsub(torsion(ctx, gen, X, Y), torsion(ctx, base, X, Y))
+
     res = frame_pair_rows(ctx, pair_rows)
     rows: Rows = [
         ("structure_derivative", res["structure_derivative"],
@@ -351,17 +357,10 @@ def generalized_identity_rows(ctx: EvalContext, base: ConnectionOp,
         ("torsion_form", res["torsion_form"],
          "torsion against base torsion, structure curl and twist skew part"),
     ]
-    skew_res, parallel_res = res["skew"], res["parallel"]
-    if skew_res.within(tol) and parallel_res.within(tol):
-        collapse = frame_pair_residual(
-            ctx, lambda X, Y: vsub(torsion(ctx, gen, X, Y), torsion(ctx, base, X, Y)))
-        rows.append(("torsion_collapse", collapse,
-                     "symmetric twist and parallel structure keep the torsion"))
-    else:
-        rows.append(("torsion_collapse", None,
-                     f"skipped: twist skew {skew_res.value:.3e}, "
-                     f"structure derivative {parallel_res.value:.3e}"))
-
+    rows += gated(tol, [("skew", res["skew"]), ("parallel", res["parallel"])],
+                  ["torsion_collapse"],
+                  lambda: [("torsion_collapse", frame_pair_residual(ctx, collapse),
+                            "symmetric twist and parallel structure keep the torsion")])
     rows.append(("curvature_form",
                  _curvature_scan(ctx, _curvature_form_defect(ctx, base, structure, twist),
                                  probes),

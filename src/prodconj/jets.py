@@ -145,18 +145,6 @@ class Jet:
     def __rtruediv__(self, other):
         return self.like_constant(float(other)) / self
 
-    # ---- views --------------------------------------------------------
-
-    def hess_matrix(self) -> np.ndarray:
-        """Unpack the Hessian triangle into a full symmetric matrix."""
-        if self.hess is None:
-            raise OrderError("jet carries no Hessian")
-        I, J, _ = _tri(self.dim)
-        full = np.zeros(self.value.shape + (self.dim, self.dim))
-        full[..., I, J] = self.hess
-        full[..., J, I] = self.hess
-        return full
-
 
 def _chain(f: Jet, u0: np.ndarray, u1, u2) -> Jet:
     grad = hess = None

@@ -545,6 +545,9 @@ class _Loader:
         _, expect, line = got.get("expect", ("expect", "pass", sec.line))
         if expect not in EXPECTATIONS:
             raise _bad(line, f"expect must be one of {EXPECTATIONS}, got {expect!r}")
+        if expect == "hypothesis_fail" and not kind.hypotheses:
+            raise _bad(line, f"kind {kind.name!r} reports no hypothesis rows, "
+                             "so it cannot expect hypothesis_fail")
         floor = self.tolerance(got["floor"]) if "floor" in got else DEFAULT_FLOOR
         tol = self.tolerance(got["tol"]) if "tol" in got else None
         params = {p: self.param(spec, got[p]) if p in got else spec.default

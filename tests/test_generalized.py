@@ -40,8 +40,9 @@ from prodconj.generalized import (
     structure_derivative_twist,
     sweep_rows,
 )
-from prodconj.runner import load_shipped, run_scenario
+from prodconj.runner import corpus_text, load_shipped, run_scenario
 from prodconj.sampling import SamplePlan
+from prodconj.scenario import load_scenario
 
 from engine_tables import materialize_christoffels
 from oracles import recurrence_residual
@@ -118,6 +119,25 @@ def test_kernel_is_closed_under_mixing(lam, mu):
     assert duality_defect_residual(ctx, WARPED_LC, SHEAR, mix).value < 1e-9
 
 
+@pytest.mark.parametrize("name", ["dshear", "dmix"])
+def test_a_derivative_twist_evaluates_nabla_e_once(name, monkeypatch):
+    """One apply of either shipped derivative tensor reads the base twice,
+    nabla_X(EY) and nabla_X Y: the mix weights one nabla E by lam I + mu E."""
+    scn = load_shipped("shear")
+    base, calls = scn.connections["flat"], []
+    apply = base.apply
+
+    def counted(ctx, x, y):
+        calls.append(None)
+        return apply(ctx, x, y)
+
+    monkeypatch.setattr(base, "apply", counted)
+    ctx = _ctx(count=5)
+    X, Y = ctx.frame()
+    scn.tensors[name].apply(ctx, X, Y)
+    assert len(calls) == 2
+
+
 def test_duality_rows_with_kernel_twist():
     ctx = _ctx()
     rows = duality_rows(ctx, WARPED_LC, SHEAR, structure_derivative_twist(WARPED_LC, SHEAR))
@@ -185,6 +205,21 @@ def test_sweep_finds_exactly_four_solutions():
     assert by_name["solution_count"][0].value == 0.0
 
 
+def test_sweep_member_short_of_the_floor_fails_with_a_finite_residual():
+    """A member predicted not to close whose square moves less than the floor
+    is a genuine failure, not a failed evaluation."""
+    text = corpus_text("prop32_grid").replace("probes = p1, p2",
+                                              "probes = p1, p2\nfloor = 1000000")
+    report = run_scenario(load_scenario(text, name="high_floor"), filter_substr="sweep")
+    members = [r for r in report.rows if ".member(" in r.row_id]
+    moving = [r for r in members if "non-closure predicted" in r.note]
+    assert len(members) == 16 and len(moving) == 12
+    for row in moving:
+        assert row.status == "fail" and np.isfinite(row.residual), row
+        assert row.residual > 9e5 and "against floor 1e+06" in row.note, row
+    assert all(r.status == "pass" for r in members if r not in moving)
+
+
 def test_sweep_keeps_a_nan_fit(monkeypatch):
     """A NaN fit for one grid member is not folded away by the finite ones after it."""
     scenario = load_shipped("prop32_grid")
@@ -208,7 +243,8 @@ def test_sweep_refuses_degenerate_probe_basis():
     rows = sweep_rows(ctx, WARPED_LC, IDENT, [(0.0, 0.0), (1.0, 1.0)],
                       _probes(ctx), 1e-9, 1e-3)
     assert all(res is None for _, res, _ in rows)
-    assert "inconclusive" in rows[0][2]
+    assert rows[0][0] == "genericity"
+    assert rows[0][2].startswith("skipped: hypothesis fails (condition ")
 
 
 # ---- identities of the twisted operator ------------------------------

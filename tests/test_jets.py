@@ -29,6 +29,15 @@ from prodconj.jets import Jet, eval_jet, jcos, jexp, jsin, shift, tri_size
 
 from oracles import eval_scalar, fd_grad, fd_hess
 
+
+def _hess_matrix(jet):
+    """Unpack a jet's packed upper-triangle Hessian into the full symmetric matrix."""
+    I, J = np.triu_indices(jet.dim)
+    full = np.zeros(jet.value.shape + (jet.dim, jet.dim))
+    full[..., I, J] = jet.hess
+    full[..., J, I] = jet.hess
+    return full
+
 _DIM = 2
 
 
@@ -73,7 +82,7 @@ def test_thousand_pairs_match_central_differences():
         gs = max(1.0, float(np.max(np.abs(g))))
         hs = max(1.0, float(np.max(np.abs(h))))
         assert np.max(np.abs(jet.grad - g)) <= 1e-6 * gs
-        assert np.max(np.abs(jet.hess_matrix() - h)) <= 1e-6 * hs
+        assert np.max(np.abs(_hess_matrix(jet) - h)) <= 1e-6 * hs
         checked += 1
 
 
@@ -162,7 +171,7 @@ def test_packed_triangle_size():
     assert tri_size(3) == 6
     f = _jet_of("(+ (* x x) (* x y))")
     assert f.hess.shape[-1] == 3
-    hm = f.hess_matrix()
+    hm = _hess_matrix(f)
     assert np.allclose(hm, hm.swapaxes(-1, -2))
 
 

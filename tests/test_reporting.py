@@ -157,6 +157,45 @@ def test_only_the_reducer_accumulates_residuals():
             assert needle not in text, f"{path.name} accumulates its own residuals ({needle})"
 
 
+def test_only_the_gate_decides_hypotheses():
+    """Every hypothesis gate goes through `fields.gated`: outside it,
+    `.within(` appears only in the judge's rule and the loader's two probes,
+    and no module writes a skip note of its own."""
+    gate = inspect.getsource(fields.gated)
+    allowed = {"reporting.py": 1, "scenario.py": 2}
+    for path in sorted(Path(prodconj.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "fields.py":
+            assert gate in text
+            text = text.replace(gate, "")
+        assert text.count(".within(") == allowed.get(path.name, 0), path.name
+        assert "skipped:" not in text, path.name
+
+
+@pytest.mark.parametrize("values, opens", [
+    ((0.0, 1e-9), True),
+    ((0.0, 2e-9), False),
+    ((math.nan, 0.0), False),
+    ((0.0, math.inf), False),
+], ids=["within", "above", "nan", "inf"])
+def test_gate_opens_only_when_every_hypothesis_holds(values, opens):
+    hypotheses = [(f"h{k}", Residual(v)) for k, v in enumerate(values)]
+    measured = [("c1", Residual(0.5), "measured"), ("c2", Residual(0.25), "")]
+    calls = []
+
+    def measure():
+        calls.append(None)
+        return measured
+
+    rows = fields.gated(1e-9, hypotheses, ["c1", "c2"], measure)
+    if opens:
+        assert rows == measured and len(calls) == 1
+    else:
+        note = f"skipped: hypothesis fails (h0 {values[0]:.3e}, h1 {values[1]:.3e})"
+        assert rows == [("c1", None, note), ("c2", None, note)]
+        assert calls == [], "a closed gate must not measure its conclusions"
+
+
 def _judged(res, expect="pass", row="involution"):
     [out] = judge("c", REGISTRY["almost_product"], [(row, res, "note")], {},
                   1e-9, 1e-3, expect)

@@ -365,6 +365,11 @@ REFUSED = {
     "probes_single_curvature":
         ((corpus_text("shear").replace("probes = px, py", "probes = px"),),
          "probes needs at least two vector fields, got 'px'"),
+    "hypothesis_fail_without_hypothesis_rows":
+        ((corpus_text("sphere_metric").replace(
+            "kind = schouten\nconnection = lc\npair = coords\n",
+            "kind = schouten\nconnection = lc\npair = coords\nexpect = hypothesis_fail\n"),),
+         "line 130: kind 'schouten' reports no hypothesis rows"),
     "expression_nested_too_deep":
         ((HEAD, "[vector v]\ncomponents = " + "(+ " * 3000 + "x" + ")" * 3000 + " 1\n"),
          "line 7: RecursionError"),
