@@ -16,7 +16,8 @@ Expectation semantics, per check:
   hypothesis_fail  at least one of the kind's hypothesis rows must exceed
                    the floor and the rows it gates must come back skipped;
                    a check whose hypotheses all hold under this expectation
-                   fails.  Only a kind declaring hypothesis rows takes it.
+                   fails.  Only a check whose kind reports hypothesis rows
+                   under its parameters takes it.
 A non-finite residual is an error under every expectation.
 """
 
@@ -92,9 +93,9 @@ class ParamSpec:
 
     Roles name object tables of the scenario (connection, structure,
     metric, oneform, tensor, pair, pencil, distribution), plain values
-    (float, str, tolerance = nonnegative float), or composites (vectors =
-    comma-joined vector-field names, grid = semicolon-joined coefficient
-    pairs, expr = scalar expression text).  A vectors parameter reaches
+    (float, str), or composites (vectors = comma-joined vector-field
+    names, grid = semicolon-joined coefficient pairs, expr = scalar
+    expression text).  A vectors parameter reaches
     its runner as jet vectors evaluated on the run's context.
     """
 
@@ -117,12 +118,14 @@ class CheckKind:
     """One runnable check: its runner, parameters, anchors and judging.
 
     `runner(ctx, params, tol)` returns rows as (name, residual_or_None,
-    note) triples, the shared suite convention.  `row_tols` names, per
-    row, the tolerance parameter that replaces the check tolerance for it.
+    note) triples, the shared suite convention.  `row_tols` gives, per
+    row, a fixed tolerance that replaces the check tolerance for it.
     `hypotheses` names the rows measuring a gate's hypotheses, where an
-    `expect = hypothesis_fail` check looks for the violation.  A
-    `probe_exempt` kind measures involution itself, so when it is
-    expected to fail its structures skip the loader's involution probe.
+    `expect = hypothesis_fail` check looks for the violation;
+    `hypotheses_need` names the parameter without which the runner reports
+    none of them.  A `probe_exempt` kind measures involution itself, so
+    when it is expected to fail its structures skip the loader's
+    involution probe.
     """
 
     name: str
@@ -132,8 +135,9 @@ class CheckKind:
     anchors: dict[str, str | AnchorBy] = field(default_factory=dict)
     default_anchor: str = "plumbing"
     invertible: frozenset = frozenset()
-    row_tols: dict[str, str] = field(default_factory=dict)
+    row_tols: dict[str, float] = field(default_factory=dict)
     hypotheses: frozenset = frozenset()
+    hypotheses_need: str | None = None
     probe_exempt: bool = False
 
     def anchor_for(self, row_name: str, params: dict) -> str:
@@ -320,8 +324,7 @@ def _kinds() -> dict[str, CheckKind]:
             params=dict(conn,
                         pencil=ParamSpec("pencil", required=True),
                         eta=ParamSpec("oneform"),
-                        case=ParamSpec("str", choices=("recurrent", "mixed")),
-                        reduction_tol=ParamSpec("tolerance", default=1e-12)),
+                        case=ParamSpec("str", choices=("recurrent", "mixed"))),
             anchors={
                 "skew_commutation": "1.8",
                 "mixing_rule": "1.8",
@@ -334,9 +337,10 @@ def _kinds() -> dict[str, CheckKind]:
                 "average": "1.10",
                 "pencil_shift": "1.10",
             },
-            row_tols={"axis_reduction_first": "reduction_tol",
-                      "axis_reduction_second": "reduction_tol"},
-            hypotheses=frozenset({"hypothesis_recurrence", "hypothesis_mixed"})),
+            # the axis reductions rebuild the pencil with exact weights
+            row_tols={"axis_reduction_first": 1e-12, "axis_reduction_second": 1e-12},
+            hypotheses=frozenset({"hypothesis_recurrence", "hypothesis_mixed"}),
+            hypotheses_need="case"),
         CheckKind(
             "kirichenko",
             "structural and virtual tensors: flips, rotations, decomposition",
@@ -573,7 +577,7 @@ def judge(check_id: str, kind: CheckKind, rows, params: dict,
                 note = (note + "; " if note else "") + "skip expected here"
             out.append(CheckRow(row_id, anchor, math.nan, status, note=note))
             continue
-        row_tol = float(params[kind.row_tols[name]]) if name in kind.row_tols else tol
+        row_tol = kind.row_tols.get(name, tol)
         finite = math.isfinite(res.value)
         if expect == "hypothesis_fail" and name in kind.hypotheses \
                 and finite and res.value > floor:

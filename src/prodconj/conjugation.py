@@ -69,14 +69,6 @@ def expansion_form(base: ConnectionOp, structure: EndoField) -> SumConnection:
                                           out=structure))
 
 
-def forms_agreement_residual(ctx: EvalContext, base: ConnectionOp,
-                             structure: EndoField) -> Residual:
-    conj = ConjugateConnection(base, structure)
-    expansion = expansion_form(base, structure)
-    return frame_pair_residual(
-        ctx, lambda X, Y: vsub(conj.apply(ctx, X, Y), expansion.apply(ctx, X, Y)))
-
-
 def psi_connection(base: ConnectionOp, structure: EndoField,
                    label: str | None = None) -> ConnectionOp:
     """The averaging projector applied to a connection: (base + conjugate)/2."""
@@ -125,28 +117,33 @@ def projector_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 
 def mean_decomposition_suite(ctx: EvalContext, base: ConnectionOp,
                              structure: EndoField) -> Rows:
+    """psi against the average of base and conjugate, and the conjugate
+    against its additive presentation."""
     conj = ConjugateConnection(base, structure)
     psi1 = psi_connection(base, structure)
-    return [
-        ("halving",
-         frame_pair_residual(ctx, lambda X, Y: vsub(
-             psi1.apply(ctx, X, Y),
-             vscale(0.5, vadd(base.apply(ctx, X, Y), conj.apply(ctx, X, Y))))), ""),
-        ("forms_agreement", forms_agreement_residual(ctx, base, structure), ""),
-    ]
+    expansion = expansion_form(base, structure)
+
+    def rows(X, Y):
+        conj_xy = conj.apply(ctx, X, Y)
+        yield "halving", vsub(psi1.apply(ctx, X, Y),
+                              vscale(0.5, vadd(base.apply(ctx, X, Y), conj_xy)))
+        yield "forms_agreement", vsub(conj_xy, expansion.apply(ctx, X, Y))
+
+    return [(name, res, "") for name, res in frame_pair_rows(ctx, rows).items()]
 
 
 def membership_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField) -> Rows:
     """Both sides of the fixed-point characterization: the structure is
     parallel exactly when psi leaves the connection alone.  Callers flip
     the expectation to probe the negative direction."""
+    dE = structure_derivative_twist(base, structure)
     psi1 = psi_connection(base, structure)
-    return [
-        ("parallel_structure", parallel_structure_residual(ctx, base, structure), ""),
-        ("fixed_point",
-         frame_pair_residual(ctx, lambda X, Y: vsub(psi1.apply(ctx, X, Y),
-                                                    base.apply(ctx, X, Y))), ""),
-    ]
+
+    def rows(X, Y):
+        yield "parallel_structure", dE.apply(ctx, X, Y)
+        yield "fixed_point", vsub(psi1.apply(ctx, X, Y), base.apply(ctx, X, Y))
+
+    return [(name, res, "") for name, res in frame_pair_rows(ctx, rows).items()]
 
 
 # ---- the five basic conjugate identities ------------------------------

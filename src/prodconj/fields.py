@@ -9,13 +9,14 @@ shared pool.  Vector quantities are plain lists of Jets, one per component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConfigError, EvaluationError
 from .expr import Const, Expr, Neg, Product, Sum, validate_expr, ZERO, ONE
 from .jets import Jet, eval_jet, shift
-from .reporting import Residual, ResidualMax
+from .reporting import Residual
 from .sampling import SamplePlan, sample_points
 
 Vec = list  # list[Jet], one entry per chart coordinate
@@ -337,13 +338,24 @@ def magnitude(out) -> np.ndarray:
     return vmax_abs(out)
 
 
+def _sample_max(ctx: EvalContext, out, label: str | None) -> Residual:
+    """The largest magnitude of one output over the samples, with its sample
+    point and label; argmax takes the first maximum and finds the first NaN.
+    A 0-d magnitude has no point."""
+    size = magnitude(out)
+    if size.ndim == 0:
+        return Residual(float(size), None, label)
+    k = int(np.argmax(size))
+    return Residual(float(size[k]), tuple(float(c) for c in ctx.points[k]), label)
+
+
 def worst(ctx: EvalContext, items) -> Residual:
     """The worst magnitude over (label, output) pairs, with its sample point
-    and label; the first maximum wins ties, and the first NaN stays."""
-    acc = ResidualMax(ctx.points)
-    for label, out in items:
-        acc.update(magnitude(out), frame=label)
-    return acc.result()
+    and label, folded by `Residual.merged`: the first maximum wins ties, and
+    the first NaN stays.  No items give Residual(0.0)."""
+    reduced = (_sample_max(ctx, out, label) for label, out in items)
+    first = next(reduced, None)
+    return Residual(0.0) if first is None else reduce(Residual.merged, reduced, first)
 
 
 def gated(tol: float, hypotheses, conclusions, measure) -> list:
@@ -369,7 +381,7 @@ def frame_pair_rows(ctx: EvalContext, rows) -> dict:
     for i, X in enumerate(frame):
         for j, Y in enumerate(frame):
             for name, value in rows(X, Y):
-                res = worst(ctx, [(label(i, j), value)])
+                res = _sample_max(ctx, value, label(i, j))
                 del value  # not held while rows computes the next output
                 out[name] = out[name].merged(res) if name in out else res
     return out

@@ -89,55 +89,42 @@ def mixed_derivative_twist(base: ConnectionOp, structure: EndoField,
                       label=label or f"mix({lam:g},{mu:g})d{structure.label}")
 
 
-def duality_defect_residual(ctx: EvalContext, base: ConnectionOp,
-                            structure: EndoField, twist: Tensor12Field) -> Residual:
-    """Max |E(C(X, EY)) + C(X, Y)|; zero iff double conjugation returns the base."""
-    E = ctx.endo(structure)
-
-    def defect(X: Vec, Y: Vec) -> Vec:
-        rot = endo_apply(E, twist.apply(ctx, X, endo_apply(E, Y)))
-        return vadd(rot, twist.apply(ctx, X, Y))
-    return frame_pair_residual(ctx, defect)
-
-
 def duality_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
                  twist: Tensor12Field) -> Rows:
     """Kernel condition, its equivalence with the double application, and closure.
 
-    The defect row tests the pointwise condition on the twist alone; the
-    double_application row squares the actual operator against the base, and
-    expansion checks the two are reconciled by the same algebra.  The two
-    closure rows confirm the canonical solution and the rotation symmetry
-    of the solution space.
+    The defect row tests the pointwise condition |E(C(X, EY)) + C(X, Y)| on
+    the twist alone; the double_application row squares the actual operator
+    against the base, and expansion checks the two are reconciled by the
+    same algebra.  The two closure rows confirm the canonical solution and
+    the rotation symmetry of the solution space.
     """
     E = ctx.endo(structure)
     gen = GeneralizedConjugate(base, structure, twist)
     gen2 = GeneralizedConjugate(gen, structure, twist)
+    canonical = structure_derivative_twist(base, structure)
+    rotated = rotated_twist(canonical, structure)
+
+    def halves(C, X: Vec, Y: Vec) -> tuple[Vec, Vec]:
+        """E(C(X, EY)) and C(X, Y): the defect is their sum."""
+        return endo_apply(E, C.apply(ctx, X, endo_apply(E, Y))), C.apply(ctx, X, Y)
 
     def pair_rows(X: Vec, Y: Vec):
+        rot, plain = halves(twist, X, Y)
+        yield "defect", vadd(rot, plain)
         square, base_xy = gen2.apply(ctx, X, Y), base.apply(ctx, X, Y)
         yield "double_application", vsub(square, base_xy)
         # squared operator minus [base + E(C(X, EY)) + C(X, Y)], term by term
-        rot = endo_apply(E, twist.apply(ctx, X, endo_apply(E, Y)))
-        yield "expansion", vsub(square, vadd(vadd(base_xy, rot), twist.apply(ctx, X, Y)))
+        yield "expansion", vsub(square, vadd(vadd(base_xy, rot), plain))
+        yield "canonical_solution", vadd(*halves(canonical, X, Y))
+        yield "rotation_closure", vadd(*halves(rotated, X, Y))
 
-    canonical = structure_derivative_twist(base, structure)
-    rotated = rotated_twist(canonical, structure)
-    defect = duality_defect_residual(ctx, base, structure, twist)
-    res = frame_pair_rows(ctx, pair_rows)
-    rows: Rows = [
-        ("defect", defect, f"twist={twist.label}"),
-        ("double_application", res["double_application"],
-         "squared operator against the base"),
-        ("expansion", res["expansion"], "square rewritten through the defect"),
-        ("canonical_solution",
-         duality_defect_residual(ctx, base, structure, canonical),
-         "structure derivative as the twist"),
-        ("rotation_closure",
-         duality_defect_residual(ctx, base, structure, rotated),
-         "rotated canonical twist stays a solution"),
-    ]
-    return rows
+    notes = {"defect": f"twist={twist.label}",
+             "double_application": "squared operator against the base",
+             "expansion": "square rewritten through the defect",
+             "canonical_solution": "structure derivative as the twist",
+             "rotation_closure": "rotated canonical twist stays a solution"}
+    return [(name, res, notes[name]) for name, res in frame_pair_rows(ctx, pair_rows).items()]
 
 
 # ---- the two-parameter family -----------------------------------------

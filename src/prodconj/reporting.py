@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
@@ -31,38 +29,10 @@ class Residual:
         return self.value <= tol
 
     def merged(self, other: "Residual") -> "Residual":
-        """The worse of two accumulated residuals, witness included."""
+        """The worse of two residuals, witness included.  A tie keeps self and
+        a NaN beats any number, so a left-to-right fold keeps the first
+        maximum and the first NaN."""
         return other if _worse(other.value, self.value) else self
-
-
-class ResidualMax:
-    """Accumulates per-frame residual arrays and keeps the worst witness.
-
-    A NaN is the worst value: the first one seen stays, so a later finite
-    frame cannot hide a failed evaluation.
-    """
-
-    def __init__(self, points: np.ndarray):
-        self._points = points
-        self._empty = True
-        self.value = 0.0
-        self.worst_point: tuple[float, ...] | None = None
-        self.frame: str | None = None
-
-    def update(self, residual: np.ndarray, frame: str | None = None) -> None:
-        residual = np.asarray(residual)
-        idx = None if residual.ndim == 0 else int(np.argmax(residual))  # argmax finds a NaN
-        worst = float(residual if idx is None else residual[idx])
-        if self._empty or _worse(worst, self.value):
-            self._empty = False
-            self.value = worst
-            self.frame = frame
-            self.worst_point = None
-            if idx is not None and self._points.ndim == 2:
-                self.worst_point = tuple(float(c) for c in self._points[idx])
-
-    def result(self) -> Residual:
-        return Residual(self.value, self.worst_point, self.frame)
 
 
 @dataclass

@@ -396,8 +396,6 @@ class _Loader:
             return self.expr(text, line)
         if role == "float":
             return self.number(entry)
-        if role == "tolerance":
-            return self.tolerance(entry)
         if role == "grid":
             pairs = [part.split(",") for part in text.split(";")]
             if any(len(p) != 2 for p in pairs):
@@ -545,13 +543,16 @@ class _Loader:
         _, expect, line = got.get("expect", ("expect", "pass", sec.line))
         if expect not in EXPECTATIONS:
             raise _bad(line, f"expect must be one of {EXPECTATIONS}, got {expect!r}")
-        if expect == "hypothesis_fail" and not kind.hypotheses:
-            raise _bad(line, f"kind {kind.name!r} reports no hypothesis rows, "
-                             "so it cannot expect hypothesis_fail")
         floor = self.tolerance(got["floor"]) if "floor" in got else DEFAULT_FLOOR
         tol = self.tolerance(got["tol"]) if "tol" in got else None
         params = {p: self.param(spec, got[p]) if p in got else spec.default
                   for p, spec in kind.params.items()}
+        need = kind.hypotheses_need
+        unmet = need is not None and params[need] is None
+        if expect == "hypothesis_fail" and (not kind.hypotheses or unmet):
+            without = f" without {need}" if kind.hypotheses else ""
+            raise _bad(line, f"kind {kind.name!r} reports no hypothesis rows{without}, "
+                             "so it cannot expect hypothesis_fail")
         self.scn.checks.append(CheckSpec(sec.name, kind, params, expect, floor, tol, sec.line))
 
     # -- load-time probes -----------------------------------------------------

@@ -16,7 +16,7 @@ from prodconj.conjugation import ConjugateConnection
 from prodconj.fields import almost_product_residual, frame_pair_residual
 from prodconj.reporting import FAIL, PASS, SKIP
 from prodconj.runner import corpus_names, load_shipped, run_scenario
-from prodconj.scenario import make_context
+from prodconj.scenario import load_scenario, make_context
 
 TOL = 1e-9
 DATA = Path(__file__).parent / "data"
@@ -272,3 +272,20 @@ def test_row_anchors_and_statuses_are_pinned(corpus):
            for name in corpus_names() for r in corpus[name][1].sorted_rows()]
     assert got == (DATA / "corpus_pins.tsv").read_text().splitlines()
     assert catalog_lines() == (DATA / "catalog.txt").read_text().splitlines()
+
+
+def test_four_dimensional_split_is_pinned():
+    """A dim-4 chart with a curved base and a shear-split pair: every row
+    keeps its id, anchor and status, and every identity row holds.  Run at
+    20 samples (about 2-5 s, most of it the prop27 and prop11 scans); the
+    pinned statuses are the same at the scenario's own 200."""
+    scn = load_scenario((DATA / "split_r4.scn").read_text(), name="split_r4")
+    assert scn.chart.dim == 4
+    report = run_scenario(scn, samples=20)
+    got = [f"{r.row_id}\t{r.anchor}\t{r.status}" for r in report.sorted_rows()]
+    assert got == (DATA / "split_r4_pins.tsv").read_text().splitlines()
+    # an inverted or hypothesis_fail row passes by exceeding the floor
+    identities = [r for r in report.rows if r.status == PASS and "expect" not in r.note]
+    worst = max(r.residual for r in identities)
+    assert worst <= TOL, worst
+    print(f"PASS dim-4 split: {len(identities)} identity rows, worst residual {worst:.3e}")

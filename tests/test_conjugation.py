@@ -37,7 +37,6 @@ from prodconj.conjugation import (
     Pencil,
     chi_tensor,
     conjugate_suite,
-    forms_agreement_residual,
     mean_decomposition_suite,
     membership_suite,
     metric_consequence_suite,
@@ -132,7 +131,8 @@ def test_conjugation_requires_shared_chart():
 
 def test_two_presentations_agree():
     ctx = _ctx()
-    assert forms_agreement_residual(ctx, _rolled(), SHEAR).value < 1e-12
+    rows = {name: res for name, res, _ in mean_decomposition_suite(ctx, _rolled(), SHEAR)}
+    assert rows["forms_agreement"].value < 1e-12
 
 
 def test_double_conjugate_restores_base():

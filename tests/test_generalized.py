@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prodconj import conjugation, fields, generalized
 from prodconj.expr import ZERO, parse_expr
 from prodconj.fields import (
     Chart,
@@ -18,6 +19,7 @@ from prodconj.fields import (
     Tensor12Field,
     VectorField,
     context_for,
+    frame_pair_residual,
     vvalues,
 )
 from prodconj.connections import (
@@ -25,12 +27,15 @@ from prodconj.connections import (
     LeviCivitaConnection,
     flat_connection,
 )
-from prodconj.conjugation import ConjugateConnection
+from prodconj.conjugation import (
+    ConjugateConnection,
+    mean_decomposition_suite,
+    membership_suite,
+)
 from prodconj.generalized import (
     GeneralizedConjugate,
     curvature_transcription_residual,
     degeneration_rows,
-    duality_defect_residual,
     duality_rows,
     family_member,
     family_rows,
@@ -98,17 +103,22 @@ def _assert_rows(rows, bound=1e-9, absent=()):
 # ---- the kernel condition --------------------------------------------
 
 
+def _defect(ctx, base, structure, twist):
+    """duality_rows' defect row: max |E(C(X, EY)) + C(X, Y)| over frame pairs."""
+    return {name: res for name, res, _ in duality_rows(ctx, base, structure, twist)}["defect"]
+
+
 @pytest.mark.parametrize("base", [FLAT, WARPED_LC], ids=["flat", "curved"])
 def test_canonical_twist_solves_the_kernel_condition(base):
     ctx = _ctx()
     d = structure_derivative_twist(base, SHEAR)
-    assert duality_defect_residual(ctx, base, SHEAR, d).value < 1e-11
-    assert duality_defect_residual(ctx, base, SHEAR, rotated_twist(d, SHEAR)).value < 1e-11
+    assert _defect(ctx, base, SHEAR, d).value < 1e-11
+    assert _defect(ctx, base, SHEAR, rotated_twist(d, SHEAR)).value < 1e-11
 
 
 def test_off_kernel_twist_detected():
     ctx = _ctx()
-    assert duality_defect_residual(ctx, FLAT, SHEAR, OFFKERNEL).value > 1e-3
+    assert _defect(ctx, FLAT, SHEAR, OFFKERNEL).value > 1e-3
 
 
 @settings(max_examples=30)
@@ -116,7 +126,43 @@ def test_off_kernel_twist_detected():
 def test_kernel_is_closed_under_mixing(lam, mu):
     ctx = _ctx(count=10)
     mix = mixed_derivative_twist(WARPED_LC, SHEAR, lam, mu)
-    assert duality_defect_residual(ctx, WARPED_LC, SHEAR, mix).value < 1e-9
+    assert _defect(ctx, WARPED_LC, SHEAR, mix).value < 1e-9
+
+
+# suite: (module it scans from, its run on a context)
+ONE_PASS = {
+    "mean_decomposition": (conjugation,
+                           lambda ctx: mean_decomposition_suite(ctx, WARPED_LC, SHEAR)),
+    "membership": (conjugation, lambda ctx: membership_suite(ctx, WARPED_LC, SHEAR)),
+    "duality": (generalized, lambda ctx: duality_rows(ctx, WARPED_LC, SHEAR, OFFKERNEL)),
+}
+
+
+@pytest.mark.parametrize("suite", ONE_PASS)
+def test_one_pass_rows_match_separate_scans(suite, monkeypatch):
+    """The suite scans the frame pairs once, and each row it merges there
+    has the value, frame and point of a separate scan of the same output."""
+    module, run = ONE_PASS[suite]
+    passes = []
+
+    def recorded(ctx, rows):
+        passes.append(rows)
+        return fields.frame_pair_rows(ctx, rows)
+
+    def forbidden(ctx, fn):
+        raise AssertionError("a second frame scan")
+
+    monkeypatch.setattr(module, "frame_pair_rows", recorded)
+    monkeypatch.setattr(module, "frame_pair_residual", forbidden)
+    monkeypatch.setattr(module, "frame_triple_residual", forbidden)
+    ctx = _ctx(count=12)
+    got = run(ctx)
+    [rows] = passes
+    assert [name for name, _, _ in got] == list(dict(rows(*ctx.frame()[:2])))
+    for name, res, _ in got:
+        alone = frame_pair_residual(ctx, lambda X, Y: dict(rows(X, Y))[name])
+        assert res.value == alone.value, name
+        assert (res.frame, res.worst_point) == (alone.frame, alone.worst_point), name
 
 
 @pytest.mark.parametrize("name", ["dshear", "dmix"])

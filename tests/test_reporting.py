@@ -13,16 +13,14 @@ from prodconj import fields
 from prodconj.checks import REGISTRY, judge
 from prodconj.fields import Chart, EvalContext, frame_pair_residual, worst
 from prodconj.jets import Jet
-from prodconj.reporting import ERROR, CheckRow, Residual, ResidualMax
+from prodconj.reporting import ERROR, CheckRow, Residual
 
 POINTS = np.arange(12.0).reshape(6, 2)
+CTX = EvalContext(Chart(2, ("x", "y"), ((0.0, 20.0), (0.0, 20.0))), POINTS)
 
 
 def _accumulated(frames):
-    acc = ResidualMax(POINTS)
-    for f, values in enumerate(frames):
-        acc.update(values, frame=f"f{f}")
-    return acc.result()
+    return worst(CTX, ((f"f{f}", values) for f, values in enumerate(frames)))
 
 
 def test_nan_after_a_finite_frame_is_kept():
@@ -39,10 +37,15 @@ def test_first_nan_stays_the_witness():
 
 
 def test_scalar_updates_keep_the_largest():
-    acc = ResidualMax(POINTS)
-    acc.update(5.0, frame="a")
-    acc.update(1.0, frame="b")
-    assert acc.value == 5.0 and acc.frame == "a"
+    res = worst(CTX, [("a", np.array(5.0)), ("b", np.array(1.0))])
+    assert res.value == 5.0 and res.frame == "a" and res.worst_point is None
+
+
+def test_all_zero_outputs_keep_the_first_witness():
+    res = _accumulated([np.zeros(6), np.zeros(6)])
+    assert res.value == 0.0
+    assert res.frame == "f0" and res.worst_point == (0.0, 1.0)
+    assert worst(CTX, []) == Residual(0.0)
 
 
 def test_merged_keeps_a_nan_on_either_side():
@@ -146,14 +149,15 @@ def test_frame_pair_rows_matches_one_scan_per_name(case):
 
 
 def test_only_the_reducer_accumulates_residuals():
-    """Every suite measures through `fields.worst`; none keeps its own loop."""
+    """Every suite measures through `fields.worst`, which folds by
+    `Residual.merged`; no module keeps a fold of its own."""
     reducer = inspect.getsource(fields.worst)
     for path in sorted(Path(prodconj.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         if path.name == "fields.py":
             assert reducer in text
             text = text.replace(reducer, "")
-        for needle in ("ResidualMax(", ".residuals()"):
+        for needle in ("ResidualMax", ".residuals()"):
             assert needle not in text, f"{path.name} accumulates its own residuals ({needle})"
 
 

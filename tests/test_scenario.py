@@ -351,7 +351,7 @@ REFUSED = {
     "reduction_tol_negative":
         ((HEAD, SWAP, FLAT, PENCIL,
           "[check pc]\nkind = pencil\nconnection = flat\npencil = p\nreduction_tol = -1\n"),
-         "reduction_tol must be nonnegative"),
+         "line 27: [check] takes no key 'reduction_tol'"),
     "dim_huge": (("[chart]\ndim = 1000000000\n",), "dim must be an integer in 1.."),
     "name_numeric": (("[chart]\ndim = 2\nnames = 1, y\n",),
                      "line 3: coordinate name '1' is not an identifier"),
@@ -370,6 +370,12 @@ REFUSED = {
             "kind = schouten\nconnection = lc\npair = coords\n",
             "kind = schouten\nconnection = lc\npair = coords\nexpect = hypothesis_fail\n"),),
          "line 130: kind 'schouten' reports no hypothesis rows"),
+    "hypothesis_fail_on_a_pencil_without_case":
+        ((corpus_text("pencil_pythagorean").replace(
+            "[check mixing]\nkind = pencil\nconnection = flat\npencil = pyth\n",
+            "[check mixing]\nkind = pencil\nconnection = flat\npencil = pyth\n"
+            "expect = hypothesis_fail\n"),),
+         "line 97: kind 'pencil' reports no hypothesis rows without case"),
     "expression_nested_too_deep":
         ((HEAD, "[vector v]\ncomponents = " + "(+ " * 3000 + "x" + ")" * 3000 + " 1\n"),
          "line 7: RecursionError"),
