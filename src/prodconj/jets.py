@@ -5,11 +5,20 @@ batched over an arbitrary leading shape (the sample batch).  The Hessian
 is stored packed as the upper triangle, so symmetry is structural.
 Binary operations truncate to the minimum order of their operands;
 consuming a derivative (shift) lowers the order by one.
+
+A jet known to be constant carries that number in `const`: its value is
+`const` at every sample and its derivatives are exactly zero.  Products
+with such a jet skip the product-rule terms that are exactly zero, and
+adding a constant zero is the identity.  Each shortcut gives the full
+product rule's result up to the sign of zero, so a product skips them
+unless the other operand is finite (`Jet.finite`): there `inf * 0` would
+have made a NaN the shortcut leaves out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +54,9 @@ class Jet:
 
     value has the batch shape S; grad has S+(dim,) when order >= 1; hess
     holds the packed upper triangle, S+(dim*(dim+1)//2,), when order == 2.
-    Arrays are never mutated after construction.
+    `const`, when set, is a finite number equal to the value at every
+    sample, with gradient and Hessian exactly zero.  Arrays are never
+    mutated after construction, so jets may share them.
     """
 
     dim: int
@@ -53,6 +64,8 @@ class Jet:
     value: np.ndarray
     grad: np.ndarray | None = None
     hess: np.ndarray | None = None
+    const: float | None = None
+    _finite: bool | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.order not in (0, 1, 2):
@@ -66,24 +79,52 @@ class Jet:
 
     @staticmethod
     def constant(c: float, dim: int, order: int, batch_shape: tuple[int, ...]) -> "Jet":
-        value = np.full(batch_shape, float(c))
+        c = float(c)
+        value = np.full(batch_shape, c)
         grad = np.zeros(batch_shape + (dim,)) if order >= 1 else None
         hess = np.zeros(batch_shape + (tri_size(dim),)) if order >= 2 else None
-        return Jet(dim, order, value, grad, hess)
+        return Jet(dim, order, value, grad, hess, _finite_const(c))
 
     def like_constant(self, c: float) -> "Jet":
         return Jet.constant(c, self.dim, self.order, self.value.shape)
+
+    def finite(self) -> bool:
+        """No inf or nan in the value, gradient or Hessian; checked once.
+
+        A finite sum has finite terms.  A sum that overflows only makes a
+        finite jet read as non-finite, which costs the shortcuts, never
+        exactness.
+        """
+        if self._finite is None:
+            self._finite = all(a is None or math.isfinite(a.sum())
+                               for a in (self.value, self.grad, self.hess))
+        return self._finite
+
+    def truncated(self, k: int) -> "Jet":
+        """This jet at order k <= self.order, sharing its arrays."""
+        if k == self.order:
+            return self
+        return Jet(self.dim, k, self.value, self.grad if k >= 1 else None, None,
+                   self.const)
 
     # ---- ring operations ---------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.dim, self.order, self.value + other, self.grad, self.hess)
+            return Jet(self.dim, self.order, self.value + other, self.grad, self.hess,
+                       None if self.const is None else _finite_const(self.const + other))
         k = min(self.order, other.order)
+        if self.value.shape == other.value.shape:
+            if other.const == 0.0:
+                return self.truncated(k)
+            if self.const == 0.0:
+                return other.truncated(k)
         return Jet(
             self.dim, k, self.value + other.value,
             self.grad + other.grad if k >= 1 else None,
             self.hess + other.hess if k >= 2 else None,
+            None if self.const is None or other.const is None
+            else _finite_const(self.const + other.const),
         )
 
     __radd__ = __add__
@@ -93,11 +134,13 @@ class Jet:
             self.dim, self.order, -self.value,
             None if self.grad is None else -self.grad,
             None if self.hess is None else -self.hess,
+            None if self.const is None else -self.const,
         )
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.dim, self.order, self.value - other, self.grad, self.hess)
+            return Jet(self.dim, self.order, self.value - other, self.grad, self.hess,
+                       None if self.const is None else _finite_const(self.const - other))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -110,9 +153,15 @@ class Jet:
                 self.dim, self.order, self.value * c,
                 None if self.grad is None else self.grad * c,
                 None if self.hess is None else self.hess * c,
+                None if self.const is None else _finite_const(self.const * c),
             )
         k = min(self.order, other.order)
         f0, g0 = self.value, other.value
+        if f0.shape == g0.shape:
+            if self.const is not None and other.finite():
+                return _times_const(self, other, k)
+            if other.const is not None and self.finite():
+                return _times_const(other, self, k)
         grad = hess = None
         if k >= 1:
             grad = f0[..., None] * other.grad + g0[..., None] * self.grad
@@ -144,6 +193,25 @@ class Jet:
 
     def __rtruediv__(self, other):
         return self.like_constant(float(other)) / self
+
+
+def _finite_const(c) -> float | None:
+    """`c` as a jet's `const`: a finite float, else None (an array too)."""
+    return float(c) if isinstance(c, float) and math.isfinite(c) else None
+
+
+def _times_const(c: Jet, f: Jet, k: int) -> Jet:
+    """c * f at order k for a constant c and a finite f of the same batch
+    shape: the product rule without its terms in c's zero derivatives."""
+    a = c.const
+    if a == 1.0:
+        return f.truncated(k)
+    if a == 0.0:
+        return c.truncated(k)
+    return Jet(f.dim, k, f.value * c.value,
+               a * f.grad if k >= 1 else None,
+               a * f.hess if k >= 2 else None,
+               None if f.const is None else _finite_const(a * f.const))
 
 
 def _chain(f: Jet, u0: np.ndarray, u1, u2) -> Jet:
@@ -199,7 +267,8 @@ def shift(f: Jet, i: int) -> Jet:
     if f.order >= 2:
         _, _, rows = _tri(f.dim)
         grad = f.hess[..., rows[i]]
-    return Jet(f.dim, f.order - 1, f.grad[..., i], grad, None)
+    return Jet(f.dim, f.order - 1, f.grad[..., i], grad, None,
+               None if f.const is None else 0.0)
 
 
 def eval_jet(e: Expr, point, order: int, memo: dict | None = None) -> Jet:

@@ -4,13 +4,13 @@ Checks are independent, so a worker pool may run them concurrently; each
 worker then gets its own evaluation context over the same sample plan,
 which keeps results identical to the serial path (the context is a pure
 cache).  Rows are sorted by id during rendering, so parallelism never
-changes output bytes.
+changes output bytes.  `concurrent.futures`, and the `logging` it
+imports, are loaded only when a run asks for more than one job.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from .checks import judge, error_row
@@ -55,6 +55,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
         for spec in specs:
             report.rows.extend(_run_one(ctx, spec, default_tol))
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         def work(spec: CheckSpec):
             ctx = make_context(scenario, seed=seed, count=samples)
             return _run_one(ctx, spec, default_tol)

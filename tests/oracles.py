@@ -5,8 +5,10 @@ extended precision, derivatives come from central difference quotients,
 Christoffel symbols from the metric formula with those quotients, and
 curvature from difference quotients of Christoffel values.  The
 recurrence equations are assembled as a dense pointwise linear system
-and handed to a least-squares solver.  None of this touches the jet
-machinery, the connection operators, or the sampling code.
+and handed to a least-squares solver.  Jet sums and products are
+recomputed from the operands' arrays with every term of the product
+rule.  None of this touches the jet arithmetic, the connection
+operators, or the sampling code.
 """
 
 from __future__ import annotations
@@ -85,6 +87,30 @@ def fd_hess(e, point, h=1e-5):
                 - eval_scalar(e, point - hi + hj) + eval_scalar(e, point - hi - hj)
             ) / (4 * h * h)
     return out
+
+
+def full_product(a, b):
+    """(order, value, grad, hess) of the jet product a*b, every term of the
+    product rule computed from the operands' arrays, none skipped.  The
+    packed Hessian follows numpy's upper-triangle order."""
+    k = min(a.order, b.order)
+    f0, g0 = a.value, b.value
+    grad = hess = None
+    if k >= 1:
+        grad = f0[..., None] * b.grad + g0[..., None] * a.grad
+        if k >= 2:
+            I, J = np.triu_indices(a.dim)
+            cross = a.grad[..., I] * b.grad[..., J] + a.grad[..., J] * b.grad[..., I]
+            hess = f0[..., None] * b.hess + g0[..., None] * a.hess + cross
+    return k, f0 * g0, grad, hess
+
+
+def full_sum(a, b):
+    """(order, value, grad, hess) of the jet sum a+b, entry by entry."""
+    k = min(a.order, b.order)
+    return (k, a.value + b.value,
+            a.grad + b.grad if k >= 1 else None,
+            a.hess + b.hess if k >= 2 else None)
 
 
 def metric_values(metric, point):

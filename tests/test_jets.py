@@ -3,9 +3,11 @@
 The driving comparison: one thousand random expression/point pairs,
 gradients and Hessians from the jets against central differences with
 step 1e-5, within 1e-6 relative.  The remaining tests pin the ring and
-chain rules as properties rather than samples.
+chain rules as properties rather than samples, and the constant-jet
+shortcuts against the whole product rule, inf and NaN included.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,7 @@ from prodconj.expr import (
 )
 from prodconj.jets import Jet, eval_jet, jcos, jexp, jsin, shift, tri_size
 
-from oracles import eval_scalar, fd_grad, fd_hess
+from oracles import eval_scalar, fd_grad, fd_hess, full_product, full_sum
 
 
 def _hess_matrix(jet):
@@ -179,3 +181,92 @@ def test_constant_jet():
     c = Jet.constant(2.5, 2, 2, ())
     assert c.value == 2.5
     assert np.all(c.grad == 0) and np.all(c.hess == 0)
+
+
+# ---- constant jets: the shortcuts against the whole product rule --------
+
+CONSTANTS = (0.0, -0.0, 1.0, -1.0, 2.5, math.inf, math.nan)
+BATCH_SHAPES = ((), (1,), (3,), (2, 3))
+
+
+@st.composite
+def _operand(draw, dim, shape):
+    """A constant jet, or a random one with at most one inf or NaN entry."""
+    order = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        return Jet.constant(draw(st.sampled_from(CONSTANTS)), dim, order, shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from((1.0, 1e300)))  # 1e300 overflows products
+    arrays = [np.array(scale * rng.standard_normal(shape + tail))
+              for tail in ((), (dim,), (tri_size(dim),))[:order + 1]]
+    if draw(st.booleans()):
+        slot = arrays[draw(st.integers(0, order))]
+        where = tuple(draw(st.integers(0, n - 1)) for n in slot.shape)
+        slot[where] = draw(st.sampled_from((math.inf, -math.inf, math.nan)))
+    return Jet(dim, order, *arrays)
+
+
+@st.composite
+def _operand_pairs(draw):
+    dim = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(BATCH_SHAPES))
+    a = draw(_operand(dim, shape))
+    b = draw(_operand(dim, draw(st.sampled_from((shape, ())))))
+    return a, b
+
+
+def _same(x, y):
+    """Equal arrays (None alike), NaN equal to NaN, the sign of zero ignored."""
+    if x is None or y is None:
+        return x is None and y is None
+    return np.array_equal(np.asarray(x) + 0.0, np.asarray(y) + 0.0, equal_nan=True)
+
+
+def _assert_matches(jet, reference):
+    order, value, grad, hess = reference
+    assert jet.order == order
+    assert _same(jet.value, value)
+    assert _same(jet.grad, grad)
+    assert _same(jet.hess, hess)
+
+
+def _assert_const_contract(jet):
+    if jet.const is None:
+        return
+    assert math.isfinite(jet.const)
+    assert np.all(jet.value == jet.const)
+    assert all(a is None or not a.any() for a in (jet.grad, jet.hess))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operand_pairs(), st.sampled_from((0.5, -3.0, 1e308, math.inf, math.nan)))
+def test_constant_shortcuts_match_the_whole_product_rule(pair, scalar):
+    a, b = pair
+    with np.errstate(all="ignore"):
+        results = [(a * b, full_product(a, b)), (b * a, full_product(b, a)),
+                   (a + b, full_sum(a, b)), (b + a, full_sum(b, a))]
+        scalar_ops = (a * scalar, a + scalar, a - scalar, -a, scalar - a)
+    for jet, reference in results:
+        _assert_matches(jet, reference)
+        _assert_const_contract(jet)
+    for jet in scalar_ops:
+        _assert_const_contract(jet)
+
+
+def test_const_marks_only_finite_constants():
+    c = Jet.constant(2.5, 2, 2, (3,))
+    assert c.const == 2.5
+    assert Jet.constant(math.inf, 2, 2, (3,)).const is None
+    assert Jet.constant(math.nan, 2, 2, (3,)).const is None
+    partial = shift(c, 1)
+    assert partial.const == 0.0 and partial.order == 1
+    assert (c / Jet.constant(2.0, 2, 2, (3,))).const is None
+    assert jexp(c).const is None
+    with np.errstate(over="ignore"):
+        assert (Jet.constant(1e308, 2, 2, (3,)) * 10.0).const is None
+    assert (c * Jet.constant(-2.0, 2, 2, (3,))).const == -5.0
+    assert (c + 1).const == 3.5 and (-c).const == -2.5
+    pts = np.array([[0.1, 0.2], [0.3, 0.4]])
+    assert eval_jet(parse_expr("(* 3 2)"), pts, 2).const == 6.0
+    assert eval_jet(parse_expr("x", names=("x", "y")), pts, 2).const is None
+    assert Jet(2, 0, np.ones(3)).const is None

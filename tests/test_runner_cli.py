@@ -1,16 +1,24 @@
 """Report execution and the command-line surface."""
 
+import math
+import os
+import subprocess
 import sys
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import prodconj
 from prodconj.checks import CheckKind, catalog_lines
 from prodconj.cli import main
 from prodconj.errors import OrderError
+from prodconj.jets import Jet
 from prodconj.reporting import ERROR, FAIL, PASS, SKIP
-from prodconj.runner import corpus_names, load_shipped, run_scenario
-from prodconj.scenario import CheckSpec, load_scenario
+from prodconj.runner import _run_one, corpus_names, load_shipped, run_scenario
+from prodconj.scenario import CheckSpec, load_scenario, make_context
 
 GOOD = """\
 [chart]
@@ -143,6 +151,70 @@ def test_jobs_do_not_change_bytes():
     serial = "\n".join(run_scenario(scn).render_lines())
     threaded = "\n".join(run_scenario(scn, jobs=4).render_lines())
     assert serial == threaded
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    """Only `--jobs` needs `concurrent.futures` (and the `logging` it pulls in)."""
+    src = str(Path(prodconj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, prodconj; "
+             "print(*[m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""
+
+
+# ---- a non-finite entry in one coefficient reaches exactly the rows it spoils
+
+INJECTED_CHECKS = ("conjugate_adapted_swap", "mean_split", "kirichenko_adapted",
+                   "laws_adapted")  # prop11, mean_decomposition, kirichenko, connection_laws
+
+
+def _injected_rows(sample=None, slot=None, entry=0, bad=None):
+    """flat_swap's four checks over `adapted`, with `bad` written into gamma^0_00
+    at `sample`: its value, or one gradient or Hessian entry (or nothing)."""
+    scn = load_shipped("flat_swap")
+    ctx = make_context(scn)
+    if sample is not None:
+        jets = ctx.tensor_components(scn.connections["adapted"].table)
+        g = jets[0][0][0]
+        arrays = {"value": g.value.copy(), "grad": g.grad.copy(), "hess": g.hess.copy()}
+        target = arrays[slot]
+        target[(sample,) + (() if slot == "value" else (entry % target.shape[1],))] = bad
+        jets[0][0][0] = Jet(g.dim, g.order, arrays["value"], arrays["grad"], arrays["hess"])
+    specs = [s for s in scn.checks if s.name in INJECTED_CHECKS]
+    assert len(specs) == len(INJECTED_CHECKS)
+    with np.errstate(all="ignore"):
+        rows = [r for spec in specs for r in _run_one(ctx, spec, scn.tol)]
+    return ctx, rows
+
+
+@lru_cache(maxsize=1)
+def _clean_rows():
+    return {r.row_id: r for r in _injected_rows()[1]}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 199), st.sampled_from(("value", "grad", "hess")), st.integers(0, 2),
+       st.sampled_from((math.inf, -math.inf, math.nan)))
+def test_injected_nonfinite_entry_errors_its_rows_at_its_point(sample, slot, entry, bad):
+    ctx, rows = _injected_rows(sample, slot, entry, bad)
+    clean = _clean_rows()
+    assert ctx.count == 200 and sorted(r.row_id for r in rows) == sorted(clean)
+    errors = [r for r in rows if r.status == ERROR]
+    for r in rows:
+        assert (r.status == ERROR) == (not math.isfinite(r.residual)), r.row_id
+        if r.status != ERROR:
+            assert r == clean[r.row_id]  # an unspoiled row is the clean run's row
+    for r in errors:
+        assert r.worst_point == tuple(ctx.points[sample]), r.row_id
+    if slot == "hess":
+        # The checks read coefficient jets to first order; the Hessian of
+        # gamma reaches no row.
+        assert not errors
+    else:
+        assert errors
 
 
 def test_render_lines_shape():
