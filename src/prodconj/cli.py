@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .checks import catalog_lines
 from .errors import ConfigError, ScenarioError
-from .runner import corpus_names, load_shipped, run_scenario
+from .runner import corpus_names, corpus_text, run_scenario
 from .scenario import load_scenario
 
 EXIT_PASS = 0
@@ -43,7 +43,6 @@ def _run_flags(p: argparse.ArgumentParser) -> None:
                    help="run only checks whose name or kind contains SUBSTR")
     p.add_argument("--report", default=None, metavar="PATH",
                    help="also write the report to PATH")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for checks")
 
 
 def _emit(lines: list[str], report_path: str | None, code: int) -> int:
@@ -78,39 +77,30 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "catalog":
         return _emit(catalog_lines(), None, EXIT_PASS)
 
+    # one (name, message prefix, text) source per scenario to run
     if args.command == "verify":
         path = Path(args.scenario)
         try:
-            text = path.read_text(encoding="utf-8")
+            sources = [(path.stem, "", path.read_text(encoding="utf-8"))]
         except (OSError, UnicodeDecodeError) as exc:
             return _config_error([f"cannot read {path}: {exc}"])
+    else:
         try:
-            report = run_scenario(load_scenario(text, name=path.stem), seed=args.seed,
-                                  samples=args.samples, tol=args.tol,
-                                  filter_substr=args.filter, jobs=args.jobs)
-        except ScenarioError as exc:
-            return _config_error(exc.messages)
-        except ConfigError as exc:  # a bad --seed, --samples or --tol
-            return _config_error([str(exc)])
-        return _emit(report.render_lines(), args.report,
-                     EXIT_FAIL if report.failed else EXIT_PASS)
-
-    # corpus
+            names = corpus_names()
+        except Exception as exc:  # missing package data is a config problem
+            return _config_error([f"cannot list shipped scenarios: {exc}"])
+        sources = ((name, f"{name}: ", corpus_text(name)) for name in names)
     lines: list[str] = []
     any_failed = False
-    try:
-        names = corpus_names()
-    except Exception as exc:  # missing package data is a config problem
-        return _config_error([f"cannot list shipped scenarios: {exc}"])
-    for name in names:
+    for name, prefix, text in sources:
         try:
-            report = run_scenario(load_shipped(name), seed=args.seed,
+            report = run_scenario(load_scenario(text, name=name), seed=args.seed,
                                   samples=args.samples, tol=args.tol,
-                                  filter_substr=args.filter, jobs=args.jobs)
+                                  filter_substr=args.filter)
         except ScenarioError as exc:
-            return _config_error([f"{name}: {m}" for m in exc.messages])
-        except ConfigError as exc:
-            return _config_error([f"{name}: {exc}"])
+            return _config_error([prefix + m for m in exc.messages])
+        except ConfigError as exc:  # a bad --seed, --samples or --tol
+            return _config_error([f"{prefix}{exc}"])
         lines.extend(report.render_lines())
         any_failed = any_failed or report.failed
     return _emit(lines, args.report, EXIT_FAIL if any_failed else EXIT_PASS)

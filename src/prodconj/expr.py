@@ -90,15 +90,22 @@ _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _NUMBER = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)(/\d+)?\Z")
 
 
-def parse_expr(text: str, names: tuple[str, ...] | None = None) -> Expr:
-    """Read one s-expression.  `names` maps bare symbols to coordinates."""
+def parse_exprs(text: str, names: tuple[str, ...] | None = None) -> list[Expr]:
+    """Read whitespace-separated s-expressions.  `names` maps bare symbols to coordinates."""
     tokens = _TOKEN.findall(text)
-    if not tokens:
-        raise ConfigError("empty expression")
-    expr, rest = _parse(tokens, 0, names)
-    if rest != len(tokens):
-        raise ConfigError(f"trailing tokens after expression: {' '.join(tokens[rest:])!r}")
-    return expr
+    exprs, pos = [], 0
+    while pos < len(tokens):
+        expr, pos = _parse(tokens, pos, names)
+        exprs.append(expr)
+    return exprs
+
+
+def parse_expr(text: str, names: tuple[str, ...] | None = None) -> Expr:
+    """Read exactly one s-expression (see `parse_exprs`)."""
+    exprs = parse_exprs(text, names)
+    if len(exprs) != 1:
+        raise ConfigError(f"expected one expression, got {len(exprs)}")
+    return exprs[0]
 
 
 def _parse(tokens: list[str], pos: int, names) -> tuple[Expr, int]:

@@ -1,12 +1,5 @@
-"""Executes a loaded scenario's checks and assembles the report.
-
-Checks are independent, so a worker pool may run them concurrently; each
-worker then gets its own evaluation context over the same sample plan,
-which keeps results identical to the serial path (the context is a pure
-cache).  Rows are sorted by id during rendering, so parallelism never
-changes output bytes.  `concurrent.futures`, and the `logging` it
-imports, are loaded only when a run asks for more than one job.
-"""
+"""Executes a loaded scenario's checks, in order on one evaluation
+context, and assembles the report."""
 
 from __future__ import annotations
 
@@ -38,7 +31,11 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
     `tol` replaces the scenario-wide default; a check's own explicit
     tolerance still wins, since those mark deliberate strictness choices.
     `filter_substr` matches against check names and kind names.
+    `jobs` stays only because the benchmark passes `jobs=1`; checks always
+    run serially, so any other value is refused.
     """
+    if jobs != 1:
+        raise ConfigError(f"checks run serially; jobs must be 1, got {jobs!r}")
     plan = scenario.plan.replace(seed=seed, count=samples)  # checks the flags
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ConfigError(f"tolerance must be finite and nonnegative, got {tol}")
@@ -50,19 +47,9 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
                  if filter_substr in s.name or filter_substr in s.kind.name]
     if not specs:
         return report
-    if jobs <= 1:
-        ctx = make_context(scenario, seed=seed, count=samples)
-        for spec in specs:
-            report.rows.extend(_run_one(ctx, spec, default_tol))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def work(spec: CheckSpec):
-            ctx = make_context(scenario, seed=seed, count=samples)
-            return _run_one(ctx, spec, default_tol)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for rows in pool.map(work, specs):
-                report.rows.extend(rows)
+    ctx = make_context(scenario, seed=seed, count=samples)
+    for spec in specs:
+        report.rows.extend(_run_one(ctx, spec, default_tol))
     return report
 
 

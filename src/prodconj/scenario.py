@@ -2,9 +2,9 @@
 
 Grammar.  Lines are either blank, comments (# or ;), section headers
 `[type]` / `[type name]`, or `key = value` entries belonging to the open
-section.  Values embed scalar expressions as prefix s-expressions; keys
-that address components carry 0-based indices in the key itself, e.g.
-`gamma 1 0 0 = (const 1)` or `row 0 = 1 (coord 0)`.
+section.  Values embed scalar expressions as prefix s-expressions, read by
+`expr.parse_exprs`; keys that address components carry 0-based indices in
+the key itself, e.g. `gamma 1 0 0 = (* 2 x)` or `row 0 = 1 (coord 0)`.
 
 Section types:
   chart                dim, names (comma list, optional), box (lo:hi list)
@@ -54,7 +54,7 @@ from .connections import (
 )
 from .distributions import DistributionSpec, ProjectorPair, pair_from_h
 from .errors import ConfigError, ScenarioError
-from .expr import ZERO, Expr, parse_expr, validate_expr
+from .expr import ZERO, Expr, parse_exprs, validate_expr
 from .fields import (
     Chart,
     EndoField,
@@ -162,39 +162,6 @@ def _bad(line: int, message: str) -> ScenarioError:
 
 def _describe(exc: Exception) -> str:
     return str(exc) if isinstance(exc, ConfigError) else f"{type(exc).__name__}: {exc}"
-
-
-def _split_sexprs(entry: _Entry) -> list[str]:
-    """Split a value into top-level s-expressions / bare atoms."""
-    _, text, line = entry
-    parts, depth, start = [], 0, None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            if depth == 0 and start is not None:
-                parts.append(text[start:i])
-                start = None
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise _bad(line, "unbalanced ')'")
-            if depth == 0:
-                parts.append(text[start:i + 1])
-                start = None
-        elif depth == 0:
-            if ch.isspace():
-                if start is not None:
-                    parts.append(text[start:i])
-                    start = None
-            elif start is None:
-                start = i
-    if depth != 0:
-        raise _bad(line, "unbalanced '('")
-    if start is not None:
-        parts.append(text[start:])
-    return parts
 
 
 def _sections(text: str, errors: list) -> list[_Section]:
@@ -367,20 +334,18 @@ class _Loader:
             raise _bad(line, f"bad interval {text!r}, want lo:hi with lo < hi")
         return lo, hi
 
-    def expr(self, text: str, line: int) -> Expr:
+    def exprs(self, entry: _Entry, want: int) -> list[Expr]:
+        """The `want` expressions of an entry's value, each valid on the chart."""
+        _, text, line = entry
         try:
-            e = parse_expr(text, self.chart.names)
-            validate_expr(e, self.chart.dim)
-            return e
+            exprs = parse_exprs(text, self.chart.names)
+            for e in exprs:
+                validate_expr(e, self.chart.dim)
         except (ConfigError, ArithmeticError, RecursionError) as exc:
             raise _bad(line, _describe(exc)) from None
-
-    def exprs(self, entry: _Entry, want: int) -> list[Expr]:
-        line = entry[2]
-        parts = _split_sexprs(entry)
-        if len(parts) != want:
-            raise _bad(line, f"expected {want} expressions, got {len(parts)}")
-        return [self.expr(p, line) for p in parts]
+        if len(exprs) != want:
+            raise _bad(line, f"expected {want} expressions, got {len(exprs)}")
+        return exprs
 
     def param(self, spec, entry: _Entry):
         key, text, line = entry
@@ -393,7 +358,7 @@ class _Loader:
                 raise _bad(line, f"{key} needs at least two vector fields, got {text!r}")
             return vectors
         if role == "expr":
-            return self.expr(text, line)
+            return self.exprs(entry, 1)[0]
         if role == "float":
             return self.number(entry)
         if role == "grid":
@@ -553,6 +518,9 @@ class _Loader:
             without = f" without {need}" if kind.hypotheses else ""
             raise _bad(line, f"kind {kind.name!r} reports no hypothesis rows{without}, "
                              "so it cannot expect hypothesis_fail")
+        if expect == "fail" and not kind.invertible:
+            raise _bad(line, f"kind {kind.name!r} has no invertible rows, "
+                             "so it cannot expect fail")
         self.scn.checks.append(CheckSpec(sec.name, kind, params, expect, floor, tol, sec.line))
 
     # -- load-time probes -----------------------------------------------------

@@ -16,6 +16,7 @@ from prodconj.expr import (
     Sum,
     format_expr,
     parse_expr,
+    parse_exprs,
     validate_expr,
 )
 
@@ -94,10 +95,15 @@ def _exprs(depth):
     )
 
 
-@given(_exprs(3))
-def test_format_parse_round_trip(e):
-    text = format_expr(e, names=_names)
-    back = parse_expr(text, names=_names)
+@given(st.lists(_exprs(3), min_size=1, max_size=4))
+def test_format_parse_round_trip(es):
+    """Each tree reads back alone, and the space-joined texts of 1-4 trees
+    read back in one pass as the same number of trees."""
+    texts = [format_expr(e, names=_names) for e in es]
+    back = parse_exprs(" ".join(texts), names=_names)
+    assert len(back) == len(es)
     pt = (0.37, -0.81)
-    assert float(eval_scalar(back, pt)) == pytest.approx(
-        float(eval_scalar(e, pt)), rel=1e-12, abs=1e-12)
+    for text, b, e in zip(texts, back, es):
+        want = float(eval_scalar(e, pt))
+        for got in (b, parse_expr(text, names=_names)):
+            assert float(eval_scalar(got, pt)) == pytest.approx(want, rel=1e-12, abs=1e-12)

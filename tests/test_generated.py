@@ -8,24 +8,34 @@ holds exactly and no division is needed.  The text goes through
 `load_scenario`, so the loader is on the route.  Every row of the kinds
 whose statements hold for every instance must pass, and the conjugate's
 coefficients must match the pointwise expansion in tests/oracles.py.
+
+Some instances also carry the projector pair h = I - v (x) e^0, which is
+idempotent because e^0 . v = 1 and whose difference structure h - (I - h)
+is the same E, and a random one-form eta.  The pair kinds must pass on
+them; the gated kinds may find their hypotheses false, but every row they
+report is a finite measurement, and no conclusion fails.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from prodconj.conjugation import ConjugateConnection
 from prodconj.fields import EvalContext
-from prodconj.reporting import PASS
+from prodconj.checks import REGISTRY
+from prodconj.reporting import PASS, SKIP
 from prodconj.runner import run_scenario
 from prodconj.scenario import load_scenario
 
 from oracles import conjugate_gamma, eval_scalar, fd_grad
 
 NAMES = ("x", "y", "z", "w")
-UNCONDITIONAL_KINDS = ("almost_product", "prop11", "kirichenko", "mean_decomposition",
-                       "psi_laws", "connection_laws")
 SAMPLES = 20
+# The same instances on every run.  No shrinking: one failing instance is
+# reported as drawn, because shrinking whole scenarios takes minutes.
+FIXED = settings(derandomize=True, database=None, deadline=None,
+                 phases=(Phase.explicit, Phase.generate),
+                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
 
 @st.composite
@@ -40,8 +50,9 @@ def polynomials(draw, dim):
 
 
 @st.composite
-def instances(draw, dim):
-    """Scenario text for one random base connection and structure."""
+def instances(draw, dim, with_pair=False):
+    """Scenario text for one random base connection and structure, and
+    with `with_pair` the projector pair P and a one-form eta; no checks."""
     v = ["1"] + [draw(polynomials(dim)) for _ in range(dim - 1)]
     lines = ["[chart]", f"dim = {dim}", f"names = {', '.join(NAMES[:dim])}", "",
              "[samples]", f"count = {SAMPLES}", "seed = 5", "", "[endo E]"]
@@ -54,13 +65,41 @@ def instances(draw, dim):
         for i in range(dim):
             for j in range(dim):
                 lines.append(f"gamma {k} {i} {j} = {draw(polynomials(dim))}")
-    for kind in UNCONDITIONAL_KINDS:
-        lines += ["", f"[check {kind}]", f"kind = {kind}"]
-        if kind != "almost_product":
-            lines.append("connection = base")
-        if kind != "connection_laws":
-            lines.append("structure = E")
+    if with_pair:
+        lines += ["", "[endo h]"]
+        for k in range(dim):
+            # row k of I - v (x) e^0
+            lines.append(f"row {k} = (- {int(k == 0)} {v[k]}) "
+                         + " ".join(str(int(k == j)) for j in range(1, dim)))
+        eta = " ".join(draw(polynomials(dim)) for _ in range(dim))
+        lines += ["", "[pair P]", "h = h", "", "[oneform eta]", f"components = {eta}"]
     return "\n".join(lines) + "\n"
+
+
+def _checks(checks: dict) -> str:
+    """`[check NAME]` sections, from NAME -> {key: value}."""
+    return "".join(f"\n[check {name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in checks.items())
+
+
+UNCONDITIONAL = {
+    "almost_product": {"kind": "almost_product", "structure": "E"},
+    "connection_laws": {"kind": "connection_laws", "connection": "base"},
+    **{kind: {"kind": kind, "connection": "base", "structure": "E"}
+       for kind in ("prop11", "kirichenko", "mean_decomposition", "psi_laws")},
+}
+PAIR_IDENTITIES = {
+    "pair_axioms": {"kind": "pair_axioms", "pair": "P"},
+    "structure_from_pair": {"kind": "structure_from_pair", "pair": "P"},
+    "conjugate_hv": {"kind": "conjugate_hv", "connection": "base", "pair": "P"},
+    "prop27": {"kind": "prop27", "connection": "base", "pair": "P"},
+}
+GATED = {
+    "prop25": {"kind": "prop25", "connection": "base", "pair": "P"},
+    **{f"recurrent_{mode}": {"kind": "recurrent", "connection": "base", "structure": "E",
+                             "eta": "eta", "mode": mode}
+       for mode in ("structure", "identity")},
+}
 
 
 def _conjugate_coefficients(scn, points):
@@ -88,22 +127,42 @@ def _oracle_coefficients(scn, point):
 
 
 @pytest.mark.parametrize("dim", (2, 3, 4))
-@settings(max_examples=7, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@settings(FIXED, max_examples=7)
 @given(data=st.data())
 def test_generated_instances_pass_every_unconditional_row(dim, data):
     """Seven instances per dimension, the same ones on every run."""
-    text = data.draw(instances(dim), label="scenario")
+    text = data.draw(instances(dim), label="scenario") + _checks(UNCONDITIONAL)
     scn = load_scenario(text, name="generated")
     report = run_scenario(scn)
     assert report.rows
     bad = [(r.row_id, r.status, r.residual) for r in report.rows if r.status != PASS]
     assert not bad, text
     kinds = {spec.kind.name for spec in scn.checks}
-    assert kinds == set(UNCONDITIONAL_KINDS)
+    assert kinds == set(UNCONDITIONAL)
 
     points = np.random.default_rng(0).uniform(-0.9, 0.9, size=(3, scn.chart.dim))
     got = _conjugate_coefficients(scn, points)
     for m, point in enumerate(points):
         want = _oracle_coefficients(scn, point)
         assert np.allclose(got[m], want, rtol=1e-9, atol=1e-8), text
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4))
+@settings(FIXED, max_examples=3)
+@given(data=st.data())
+def test_generated_pairs_pass_every_identity_and_measure_every_gate(dim, data):
+    """Three instances per dimension with a projector pair and a one-form."""
+    text = data.draw(instances(dim, with_pair=True), label="scenario")
+    scn = load_scenario(text + _checks(PAIR_IDENTITIES | GATED), name="generated")
+    rows = {r.row_id: r for r in run_scenario(scn).rows}
+    for check, keys in (PAIR_IDENTITIES | GATED).items():
+        kind = REGISTRY[keys["kind"]]
+        mine = {rid.split(".", 1)[1]: r for rid, r in rows.items()
+                if rid.startswith(check + ".")}
+        assert mine, (check, text)
+        for name, row in mine.items():
+            if name in kind.hypotheses:  # a measurement: finite, may fail
+                assert np.isfinite(row.residual), (check, name, text)
+            else:
+                allowed = (PASS, SKIP) if check in GATED else (PASS,)
+                assert row.status in allowed, (check, name, row.status, row.residual, text)

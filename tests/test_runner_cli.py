@@ -1,7 +1,9 @@
 """Report execution and the command-line surface."""
 
+import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -13,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import prodconj
 from prodconj.checks import CheckKind, catalog_lines
-from prodconj.cli import main
-from prodconj.errors import OrderError
+from prodconj.cli import _parser, main
+from prodconj.errors import ConfigError, OrderError
 from prodconj.jets import Jet
 from prodconj.reporting import ERROR, FAIL, PASS, SKIP
 from prodconj.runner import _run_one, corpus_names, load_shipped, run_scenario
@@ -146,15 +148,21 @@ tol = 1e30
         assert rows and all(r.status == PASS for r in rows)
 
 
-def test_jobs_do_not_change_bytes():
-    scn = load_scenario(GOOD, name="good")
-    serial = "\n".join(run_scenario(scn).render_lines())
-    threaded = "\n".join(run_scenario(scn, jobs=4).render_lines())
-    assert serial == threaded
+def test_checks_run_serially_only():
+    with pytest.raises(ConfigError, match="jobs must be 1"):
+        run_scenario(load_scenario(GOOD, name="good"), jobs=2)
+
+
+def test_cli_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["corpus", "--jobs", "2"])
+    assert exit_.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_import_leaves_the_thread_pool_unloaded():
-    """Only `--jobs` needs `concurrent.futures` (and the `logging` it pulls in)."""
+    """Checks run serially, so importing the package loads no thread pool:
+    neither `concurrent.futures` nor the `logging` it pulls in."""
     src = str(Path(prodconj.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -283,7 +291,7 @@ def test_cli_verify_flags(tmp_path, capsys):
     f = tmp_path / "good.scn"
     f.write_text(GOOD, encoding="utf-8")
     assert main(["verify", str(f), "--seed", "5", "--samples", "9",
-                 "--filter", "inv", "--jobs", "2"]) == 0
+                 "--filter", "inv"]) == 0
     out = capsys.readouterr().out
     assert "seed=5 samples=9" in out
     assert "parallel." not in out
@@ -384,6 +392,19 @@ def test_cli_closed_stdout_keeps_exit_code_and_report(tmp_path, capsys, monkeypa
         assert report.read_text(encoding="utf-8").startswith("# scenario=")
 
 
+def _options(command: str) -> set[str]:
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[command]._actions
+            for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+
+
+def test_readme_cli_section_names_exactly_the_run_options():
+    readme = Path(__file__).resolve().parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    assert named == _options("verify") | _options("corpus")
+
+
 def test_cli_catalog(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -398,7 +419,7 @@ def test_cli_corpus_green_and_stable(tmp_path, capsys):
     b = tmp_path / "b.txt"
     assert main(["corpus", "--report", str(a)]) == 0
     capsys.readouterr()
-    assert main(["corpus", "--report", str(b), "--jobs", "3"]) == 0
+    assert main(["corpus", "--report", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     text = a.read_text(encoding="utf-8")

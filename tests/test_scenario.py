@@ -161,7 +161,7 @@ kind = no_such_kind
 """)
     assert len(msgs) >= 3
     assert any("row" in m and "broken" in m for m in msgs)
-    assert any("unbalanced" in m for m in msgs)
+    assert any("unterminated (+ ...)" in m for m in msgs)
     assert any("no_such_kind" in m for m in msgs)
     assert all(m.startswith("line ") or ":" in m for m in msgs)
 
@@ -376,6 +376,15 @@ REFUSED = {
             "[check mixing]\nkind = pencil\nconnection = flat\npencil = pyth\n"
             "expect = hypothesis_fail\n"),),
          "line 97: kind 'pencil' reports no hypothesis rows without case"),
+    "fail_on_a_kind_without_invertible_rows":
+        ((corpus_text("involutivity_r3").replace(
+            "[check conjugate_flat]\nkind = prop11\n",
+            "[check conjugate_flat]\nkind = prop11\nexpect = fail\n"),),
+         "line 99: kind 'prop11' has no invertible rows, so it cannot expect fail"),
+    "row_unclosed_parenthesis": ((HEAD, SWAP.replace("row 1 = 1 0", "row 1 = 1 (+ x")),
+                                 "line 8: unterminated (+ ...)"),
+    "row_stray_parenthesis": ((HEAD, SWAP.replace("row 0 = 0 1", "row 0 = 0 1)")),
+                              "line 7: unexpected ')'"),
     "expression_nested_too_deep":
         ((HEAD, "[vector v]\ncomponents = " + "(+ " * 3000 + "x" + ")" * 3000 + " 1\n"),
          "line 7: RecursionError"),
