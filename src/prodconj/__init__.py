@@ -36,7 +36,7 @@ from .fields import (
 from .generalized import GeneralizedConjugate
 from .jets import Jet, eval_jet
 from .reporting import CheckRow, Report, Residual
-from .runner import corpus_names, load_shipped, run_scenario
+from .runner import corpus_names, run_scenario
 from .sampling import SamplePlan
 from .scenario import Scenario, load_scenario
 
@@ -76,7 +76,6 @@ __all__ = [
     "flat_connection",
     "format_expr",
     "load_scenario",
-    "load_shipped",
     "psi_connection",
     "run_scenario",
 ]

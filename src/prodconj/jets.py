@@ -13,6 +13,14 @@ adding a constant zero is the identity.  Each shortcut gives the full
 product rule's result up to the sign of zero, so a product skips them
 unless the other operand is finite (`Jet.finite`): there `inf * 0` would
 have made a NaN the shortcut leaves out.
+
+Three rules keep a constant jet at the cost of its value array.  A
+constant is finite by construction, so `finite` scans nothing for it.
+`shift` and `truncated` of a jet already found finite inherit the flag,
+since their arrays are sub-arrays of the source's; any other jet is
+scanned once, when first asked.  Constants of one batch shape share one
+read-only zero gradient and Hessian, and `shift` of a constant is the
+constant 0 on its source's zero gradient.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .expr import (Const, Coord, Cos, Exp, Expr, Neg, Power, Product,
                    Quotient, Sin, Sum, format_expr)
 
 _TRI_CACHE: dict[int, tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]] = {}
+_ZEROS_CACHE: dict[tuple[int, ...], np.ndarray] = {}
 
 
 def _tri(dim: int):
@@ -46,6 +55,15 @@ def _tri(dim: int):
 
 def tri_size(dim: int) -> int:
     return dim * (dim + 1) // 2
+
+
+def _zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """One read-only zero array per shape, shared by every constant jet."""
+    cached = _ZEROS_CACHE.get(shape)
+    if cached is None:
+        cached = _ZEROS_CACHE[shape] = np.zeros(shape)
+        cached.flags.writeable = False
+    return cached
 
 
 @dataclass(eq=False)
@@ -81,31 +99,35 @@ class Jet:
     def constant(c: float, dim: int, order: int, batch_shape: tuple[int, ...]) -> "Jet":
         c = float(c)
         value = np.full(batch_shape, c)
-        grad = np.zeros(batch_shape + (dim,)) if order >= 1 else None
-        hess = np.zeros(batch_shape + (tri_size(dim),)) if order >= 2 else None
+        grad = _zeros(batch_shape + (dim,)) if order >= 1 else None
+        hess = _zeros(batch_shape + (tri_size(dim),)) if order >= 2 else None
         return Jet(dim, order, value, grad, hess, _finite_const(c))
 
     def like_constant(self, c: float) -> "Jet":
         return Jet.constant(c, self.dim, self.order, self.value.shape)
 
     def finite(self) -> bool:
-        """No inf or nan in the value, gradient or Hessian; checked once.
+        """No inf or nan in the value, gradient or Hessian.
 
-        A finite sum has finite terms.  A sum that overflows only makes a
-        finite jet read as non-finite, which costs the shortcuts, never
-        exactness.
+        A constant is finite without a scan, and `shift` or `truncated` of
+        a jet already found finite inherits the flag; any other jet sums
+        its arrays once, at the first call.  A finite sum has finite
+        terms.  A sum that overflows only makes a finite jet read as
+        non-finite, which costs the shortcuts, never exactness.
         """
         if self._finite is None:
-            self._finite = all(a is None or math.isfinite(a.sum())
-                               for a in (self.value, self.grad, self.hess))
+            self._finite = self.const is not None or all(
+                a is None or math.isfinite(a.sum())
+                for a in (self.value, self.grad, self.hess))
         return self._finite
 
     def truncated(self, k: int) -> "Jet":
         """This jet at order k <= self.order, sharing its arrays."""
         if k == self.order:
             return self
-        return Jet(self.dim, k, self.value, self.grad if k >= 1 else None, None,
-                   self.const)
+        return _inherit_finite(
+            Jet(self.dim, k, self.value, self.grad if k >= 1 else None, None, self.const),
+            self)
 
     # ---- ring operations ---------------------------------------------
 
@@ -195,6 +217,14 @@ class Jet:
         return self.like_constant(float(other)) / self
 
 
+def _inherit_finite(part: Jet, source: Jet) -> Jet:
+    """`part`, whose arrays are sub-arrays of `source`'s, marked finite
+    when `source` is already known finite; otherwise left to its own scan."""
+    if source._finite:
+        part._finite = True
+    return part
+
+
 def _finite_const(c) -> float | None:
     """`c` as a jet's `const`: a finite float, else None (an array too)."""
     return float(c) if isinstance(c, float) and math.isfinite(c) else None
@@ -263,12 +293,15 @@ def shift(f: Jet, i: int) -> Jet:
         raise OrderError("cannot take a partial of an order-0 jet")
     if not 0 <= i < f.dim:
         raise ConfigError(f"partial index {i} out of range for dimension {f.dim}")
+    if f.const is not None:
+        # Every derivative is zero: the constant 0 on f's own zero gradient.
+        return Jet(f.dim, f.order - 1, f.grad[..., i],
+                   f.grad if f.order >= 2 else None, None, 0.0)
     grad = None
     if f.order >= 2:
         _, _, rows = _tri(f.dim)
         grad = f.hess[..., rows[i]]
-    return Jet(f.dim, f.order - 1, f.grad[..., i], grad, None,
-               None if f.const is None else 0.0)
+    return _inherit_finite(Jet(f.dim, f.order - 1, f.grad[..., i], grad), f)
 
 
 def eval_jet(e: Expr, point, order: int, memo: dict | None = None) -> Jet:

@@ -9,7 +9,7 @@ from importlib import resources
 from .checks import judge, error_row
 from .errors import ConfigError
 from .reporting import Report
-from .scenario import CheckSpec, Scenario, load_scenario, make_context
+from .scenario import CheckSpec, Scenario, make_context
 
 
 def _run_one(ctx, spec: CheckSpec, default_tol: float):
@@ -69,7 +69,3 @@ def corpus_text(name: str) -> str:
         known = ", ".join(corpus_names())
         raise ConfigError(f"no shipped scenario {name!r}; shipped: {known}")
     return path.read_text(encoding="utf-8")
-
-
-def load_shipped(name: str) -> Scenario:
-    return load_scenario(corpus_text(name), name=name)

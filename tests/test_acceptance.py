@@ -15,7 +15,7 @@ from prodconj.checks import catalog_lines
 from prodconj.conjugation import ConjugateConnection
 from prodconj.fields import almost_product_residual, frame_pair_residual
 from prodconj.reporting import FAIL, PASS, SKIP
-from prodconj.runner import corpus_names, load_shipped, run_scenario
+from prodconj.runner import corpus_names, corpus_text, run_scenario
 from prodconj.scenario import load_scenario, make_context
 
 TOL = 1e-9
@@ -27,7 +27,7 @@ def corpus():
     """One full run of every shipped scenario, with wall times."""
     data = {}
     for name in corpus_names():
-        scn = load_shipped(name)
+        scn = load_scenario(corpus_text(name), name=name)
         t0 = time.perf_counter()
         report = run_scenario(scn)
         data[name] = (scn, report, time.perf_counter() - t0)
@@ -245,7 +245,8 @@ def test_deterministic_reports_and_anchor_coverage(corpus):
     first, second = [], []
     for name in corpus_names():
         first.extend(corpus[name][1].render_lines())
-        second.extend(run_scenario(load_shipped(name)).render_lines())
+        scn = load_scenario(corpus_text(name), name=name)
+        second.extend(run_scenario(scn).render_lines())
     assert first == second
     wanted = set()
     for line in catalog_lines():

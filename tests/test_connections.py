@@ -42,8 +42,9 @@ from prodconj.connections import (
     torsion_residual,
 )
 from prodconj.generalized import mixed_derivative_twist, rotated_twist
-from prodconj.runner import corpus_names, load_shipped
+from prodconj.runner import corpus_names, corpus_text
 from prodconj.sampling import SamplePlan
+from prodconj.scenario import load_scenario
 
 from engine_tables import materialize_christoffels
 from oracles import christoffel_fd, riemann_fd
@@ -322,7 +323,7 @@ def test_shipped_operators_are_tables_under_composition_nodes(name):
     """Every shipped connection and tensor, and the projective tensor of
     every shipped one-form, is a tree of Sandwiched and CombinationOp nodes
     over component tables, Christoffel connections and zeros."""
-    scn = load_shipped(name)
+    scn = load_scenario(corpus_text(name), name=name)
     n = scn.chart.dim
     ops = [*scn.connections.values(), *scn.tensors.values(),
            *(projective_tensor(tau) for tau in scn.oneforms.values())]

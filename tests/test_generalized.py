@@ -45,7 +45,7 @@ from prodconj.generalized import (
     structure_derivative_twist,
     sweep_rows,
 )
-from prodconj.runner import corpus_text, load_shipped, run_scenario
+from prodconj.runner import corpus_text, run_scenario
 from prodconj.sampling import SamplePlan
 from prodconj.scenario import load_scenario
 
@@ -169,7 +169,7 @@ def test_one_pass_rows_match_separate_scans(suite, monkeypatch):
 def test_a_derivative_twist_evaluates_nabla_e_once(name, monkeypatch):
     """One apply of either shipped derivative tensor reads the base twice,
     nabla_X(EY) and nabla_X Y: the mix weights one nabla E by lam I + mu E."""
-    scn = load_shipped("shear")
+    scn = load_scenario(corpus_text("shear"), name="shear")
     base, calls = scn.connections["flat"], []
     apply = base.apply
 
@@ -268,7 +268,7 @@ def test_sweep_member_short_of_the_floor_fails_with_a_finite_residual():
 
 def test_sweep_keeps_a_nan_fit(monkeypatch):
     """A NaN fit for one grid member is not folded away by the finite ones after it."""
-    scenario = load_shipped("prop32_grid")
+    scenario = load_scenario(corpus_text("prop32_grid"), name="prop32_grid")
     lstsq, calls = np.linalg.lstsq, []
 
     def nan_for_third_member(a, b, **kwargs):

@@ -9,6 +9,7 @@ shortcuts against the whole product rule, inf and NaN included.
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,9 +191,9 @@ BATCH_SHAPES = ((), (1,), (3,), (2, 3))
 
 
 @st.composite
-def _operand(draw, dim, shape):
+def _whole_operand(draw, dim, shape, min_order=0):
     """A constant jet, or a random one with at most one inf or NaN entry."""
-    order = draw(st.integers(0, 2))
+    order = draw(st.integers(min_order, 2))
     if draw(st.booleans()):
         return Jet.constant(draw(st.sampled_from(CONSTANTS)), dim, order, shape)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -204,6 +205,21 @@ def _operand(draw, dim, shape):
         where = tuple(draw(st.integers(0, n - 1)) for n in slot.shape)
         slot[where] = draw(st.sampled_from((math.inf, -math.inf, math.nan)))
     return Jet(dim, order, *arrays)
+
+
+@st.composite
+def _operand(draw, dim, shape):
+    """A whole operand, or a shift or truncation of one taken after its
+    finiteness is known, so that the part inherits the flag or drops the
+    source's one inf or NaN entry."""
+    if draw(st.booleans()):
+        return draw(_whole_operand(dim, shape))
+    f = draw(_whole_operand(dim, shape, min_order=1))
+    with np.errstate(invalid="ignore"):  # inf + -inf in the scan's sum
+        f.finite()
+    if draw(st.booleans()):
+        return shift(f, draw(st.integers(0, dim - 1)))
+    return f.truncated(draw(st.integers(0, f.order)))
 
 
 @st.composite
@@ -238,6 +254,14 @@ def _assert_const_contract(jet):
     assert all(a is None or not a.any() for a in (jet.grad, jet.hess))
 
 
+def _assert_finite_flag(jet):
+    """`finite()`, scanned, known by construction or inherited, says what a
+    fresh entry-by-entry scan of the jet's arrays says."""
+    scan = all(a is None or np.isfinite(a).all() for a in (jet.value, jet.grad, jet.hess))
+    with np.errstate(invalid="ignore"):  # inf + -inf in the scan's sum
+        assert jet.finite() == scan
+
+
 @settings(max_examples=400, deadline=None)
 @given(_operand_pairs(), st.sampled_from((0.5, -3.0, 1e308, math.inf, math.nan)))
 def test_constant_shortcuts_match_the_whole_product_rule(pair, scalar):
@@ -249,6 +273,8 @@ def test_constant_shortcuts_match_the_whole_product_rule(pair, scalar):
     for jet, reference in results:
         _assert_matches(jet, reference)
         _assert_const_contract(jet)
+    for jet in (a, b, *(jet for jet, _ in results)):
+        _assert_finite_flag(jet)
     for jet in scalar_ops:
         _assert_const_contract(jet)
 
@@ -270,3 +296,26 @@ def test_const_marks_only_finite_constants():
     assert eval_jet(parse_expr("(* 3 2)"), pts, 2).const == 6.0
     assert eval_jet(parse_expr("x", names=("x", "y")), pts, 2).const is None
     assert Jet(2, 0, np.ones(3)).const is None
+
+
+def test_constant_jets_cost_no_scans_and_no_copies(monkeypatch):
+    c = Jet.constant(2.5, 3, 2, (4,))
+    pts = np.array([[0.1, 0.2, 0.3], [0.3, -0.4, 0.5], [0.0, 0.6, -0.2], [0.7, 0.1, 0.9]])
+    f = eval_jet(parse_expr("(* x (sin (+ y z)))", names=("x", "y", "z")), pts, 2)
+    assert f.finite()  # the one scan these jets need
+    parts = [shift(c, 1), shift(f, 0), shift(shift(f, 2), 1), f.truncated(1), f.truncated(0)]
+    scans = []
+
+    def counting_isfinite(x):
+        scans.append(x)
+        return math.isfinite(x)
+    monkeypatch.setattr("prodconj.jets.math", SimpleNamespace(isfinite=counting_isfinite))
+    assert c.finite() and all(part.finite() for part in parts)
+    assert scans == []
+
+    d = Jet.constant(-1.0, 3, 2, (4,))
+    assert d.grad is c.grad and d.hess is c.hess
+    assert np.shares_memory(shift(c, 1).grad, c.grad)
+    for shared in (c.grad, c.hess):
+        with pytest.raises(ValueError):
+            shared[0, 0] = 1.0

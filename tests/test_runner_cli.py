@@ -19,7 +19,7 @@ from prodconj.cli import _parser, main
 from prodconj.errors import ConfigError, OrderError
 from prodconj.jets import Jet
 from prodconj.reporting import ERROR, FAIL, PASS, SKIP
-from prodconj.runner import _run_one, corpus_names, load_shipped, run_scenario
+from prodconj.runner import _run_one, corpus_names, corpus_text, run_scenario
 from prodconj.scenario import CheckSpec, load_scenario, make_context
 
 GOOD = """\
@@ -182,7 +182,7 @@ INJECTED_CHECKS = ("conjugate_adapted_swap", "mean_split", "kirichenko_adapted",
 def _injected_rows(sample=None, slot=None, entry=0, bad=None):
     """flat_swap's four checks over `adapted`, with `bad` written into gamma^0_00
     at `sample`: its value, or one gradient or Hessian entry (or nothing)."""
-    scn = load_shipped("flat_swap")
+    scn = load_scenario(corpus_text("flat_swap"), name="flat_swap")
     ctx = make_context(scn)
     if sample is not None:
         jets = ctx.tensor_components(scn.connections["adapted"].table)
@@ -257,13 +257,14 @@ def test_corpus_names_fixed():
 def test_corpus_runs_clean_and_deterministic():
     chunks = []
     for name in corpus_names():
-        report = run_scenario(load_shipped(name))
+        report = run_scenario(load_scenario(corpus_text(name), name=name))
         assert not report.failed, f"{name} failed"
         chunks.append("\n".join(report.render_lines()))
     first = "\n".join(chunks)
     chunks2 = []
     for name in corpus_names():
-        chunks2.append("\n".join(run_scenario(load_shipped(name)).render_lines()))
+        report = run_scenario(load_scenario(corpus_text(name), name=name))
+        chunks2.append("\n".join(report.render_lines()))
     assert first == "\n".join(chunks2)
 
 

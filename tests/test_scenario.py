@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from prodconj.errors import ScenarioError
 from prodconj.reporting import Residual
-from prodconj.runner import corpus_names, corpus_text, load_shipped
+from prodconj.runner import corpus_names, corpus_text
 from prodconj.scenario import load_scenario, make_context
 
 HEAD = """\
@@ -141,7 +141,7 @@ def test_shipped_corpus_loads_clean():
     names = corpus_names()
     assert names == sorted(names) and len(names) == 9
     for name in names:
-        scn = load_shipped(name)
+        scn = load_scenario(corpus_text(name), name=name)
         assert scn.checks, f"{name} has no checks"
 
 
