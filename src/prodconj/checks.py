@@ -74,12 +74,11 @@ from .reporting import ERROR, FAIL, PASS, SKIP, CheckRow
 EXPECTATIONS = ("pass", "fail", "hypothesis_fail")
 DEFAULT_FLOOR = 1e-3
 
-# product-rule probes default to a weight with a nonconstant gradient
-_DEFAULT_WEIGHT = parse_expr("(* (coord 0) (coord 0))")
+# product-rule probes use a weight with a nonconstant gradient
+_WEIGHT = parse_expr("(* (coord 0) (coord 0))")
 
-# the sweep grid shipped when a scenario does not spell its own out:
-# the four closing pairs plus twelve probes that must visibly fail
-DEFAULT_GRID = (
+# the sweep grid: the four closing pairs plus twelve probes that must visibly fail
+_GRID = (
     (0.0, 0.0), (0.0, -2.0), (1.0, -1.0), (-1.0, -1.0),
     (0.5, 0.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0),
     (0.0, 1.0), (1.0, 1.0), (2.0, 0.0), (0.0, 0.5),
@@ -94,9 +93,8 @@ class ParamSpec:
     Roles name object tables of the scenario (connection, structure,
     metric, oneform, tensor, pair, pencil, distribution), plain values
     (float, str), or composites (vectors = comma-joined vector-field
-    names, grid = semicolon-joined coefficient pairs, expr = scalar
-    expression text).  A vectors parameter reaches
-    its runner as jet vectors evaluated on the run's context.
+    names).  A vectors parameter reaches its runner as jet vectors
+    evaluated on the run's context.
     """
 
     role: str
@@ -195,16 +193,23 @@ def _row(row_name: str, fn, *args, note: str = ""):
 
 def _connection_laws(ctx, p, tol):
     frame = ctx.frame()
-    res = connection_laws_residual(ctx, p["connection"], p["weight"],
-                                   frame[0], frame[-1])
+    res = connection_laws_residual(ctx, p["connection"], _WEIGHT, frame[0], frame[-1])
     return [("laws", res, "tensoriality and the product rule")]
 
 
 def _psi_laws(ctx, p, tol):
     psi = psi_connection(p["connection"], p["structure"])
     frame = ctx.frame()
-    res = connection_laws_residual(ctx, psi, p["weight"], frame[0], frame[-1])
+    res = connection_laws_residual(ctx, psi, _WEIGHT, frame[0], frame[-1])
     return [("laws", res, "the averaged operator is a connection")]
+
+
+def _family(ctx, p, tol):
+    return family_rows(ctx, p["connection"], p["structure"], p["lam"], p["mu"], _WEIGHT)
+
+
+def _sweep(ctx, p, tol):
+    return sweep_rows(ctx, p["connection"], p["structure"], _GRID, p["probes"], tol, p["floor"])
 
 
 # ---- the registry ------------------------------------------------------
@@ -234,7 +239,7 @@ def _kinds() -> dict[str, CheckKind]:
             "connection_laws",
             "tensoriality in the direction, product rule in the argument",
             _connection_laws,
-            params=dict(conn, weight=ParamSpec("expr", default=_DEFAULT_WEIGHT))),
+            params=dict(conn)),
         CheckKind(
             "torsion_free",
             "torsion of a connection on the coordinate frame",
@@ -269,7 +274,7 @@ def _kinds() -> dict[str, CheckKind]:
             "psi_laws",
             "the averaged operator obeys the connection axioms",
             _psi_laws,
-            params=dict(conn_struct, weight=ParamSpec("expr", default=_DEFAULT_WEIGHT))),
+            params=dict(conn_struct)),
         CheckKind(
             "mean_decomposition",
             "average of base and conjugate, against both presentations",
@@ -506,11 +511,10 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "family",
             "one coefficient pair of the scaled family",
-            _suite(family_rows, "connection", "structure", "lam", "mu", "weight"),
+            _family,
             params=dict(conn_struct,
                         lam=ParamSpec("float", required=True),
-                        mu=ParamSpec("float", required=True),
-                        weight=ParamSpec("expr", default=_DEFAULT_WEIGHT)),
+                        mu=ParamSpec("float", required=True)),
             anchors={
                 "route_agreement": "3.4",
                 "leibniz_scaling": "3.4",
@@ -519,10 +523,9 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "prop32_sweep",
             "grid sweep of the family: closure set and coefficient extraction",
-            _suite(sweep_rows, "connection", "structure", "grid", "probes", TOL, "floor"),
+            _sweep,
             params=dict(conn_struct,
                         probes=ParamSpec("vectors", required=True),
-                        grid=ParamSpec("grid", default=DEFAULT_GRID),
                         floor=ParamSpec("float", default=DEFAULT_FLOOR)),
             default_anchor="P3.2"),
         CheckKind(

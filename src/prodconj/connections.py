@@ -89,15 +89,11 @@ class LeviCivitaConnection(ChristoffelConnection):
             dmet = [[[shift(G[a][b], i) for b in range(n)] for a in range(n)]
                     for i in range(n)]
             gammas = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                for i in range(n):
-                    for j in range(i, n):
-                        acc = None
-                        for l in range(n):
-                            brace = dmet[i][j][l] + dmet[j][i][l] - dmet[l][i][j]
-                            term = inv_jets[k][l] * brace
-                            acc = term if acc is None else acc + term
-                        gammas[k][i][j] = gammas[k][j][i] = acc * 0.5
+            for i in range(n):
+                for j in range(i, n):
+                    braces = [dmet[i][j][l] + dmet[j][i][l] - dmet[l][i][j] for l in range(n)]
+                    for k, total in enumerate(endo_apply(inv_jets, braces)):
+                        gammas[k][i][j] = gammas[k][j][i] = total * 0.5
             return gammas
         return ctx.cached((self, "gamma"), build)
 

@@ -155,25 +155,18 @@ class DistributionSpec:
         return [endo_apply(P, X) for X in ctx.frame()]
 
     def certify(self, ctx: EvalContext) -> int:
-        """Pointwise rank, constant across the batch; raises on a drop."""
+        """Pointwise rank: full for spanning fields, and for a pair side the
+        projector's rank, the same at every sample; raises otherwise."""
         def build():
-            if self.span is not None:
-                S = np.stack([vvalues(ctx.vector(f)) for f in self.span], axis=-1)
-                sv = np.linalg.svd(S, compute_uv=False)
-                bad = sv[:, -1] <= _RANK_RTOL * np.maximum(sv[:, 0], 1e-300)
-                if np.any(bad):
-                    raise EvaluationError(
-                        f"spanning fields of {self.label!r} drop rank",
-                        point=ctx.points[int(np.argmax(bad))])
-                return len(self.span)
-            P = jets_matrix_values(ctx.endo(self._onto()))
-            sv = np.linalg.svd(P, compute_uv=False)
+            M = (np.stack([vvalues(ctx.vector(f)) for f in self.span], axis=-1)
+                 if self.span is not None else jets_matrix_values(ctx.endo(self._onto())))
+            sv = np.linalg.svd(M, compute_uv=False)
             counts = np.sum(sv > _RANK_RTOL * sv[:, :1], axis=1)
-            if np.any(counts != counts[0]):
-                raise EvaluationError(
-                    f"projector rank of {self.label!r} varies across samples",
-                    point=ctx.points[int(np.argmax(counts != counts[0]))])
-            return int(counts[0])
+            rank = len(self.span) if self.span is not None else counts[0]
+            if np.any(counts != rank):
+                raise EvaluationError(f"rank of {self.label!r} drops or varies across samples",
+                                      point=ctx.points[int(np.argmax(counts != rank))])
+            return int(rank)
         return ctx.cached((self, "rank"), build)
 
     def complement_values(self, ctx: EvalContext, w: Vec) -> np.ndarray:
@@ -341,20 +334,18 @@ def involutivity_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair
     conj = ConjugateConnection(nabla, pair.structure())
     hyp = torsion_residual(ctx, conj)
     base_t = torsion_residual(ctx, nabla)
-    H, V = ctx.endo(pair.h), ctx.endo(pair.v)
-    frame, label = ctx.frame(), ctx.chart.frame_label
 
-    def closure(P, Q, name):
-        # max |Q [P X, P Y]| over frame pairs i < j: the bracket of two
-        # members of one side must have no component on the other side.
-        return (name, worst(ctx, (
-            (label(i, j), endo_apply(Q, bracket(endo_apply(P, frame[i]), endo_apply(P, frame[j]))))
+    def closure(side):
+        # how far the bracket of projected frame vectors i < j leaves the side
+        D = DistributionSpec.from_pair(pair, side)
+        basis = D.basis(ctx)
+        return (f"{side}_involutive", worst(ctx, (
+            (ctx.chart.frame_label(i, j), D.complement_values(ctx, bracket(basis[i], basis[j])))
             for i, j in combinations(range(ctx.chart.dim), 2))), "")
 
     return [("hypothesis_torsion_free", hyp, f"base torsion {base_t.value:.3e}"),
             *gated(tol, [("torsion_free", hyp)], ["vertical_involutive", "horizontal_involutive"],
-                   lambda: [closure(V, H, "vertical_involutive"),
-                            closure(H, V, "horizontal_involutive")])]
+                   lambda: [closure("vertical"), closure("horizontal")])]
 
 
 def conjugate_torsion_magnitude(ctx: EvalContext, nabla: ConnectionOp,

@@ -231,6 +231,8 @@ def context_for(chart: Chart, plan: SamplePlan) -> EvalContext:
 
 
 # ---- vector-jet algebra ----------------------------------------------
+# contract, endo_apply and dirderiv hold the only component-sum loops;
+# metric_pair, oneform_apply and bracket are built on them.
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -266,31 +268,14 @@ def contract(table, x: Vec, y: Vec, start=None) -> Vec:
 
 
 def endo_apply(E: list[list[Jet]], v: Vec) -> Vec:
-    n = len(v)
+    """E v, one output per row of E: sum_j E_kj v^j."""
     out = []
-    for k in range(n):
-        acc = E[k][0] * v[0]
-        for j in range(1, n):
-            acc = acc + E[k][j] * v[j]
+    for row in E:
+        acc = row[0] * v[0]
+        for j in range(1, len(v)):
+            acc = acc + row[j] * v[j]
         out.append(acc)
     return out
-
-
-def metric_pair(G: list[list[Jet]], v: Vec, w: Vec) -> Jet:
-    n = len(v)
-    acc = None
-    for i in range(n):
-        for j in range(n):
-            term = G[i][j] * v[i] * w[j]
-            acc = term if acc is None else acc + term
-    return acc
-
-
-def oneform_apply(w: Vec, v: Vec) -> Jet:
-    acc = w[0] * v[0]
-    for i in range(1, len(v)):
-        acc = acc + w[i] * v[i]
-    return acc
 
 
 def dirderiv(x: Vec, s: Jet) -> Jet:
@@ -301,16 +286,17 @@ def dirderiv(x: Vec, s: Jet) -> Jet:
     return acc
 
 
+def metric_pair(G: list[list[Jet]], v: Vec, w: Vec) -> Jet:
+    return contract([G], v, w)[0]
+
+
+def oneform_apply(w: Vec, v: Vec) -> Jet:
+    return endo_apply([w], v)[0]
+
+
 def bracket(x: Vec, y: Vec) -> Vec:
     """Commutator [x, y]; consumes one jet order."""
-    n = len(x)
-    out = []
-    for k in range(n):
-        acc = x[0] * shift(y[k], 0) - y[0] * shift(x[k], 0)
-        for i in range(1, n):
-            acc = acc + x[i] * shift(y[k], i) - y[i] * shift(x[k], i)
-        out.append(acc)
-    return out
+    return [dirderiv(x, yk) - dirderiv(y, xk) for xk, yk in zip(x, y)]
 
 
 def vvalues(v: Vec) -> np.ndarray:

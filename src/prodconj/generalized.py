@@ -211,9 +211,13 @@ def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     with np.errstate(all="ignore"):  # a rank-deficient design has condition inf
         condition = Residual(float(scale / sv[-1]))
 
+    # one list of conclusion names for both sides of the gate
+    conclusions = ["genericity", *(f"member({lam:g},{mu:g})" for lam, mu in grid),
+                   "coefficient_match", "expansion_fit", "solution_count"]
+
     def measure() -> Rows:
-        rows: Rows = [("genericity", Residual(0.0, None, "singular values"),
-                       f"basis well conditioned (relative ratio {sv[-1] / scale:.3e})")]
+        found = [(Residual(0.0, None, "singular values"),
+                  f"basis well conditioned (relative ratio {sv[-1] / scale:.3e})")]
         coeff_err = 0.0
         fit_err = 0.0
         solution_set = []
@@ -235,8 +239,7 @@ def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
                 # short of moving the floor away from the base
                 residual = np.maximum(floor - diff, 0.0)
                 note = f"non-closure predicted; residual {diff:.3e} against floor {floor:g}"
-            rows.append((f"member({lam:g},{mu:g})",
-                         Residual(float(residual), None, f"({lam:g},{mu:g})"), note))
+            found.append((Residual(float(residual), None, f"({lam:g},{mu:g})"), note))
 
             coeffs, _, _, _ = np.linalg.lstsq(design, Vs.ravel(), rcond=None)
             fitted = design @ coeffs
@@ -245,18 +248,17 @@ def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
             coeff_err = float(np.max([coeff_err, abs(coeffs[0] - a_pred),
                                       abs(coeffs[1] - b_pred)]))
 
-        return rows + [
-            ("coefficient_match", Residual(coeff_err, None, None),
+        found += [
+            (Residual(coeff_err, None, None),
              f"weights against ((1+mu)^2+lam^2, 2 lam (1+mu)) on {len(grid)} members"),
-            ("expansion_fit", Residual(fit_err, None, None),
+            (Residual(fit_err, None, None),
              "squared member lies in the span of base and conjugate"),
-            ("solution_count", Residual(float(abs(len(solution_set) - 4)), None, None),
+            (Residual(float(abs(len(solution_set) - 4)), None, None),
              f"closing members found: {sorted(solution_set)}"),
         ]
+        return [(name, res, note) for name, (res, note) in zip(conclusions, found, strict=True)]
 
-    skipped = ["genericity", *(f"member({lam:g},{mu:g})" for lam, mu in grid),
-               "coefficient_match", "expansion_fit"]
-    return gated(_MAX_CONDITION, [("condition", condition)], skipped, measure)
+    return gated(_MAX_CONDITION, [("condition", condition)], conclusions, measure)
 
 
 # ---- derived identities of the twisted operator ------------------------

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from importlib import resources
 
+import numpy as np
+
 from .checks import judge, error_row
 from .errors import ConfigError
 from .reporting import Report
@@ -13,12 +15,15 @@ from .scenario import CheckSpec, Scenario, make_context
 
 
 def _run_one(ctx, spec: CheckSpec, default_tol: float):
-    """The judged rows of one check, or its error row if it raised."""
+    """The judged rows of one check, or its error row if it raised.  numpy's
+    floating-point warnings are off: a non-finite value shows as the row's
+    error, never as warning text on stderr."""
     tol = spec.tol if spec.tol is not None else default_tol
     kind = spec.kind
     try:
-        raw = kind.runner(ctx, kind.runner_params(ctx, spec.params), tol)
-        return judge(spec.name, kind, raw, spec.params, tol, spec.floor, spec.expect)
+        with np.errstate(all="ignore"):
+            raw = kind.runner(ctx, kind.runner_params(ctx, spec.params), tol)
+            return judge(spec.name, kind, raw, spec.params, tol, spec.floor, spec.expect)
     except Exception as exc:  # noqa: BLE001 - one failing check must not stop the rest
         return [error_row(spec.name, kind, exc)]
 

@@ -42,6 +42,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .checks import EXPECTATIONS, DEFAULT_FLOOR, REGISTRY, CheckKind
 from .conjugation import Pencil, skew_commutation_residual
 from .connections import (
@@ -357,15 +359,8 @@ class _Loader:
             if len(vectors) < 2:
                 raise _bad(line, f"{key} needs at least two vector fields, got {text!r}")
             return vectors
-        if role == "expr":
-            return self.exprs(entry, 1)[0]
         if role == "float":
             return self.number(entry)
-        if role == "grid":
-            pairs = [part.split(",") for part in text.split(";")]
-            if any(len(p) != 2 for p in pairs):
-                raise _bad(line, f"bad grid {text!r}, want lam,mu; lam,mu ...")
-            return [tuple(self.number((key, b, line)) for b in p) for p in pairs]
         if role == "str":
             if spec.choices is not None and text not in spec.choices:
                 raise _bad(line, f"value {text!r} not one of {spec.choices}")
@@ -568,10 +563,11 @@ class _Loader:
 
         self.scn = Scenario(self.name, self.chart,
                             SamplePlan(seed=7, count=200, box=self.chart.box), _DEFAULT_TOL)
-        for sec in sorted(self.sections, key=lambda s: s.phase):
-            if sec.type != "chart":
-                self.guarded(sec.line, getattr(self, f"build_{sec.type}"), sec)
-        self.probe_structures()
+        with np.errstate(all="ignore"):  # a non-finite probe shows in its message
+            for sec in sorted(self.sections, key=lambda s: s.phase):
+                if sec.type != "chart":
+                    self.guarded(sec.line, getattr(self, f"build_{sec.type}"), sec)
+            self.probe_structures()
         if self.errors:
             raise ScenarioError(self.errors)
         return self.scn

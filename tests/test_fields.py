@@ -1,8 +1,14 @@
 """Point batches, evaluation contexts, and the vector-jet helpers."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from prodconj import fields
+from prodconj.connections import LeviCivitaConnection
 from prodconj.errors import ConfigError, EvaluationError
 from prodconj.expr import parse_expr
 from prodconj.fields import (
@@ -219,3 +225,52 @@ def test_difference_and_complement_endos():
 def test_tensor_shape_validation():
     with pytest.raises(ConfigError):
         Tensor12Field.from_components(CHART, [[[_p("0")]]])
+
+
+# ---- where component sums live ---------------------------------------
+
+
+GEOMETRY_MODULES = ("fields", "connections", "conjugation", "distributions", "generalized")
+
+
+def _sum_loops(tree: ast.AST, scope: str = "", looping: bool = False):
+    """Qualified names of the functions holding a loop that folds a name
+    into itself: `acc = ... acc + term ...`, `acc += term` or
+    `acc = vadd(acc, piece)` inside a for or while body."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found |= _sum_loops(node, f"{scope}{node.name}.", False)
+            continue
+        inner = looping or isinstance(node, (ast.For, ast.While))
+        if inner and isinstance(node, (ast.Assign, ast.AugAssign)):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            folds = isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+            for sub in ast.walk(node.value):
+                if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Add):
+                    operands = (sub.left, sub.right)
+                elif isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "vadd":
+                    operands = sub.args
+                else:
+                    continue
+                folds |= any(getattr(o, "id", None) == getattr(target, "id", "")
+                             for o in operands)
+            if folds and isinstance(target, ast.Name):
+                found.add(scope.rstrip("."))
+        found |= _sum_loops(node, scope, inner)
+    return found
+
+
+def test_three_loops_hold_every_component_sum():
+    """contract, endo_apply and dirderiv are the only component-sum loops
+    besides CombinationOp.apply's fold over its terms; the pairings, the
+    bracket and the Levi-Civita table are built on them."""
+    package = Path(fields.__file__).parent
+    found = {f"{module}.{name}" for module in GEOMETRY_MODULES for name in _sum_loops(
+        ast.parse((package / f"{module}.py").read_text(encoding="utf-8")))}
+    assert found == {"fields.contract", "fields.endo_apply", "fields.dirderiv",
+                     "connections.CombinationOp.apply"}
+    built_on = {fields.metric_pair: "contract(", fields.oneform_apply: "endo_apply(",
+                fields.bracket: "dirderiv(", LeviCivitaConnection._jets: "endo_apply("}
+    for fn, call in built_on.items():
+        assert call in inspect.getsource(fn), fn.__qualname__

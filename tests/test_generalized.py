@@ -286,11 +286,15 @@ def test_sweep_keeps_a_nan_fit(monkeypatch):
 def test_sweep_refuses_degenerate_probe_basis():
     # conjugating by the identity makes both basis operators equal
     ctx = _ctx()
-    rows = sweep_rows(ctx, WARPED_LC, IDENT, [(0.0, 0.0), (1.0, 1.0)],
-                      _probes(ctx), 1e-9, 1e-3)
+    grid = [(0.0, 0.0), (1.0, 1.0)]
+    rows = sweep_rows(ctx, WARPED_LC, IDENT, grid, _probes(ctx), 1e-9, 1e-3)
     assert all(res is None for _, res, _ in rows)
     assert rows[0][0] == "genericity"
     assert rows[0][2].startswith("skipped: hypothesis fails (condition ")
+    # a closed gate skips every conclusion an open gate reports, none dropped
+    opened = sweep_rows(ctx, WARPED_LC, SHEAR, grid, _probes(ctx), 1e-9, 1e-3)
+    assert opened[0][1] is not None
+    assert [name for name, _, _ in rows] == [name for name, _, _ in opened]
 
 
 # ---- identities of the twisted operator ------------------------------

@@ -13,7 +13,11 @@ Some instances also carry the projector pair h = I - v (x) e^0, which is
 idempotent because e^0 . v = 1 and whose difference structure h - (I - h)
 is the same E, and a random one-form eta.  The pair kinds must pass on
 them; the gated kinds may find their hypotheses false, but every row they
-report is a finite measurement, and no conclusion fails.
+report is a finite measurement, and no conclusion fails.  Those instances
+declare three distributions: both sides of the pair, and the line spanned
+by v, which is the vertical side again through the spanning-field route.
+All three are invariant under E exactly (E h = h, E v = -v), and a
+multiple of v lies in the line under both routes.
 """
 
 import numpy as np
@@ -21,11 +25,11 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from prodconj.conjugation import ConjugateConnection
-from prodconj.fields import EvalContext
+from prodconj.fields import EvalContext, vmax_abs
 from prodconj.checks import REGISTRY
 from prodconj.reporting import PASS, SKIP
 from prodconj.runner import run_scenario
-from prodconj.scenario import load_scenario
+from prodconj.scenario import load_scenario, make_context
 
 from oracles import conjugate_gamma, eval_scalar, fd_grad
 
@@ -73,6 +77,12 @@ def instances(draw, dim, with_pair=False):
                          + " ".join(str(int(k == j)) for j in range(1, dim)))
         eta = " ".join(draw(polynomials(dim)) for _ in range(dim))
         lines += ["", "[pair P]", "h = h", "", "[oneform eta]", f"components = {eta}"]
+        for side in ("horizontal", "vertical"):
+            lines += ["", f"[distribution D{side[0]}]", "pair = P", f"side = {side}"]
+        q = draw(polynomials(dim))
+        lines += ["", "[vector v]", f"components = {' '.join(v)}",
+                  "", "[distribution line]", "span = v",
+                  "", "[vector qv]", "components = " + " ".join(f"(* {q} {c})" for c in v)]
     return "\n".join(lines) + "\n"
 
 
@@ -88,17 +98,22 @@ UNCONDITIONAL = {
     **{kind: {"kind": kind, "connection": "base", "structure": "E"}
        for kind in ("prop11", "kirichenko", "mean_decomposition", "psi_laws")},
 }
+DISTRIBUTIONS = ("Dh", "Dv", "line")
 PAIR_IDENTITIES = {
     "pair_axioms": {"kind": "pair_axioms", "pair": "P"},
     "structure_from_pair": {"kind": "structure_from_pair", "pair": "P"},
     "conjugate_hv": {"kind": "conjugate_hv", "connection": "base", "pair": "P"},
     "prop27": {"kind": "prop27", "connection": "base", "pair": "P"},
+    **{f"invariant_{d}": {"kind": "invariant_distribution", "distribution": d,
+                          "structure": "E"} for d in DISTRIBUTIONS},
 }
 GATED = {
     "prop25": {"kind": "prop25", "connection": "base", "pair": "P"},
     **{f"recurrent_{mode}": {"kind": "recurrent", "connection": "base", "structure": "E",
                              "eta": "eta", "mode": mode}
        for mode in ("structure", "identity")},
+    **{f"{kind}_{d}": {"kind": kind, "connection": "base", "distribution": d,
+                       "structure": "E"} for kind in ("prop22", "prop23") for d in DISTRIBUTIONS},
 }
 
 
@@ -166,3 +181,9 @@ def test_generated_pairs_pass_every_identity_and_measure_every_gate(dim, data):
             else:
                 allowed = (PASS, SKIP) if check in GATED else (PASS,)
                 assert row.status in allowed, (check, name, row.status, row.residual, text)
+
+    ctx = make_context(scn)
+    qv = ctx.vector(scn.vectors["qv"])
+    for d in ("line", "Dv"):  # the spanning-field route and the pair route
+        outside = scn.distributions[d].complement_values(ctx, qv)
+        assert np.all(outside <= 1e-12 * vmax_abs(qv)), (d, np.max(outside), text)

@@ -350,6 +350,65 @@ structure = proj
     assert "not involutive" in capsys.readouterr().err
 
 
+BLOWUP = "(exp (exp (exp (exp (* 3 x)))))"
+OVERFLOWING = {
+    "connection": (f"""\
+[chart]
+dim = 2
+names = x, y
+
+[connection blow]
+kind = christoffel
+gamma 0 0 0 = {BLOWUP}
+
+[check laws]
+kind = connection_laws
+connection = blow
+""", 1, """\
+# scenario=blow seed=7 samples=200
+laws.laws\tplumbing\tnan\terror
+#   at=(0.250190432827, 0.794426013084) frame=direction note=tensoriality and the product rule
+# summary pass=0 fail=0 skip=0 error=1
+""", ""),
+    "structure": (f"""\
+[chart]
+dim = 2
+names = x, y
+
+[endo blow]
+row 0 = {BLOWUP} 0
+row 1 = 0 1
+
+[connection flat]
+kind = flat
+
+[check c]
+kind = prop11
+connection = flat
+structure = blow
+""", 2, "", "error: line 5: endo 'blow' is not involutive (residual nan at probe points); "
+            "refusing to conjugate by it\n"),
+}
+
+
+@pytest.mark.parametrize("text, code, stdout, stderr", OVERFLOWING.values(),
+                         ids=OVERFLOWING.keys())
+def test_overflow_reaches_the_report_but_no_warning_reaches_stderr(tmp_path, text, code,
+                                                                    stdout, stderr):
+    """An overflowing entry shows only as the error row or the probe
+    message, whatever Python's warning filter: numpy's floating-point
+    warnings are off while checks run and while the loader builds."""
+    f = tmp_path / "blow.scn"
+    f.write_text(text, encoding="utf-8")
+    src = str(Path(prodconj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="default", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-m", "prodconj.cli", "verify", str(f)], env=env,
+                         capture_output=True, text=True)
+    assert "Warning" not in out.stderr
+    assert (out.returncode, out.stdout, out.stderr) == (code, stdout, stderr)
+
+
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--samples", "0"),
                                          ("--samples", "100000000000000000000000"),
                                          ("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1")])

@@ -352,6 +352,13 @@ REFUSED = {
         ((HEAD, SWAP, FLAT, PENCIL,
           "[check pc]\nkind = pencil\nconnection = flat\npencil = p\nreduction_tol = -1\n"),
          "line 27: [check] takes no key 'reduction_tol'"),
+    "weight_in_laws_check":
+        ((HEAD, FLAT, "[check c]\nkind = connection_laws\nconnection = flat\nweight = x\n"),
+         "line 12: [check] takes no key 'weight'"),
+    "grid_in_sweep_check":
+        ((corpus_text("prop32_grid").replace("probes = p1, p2",
+                                             "probes = p1, p2\ngrid = 0,0; 1,1"),),
+         "line 34: [check] takes no key 'grid'"),
     "dim_huge": (("[chart]\ndim = 1000000000\n",), "dim must be an integer in 1.."),
     "name_numeric": (("[chart]\ndim = 2\nnames = 1, y\n",),
                      "line 3: coordinate name '1' is not an identifier"),
