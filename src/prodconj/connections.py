@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .expr import Expr
-from .fields import (EndoField, EvalContext, MetricField, Tensor12Field, Vec, Chart,
+from .fields import (EndoField, EvalContext, Grid, MetricField, Tensor12Field, Vec, Chart,
                      bracket, contract, dirderiv, endo_apply,
                      metric_pair, vadd, vscale, vsub, vvalues, worst)
 from .jets import Jet, shift
@@ -88,7 +88,7 @@ class LeviCivitaConnection(ChristoffelConnection):
                          for b in range(n)] for a in range(n)]
             dmet = [[[shift(G[a][b], i) for b in range(n)] for a in range(n)]
                     for i in range(n)]
-            gammas = [[[None] * n for _ in range(n)] for _ in range(n)]
+            gammas = [Grid([None] * n for _ in range(n)) for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
                     braces = [dmet[i][j][l] + dmet[j][i][l] - dmet[l][i][j] for l in range(n)]

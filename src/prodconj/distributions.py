@@ -156,7 +156,9 @@ class DistributionSpec:
 
     def certify(self, ctx: EvalContext) -> int:
         """Pointwise rank: full for spanning fields, and for a pair side the
-        projector's rank, the same at every sample; raises otherwise."""
+        projector's rank, the same at every sample; raises otherwise.  A
+        pair side's rank is kept under its projector field, so every spec
+        of that side shares one SVD per context."""
         def build():
             M = (np.stack([vvalues(ctx.vector(f)) for f in self.span], axis=-1)
                  if self.span is not None else jets_matrix_values(ctx.endo(self._onto())))
@@ -167,7 +169,7 @@ class DistributionSpec:
                 raise EvaluationError(f"rank of {self.label!r} drops or varies across samples",
                                       point=ctx.points[int(np.argmax(counts != rank))])
             return int(rank)
-        return ctx.cached((self, "rank"), build)
+        return ctx.cached((self if self.span is not None else self._onto(), "rank"), build)
 
     def complement_values(self, ctx: EvalContext, w: Vec) -> np.ndarray:
         """|component of w outside the distribution| at every sample."""

@@ -10,8 +10,8 @@ import pytest
 
 from prodconj.errors import ConfigError
 from prodconj.expr import ZERO, parse_expr
-from prodconj.conjugation import (chi_tensor, projective_tensor, structural_tensor,
-                                  virtual_tensor)
+from prodconj.conjugation import (ConjugateConnection, chi_tensor, projective_tensor,
+                                  structural_tensor, virtual_tensor)
 from prodconj.distributions import fundamental_tensors, pair_from_h
 from prodconj.fields import (
     Chart,
@@ -21,8 +21,10 @@ from prodconj.fields import (
     OneFormField,
     Tensor12Field,
     VectorField,
+    bracket,
     context_for,
     vscale,
+    vsub,
     vvalues,
 )
 from prodconj.connections import (
@@ -268,9 +270,13 @@ def test_operators_refuse_mixed_charts(build):
         build()
 
 
+# h = (I + shear)/2, so the pair's structure h - v is the shear itself
+SHEAR_PAIR = pair_from_h(EndoField(CHART, ((_p("1"), _p("(* 1/2 x)")), (ZERO, ZERO)),
+                                   label="h"))
+
+
 def _derived_tensors():
-    # h = (I + shear)/2, so the pair's structure h - v is the shear itself
-    pair = pair_from_h(EndoField(CHART, ((_p("1"), _p("(* 1/2 x)")), (ZERO, ZERO)), label="h"))
+    pair = SHEAR_PAIR
     base, E = LeviCivitaConnection(WARPED), pair.structure()
     tau = Tensor12Field.from_components(CHART, [[[_p("x"), ZERO], [_p("y"), _p("1")]],
                                                 [[ZERO, _p("(* x y)")], [ZERO, ZERO]]])
@@ -286,20 +292,46 @@ def _derived_tensors():
 DERIVED = _derived_tensors()
 
 
+def _off_frame(ctx):
+    """Two non-constant vector fields with a non-vanishing bracket, and the
+    weight f, as jets."""
+    x = ctx.vector(VectorField(CHART, (_p("(+ 1 y)"), _p("(sin x)"))))
+    y = ctx.vector(VectorField(CHART, (_p("(* x y)"), _p("(+ 2 x)"))))
+    return x, y, ctx.scalar(WEIGHT)
+
+
 @pytest.mark.parametrize("name", DERIVED)
 def test_derived_tensors_are_bilinear_over_functions(name):
     """S(fX, Y) = f S(X, Y) = S(X, fY) for non-constant X, Y and f: the
     spot check that composed tensors owe their callers."""
     S = DERIVED[name]
     ctx = _ctx(CHART, count=30)
-    x = ctx.vector(VectorField(CHART, (_p("(+ 1 y)"), _p("(sin x)"))))
-    y = ctx.vector(VectorField(CHART, (_p("(* x y)"), _p("(+ 2 x)"))))
-    f = ctx.scalar(WEIGHT)
+    x, y, f = _off_frame(ctx)
     expect = vvalues(vscale(f, S.apply(ctx, x, y)))
     scale = np.max(np.abs(expect))
     assert scale > 1e-2, "a vanishing tensor makes the check vacuous"
     for got in (S.apply(ctx, vscale(f, x), y), S.apply(ctx, x, vscale(f, y))):
         assert np.max(np.abs(vvalues(got) - expect)) <= 1e-13 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["levi_civita", "conjugate"])
+def test_torsion_and_curvature_are_tensorial_off_the_frame(conjugated):
+    """T(fX, Y) = f T(X, Y) and R(fX, Y)Y = f R(X, Y)Y where the bracket
+    [fX, Y] = f[X, Y] - Y(f)X is not f[X, Y]: on frame pairs every bracket
+    vanishes, so only non-frame fields see the bracket's sign."""
+    nabla = LeviCivitaConnection(WARPED)
+    if conjugated:
+        nabla = ConjugateConnection(nabla, SHEAR_PAIR.structure())
+    ctx = _ctx(CHART, count=30)
+    x, y, f = _off_frame(ctx)
+    fx = vscale(f, x)
+    shortfall = vvalues(vsub(bracket(fx, y), vscale(f, bracket(x, y))))
+    assert np.max(np.abs(shortfall)) > 1e-2, "a tensorial bracket makes the check vacuous"
+    for got, at_x in ((torsion(ctx, nabla, fx, y), torsion(ctx, nabla, x, y)),
+                      (curvature(ctx, nabla, fx, y, y), curvature(ctx, nabla, x, y, y))):
+        got, expect = vvalues(got), vvalues(vscale(f, at_x))
+        scale = max(1.0, np.max(np.abs(got)), np.max(np.abs(expect)))
+        assert np.max(np.abs(got - expect)) <= 1e-12 * scale
 
 
 def _leaves(op):

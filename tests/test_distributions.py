@@ -263,6 +263,22 @@ def test_pair_structure_is_built_once():
     assert pair.structure() is pair.structure()
 
 
+def test_one_rank_svd_per_projector_in_a_context(monkeypatch):
+    """`restricts` on a pair side and `schouten`, which builds its own side
+    specs, share the rank of each projector: one SVD for h and one for v."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    ctx = _ctx()
+    restriction_residual(ctx, _rolled(), DistributionSpec.from_pair(SLANTED, "horizontal"))
+    schouten_rows(ctx, _rolled(), SLANTED, 1e-9)
+    assert len(calls) == 2
+
+
 # ---- fundamental tensors ---------------------------------------------
 
 

@@ -21,6 +21,7 @@ from prodconj.expr import (
     Coord,
     Cos,
     Exp,
+    Neg,
     Power,
     Product,
     Quotient,
@@ -51,7 +52,7 @@ def _random_expr(rng, depth):
         if r < 0.45:
             return Coord(int(rng.integers(0, _DIM)))
         return Const(Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))))
-    op = rng.integers(0, 6)
+    op = rng.integers(0, 8)
     a = _random_expr(rng, depth - 1)
     b = _random_expr(rng, depth - 1)
     if op == 0:
@@ -64,6 +65,12 @@ def _random_expr(rng, depth):
         return Cos(a)
     if op == 4:
         return Power(a, int(rng.integers(0, 4)))
+    if op == 5:
+        # an argument in [-1, 1]: nested exps would leave the float range
+        # where a difference quotient means anything
+        return Exp(Sin(a))
+    if op == 6:
+        return Neg(a)
     # keep denominators away from zero on the sample box
     return Quotient(a, Sum((Const(Fraction(3)), Product((b, b)))))
 

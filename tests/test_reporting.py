@@ -13,7 +13,7 @@ from prodconj import fields
 from prodconj.checks import REGISTRY, judge
 from prodconj.fields import Chart, EvalContext, frame_pair_residual, worst
 from prodconj.jets import Jet
-from prodconj.reporting import ERROR, CheckRow, Residual
+from prodconj.reporting import ERROR, FAIL, PASS, CheckRow, Residual
 
 POINTS = np.arange(12.0).reshape(6, 2)
 CTX = EvalContext(Chart(2, ("x", "y"), ((0.0, 20.0), (0.0, 20.0))), POINTS)
@@ -217,6 +217,14 @@ def test_non_finite_residual_is_an_error_under_every_expectation():
                  [("hypothesis_recurrence", Residual(math.inf), "")],
                  {"mode": "structure"}, 1e-9, 1e-3, "hypothesis_fail")
     assert [r.status for r in rows] == [ERROR, "fail"]
+
+
+def test_expected_violation_at_or_below_the_floor_fails():
+    """Under `expect = fail` a counterexample row passes only above the
+    floor: a residual of 1e-6 against the floor 1e-3 is no counterexample."""
+    assert _judged(Residual(1e-6, (0.5, 0.25), "(dx,dy)"), "fail").status == FAIL
+    assert _judged(Residual(1e-3, (0.5, 0.25), "(dx,dy)"), "fail").status == FAIL
+    assert _judged(Residual(2e-3, (0.5, 0.25), "(dx,dy)"), "fail").status == PASS
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,11 +1,14 @@
 """Report execution and the command-line surface."""
 
 import argparse
+import contextlib
+import gc
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 from functools import lru_cache
 from pathlib import Path
 
@@ -14,9 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import prodconj
+from prodconj import jets
 from prodconj.checks import CheckKind, catalog_lines
 from prodconj.cli import _parser, main
 from prodconj.errors import ConfigError, OrderError
+from prodconj.fields import EvalContext
 from prodconj.jets import Jet
 from prodconj.reporting import ERROR, FAIL, PASS, SKIP
 from prodconj.runner import _run_one, corpus_names, corpus_text, run_scenario
@@ -266,6 +271,38 @@ def test_corpus_runs_clean_and_deterministic():
         report = run_scenario(load_scenario(corpus_text(name), name=name))
         chunks2.append("\n".join(report.render_lines()))
     assert first == "\n".join(chunks2)
+
+
+def test_runs_leave_no_context_alive(monkeypatch):
+    """Everything a run caches lives on its EvalContext and dies with it:
+    after two shipped scenarios and a collection, no context and no cached
+    value that takes a weak reference is alive, and the shared zero arrays
+    hold one entry per shape their batches needed."""
+    monkeypatch.setattr(jets, "_ZEROS_CACHE", {})
+    contexts, values = [], []
+    init, cached = EvalContext.__init__, EvalContext.cached
+
+    def tracked_init(self, chart, points):
+        init(self, chart, points)
+        contexts.append((weakref.ref(self), self.count, chart.dim))
+
+    def tracked_cached(self, key, build):
+        def recorded():
+            value = build()
+            with contextlib.suppress(TypeError):  # a plain list takes no weak reference
+                values.append(weakref.ref(value))
+            return value
+        return cached(self, key, recorded)
+    monkeypatch.setattr(EvalContext, "__init__", tracked_init)
+    monkeypatch.setattr(EvalContext, "cached", tracked_cached)
+    for name in ("involutivity_r3", "warped"):
+        assert not run_scenario(load_scenario(corpus_text(name), name=name)).failed
+    gc.collect()
+    assert len(contexts) >= 2 and values
+    assert [ref() for ref, _, _ in contexts] == [None] * len(contexts)
+    assert [ref() for ref in values] == [None] * len(values)
+    shapes = {shape for _, m, n in contexts for shape in ((m, n), (m, n * (n + 1) // 2))}
+    assert set(jets._ZEROS_CACHE) == shapes
 
 
 # ---- command line -----------------------------------------------------
