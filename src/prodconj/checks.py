@@ -3,8 +3,8 @@
 A check kind bundles a runner over resolved scenario objects, a parameter
 schema the loader validates against, an anchor for each row it can emit,
 and the set of rows whose judgment flips under a failure expectation.
-The table in `_kinds` is the only place a kind is declared: most runners
-bind one suite to parameter names (`_suite`, `_row`).
+The table in `_kinds` is the only place a kind is declared, and a
+runner's argument list (`_suite`, `_row`) is its kind's parameter table.
 Anchors are the harness's own catalog labels tying rows to the source
 material's numbered statements; infrastructure rows carry "plumbing".
 
@@ -93,8 +93,7 @@ class ParamSpec:
     Roles name object tables of the scenario (connection, structure,
     metric, oneform, tensor, pair, pencil, distribution), plain values
     (float, str), or composites (vectors = comma-joined vector-field
-    names).  A vectors parameter reaches its runner as jet vectors
-    evaluated on the run's context.
+    names).
     """
 
     role: str
@@ -155,102 +154,102 @@ class CheckKind:
             labels.add(self.default_anchor)
         return labels
 
-    def runner_params(self, ctx, params: dict) -> dict:
-        """`params` with every vectors parameter evaluated to jet vectors."""
-        return {name: [ctx.vector(f) for f in value]
-                if value is not None and self.params[name].role == "vectors" else value
-                for name, value in params.items()}
-
 
 # ---- runners -----------------------------------------------------------
 
 TOL = object()  # stands for the check tolerance among a runner's arguments
 
+# parameters that mean the same in every kind that takes them: name, role
+_SHARED = {name: ParamSpec(role, required=True) for name, role in (
+    ("connection", "connection"), ("structure", "structure"), ("metric", "metric"),
+    ("pair", "pair"), ("other", "pair"), ("distribution", "distribution"),
+    ("pencil", "pencil"), ("first", "structure"), ("second", "structure"),
+    ("twist", "tensor"))}
 
-def _suite(fn, *args):
-    """Runner calling fn(ctx, *args), each arg a parameter name or TOL.
+
+def _suite(fn, *args, **specs):
+    """A kind's (runner, params): the runner calls fn(ctx, *args).
+
+    A `str` arg is a parameter, specified in `specs` or else in `_SHARED`;
+    `TOL` is the check tolerance; any other arg is passed as it is.
+    `params` lists the parameters in call order, so the call is the kind's
+    only declaration of them.  A vectors parameter reaches fn as jet
+    vectors evaluated on the run's context.
 
     `fn` is looked up in its module at every call, as a call written in
     this module would be, so rebinding the module attribute (a tracer's
     wrapper, say) reaches the table too.
     """
     module, name = sys.modules[fn.__module__], fn.__name__
+    params = {a: specs.pop(a) if a in specs else _SHARED[a]
+              for a in args if isinstance(a, str)}
+    if specs:
+        raise TypeError(f"{name}: no argument takes {sorted(specs)}")
 
-    def run(ctx, params, tol):
-        return getattr(module, name)(
-            ctx, *(tol if a is TOL else params[a] for a in args))
-    return run
+    def value(a, ctx, p, tol):
+        if not isinstance(a, str):
+            return tol if a is TOL else a
+        if params[a].role == "vectors" and p[a] is not None:
+            return [ctx.vector(f) for f in p[a]]
+        return p[a]
+
+    def run(ctx, p, tol):
+        return getattr(module, name)(ctx, *(value(a, ctx, p, tol) for a in args))
+    return run, params
 
 
-def _row(row_name: str, fn, *args, note: str = ""):
-    """Runner for a kind with the single row `row_name`: fn's residual."""
-    residual = _suite(fn, *args)
+def _row(row_name: str, fn, *args, note: str = "", **specs):
+    """`_suite` for a kind with the single row `row_name`: fn's residual."""
+    residual, params = _suite(fn, *args, **specs)
 
-    def run(ctx, params, tol):
-        return [(row_name, residual(ctx, params, tol), note)]
-    return run
+    def run(ctx, p, tol):
+        return [(row_name, residual(ctx, p, tol), note)]
+    return run, params
 
 
-def _connection_laws(ctx, p, tol):
+def _laws_residual(ctx, connection, weight):
+    """The connection laws on the first and last coordinate fields."""
     frame = ctx.frame()
-    res = connection_laws_residual(ctx, p["connection"], _WEIGHT, frame[0], frame[-1])
-    return [("laws", res, "tensoriality and the product rule")]
+    return connection_laws_residual(ctx, connection, weight, frame[0], frame[-1])
 
 
-def _psi_laws(ctx, p, tol):
-    psi = psi_connection(p["connection"], p["structure"])
-    frame = ctx.frame()
-    res = connection_laws_residual(ctx, psi, _WEIGHT, frame[0], frame[-1])
-    return [("laws", res, "the averaged operator is a connection")]
-
-
-def _family(ctx, p, tol):
-    return family_rows(ctx, p["connection"], p["structure"], p["lam"], p["mu"], _WEIGHT)
-
-
-def _sweep(ctx, p, tol):
-    return sweep_rows(ctx, p["connection"], p["structure"], _GRID, p["probes"], tol, p["floor"])
+def _psi_laws_residual(ctx, connection, structure, weight):
+    return _laws_residual(ctx, psi_connection(connection, structure), weight)
 
 
 # ---- the registry ------------------------------------------------------
 
 
 def _kinds() -> dict[str, CheckKind]:
-    conn = {"connection": ParamSpec("connection", required=True)}
-    conn_struct = dict(conn, structure=ParamSpec("structure", required=True))
     table = [
         CheckKind(
             "almost_product",
             "squared structure against the identity",
-            _row("involution", almost_product_residual, "structure"),
-            params={"structure": ParamSpec("structure", required=True)},
+            *_row("involution", almost_product_residual, "structure"),
             anchors={"involution": "0.0"},
             invertible=frozenset({"involution"}),
             probe_exempt=True),
         CheckKind(
             "metric_compat",
             "metric against structure compatibility",
-            _row("compatibility", metric_compat_residual, "metric", "structure"),
-            params={"metric": ParamSpec("metric", required=True),
-                    "structure": ParamSpec("structure", required=True)},
+            *_row("compatibility", metric_compat_residual, "metric", "structure"),
             anchors={"compatibility": "1.7"},
             invertible=frozenset({"compatibility"})),
         CheckKind(
             "connection_laws",
             "tensoriality in the direction, product rule in the argument",
-            _connection_laws,
-            params=dict(conn)),
+            *_row("laws", _laws_residual, "connection", _WEIGHT,
+                  note="tensoriality and the product rule")),
         CheckKind(
             "torsion_free",
             "torsion of a connection on the coordinate frame",
-            _row("torsion", torsion_residual, "connection"),
-            params=dict(conn),
+            *_row("torsion", torsion_residual, "connection"),
             invertible=frozenset({"torsion"})),
         CheckKind(
             "prop11",
             "conjugate basics: derivative flip, transport, involution, torsion, curvature, metric",
-            _suite(conjugate_suite, "connection", "structure", "metric", TOL),
-            params=dict(conn_struct, metric=ParamSpec("metric")),
+            *_suite(conjugate_suite, "connection", "structure", "metric", TOL,
+                    metric=ParamSpec("metric")),
             anchors={
                 "structure_flip": "P1.1.1,1.4",
                 "argument_transport": "1.3",
@@ -262,8 +261,8 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "psi_chi",
             "projector algebra of the averaging pair",
-            _suite(projector_suite, "connection", "structure", "tau"),
-            params=dict(conn_struct, tau=ParamSpec("tensor", required=True)),
+            *_suite(projector_suite, "connection", "structure", "tau",
+                    tau=ParamSpec("tensor", required=True)),
             anchors={
                 "psi_idempotent": "0.4,0.2",
                 "chi_idempotent": "0.4,0.3",
@@ -273,26 +272,23 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "psi_laws",
             "the averaged operator obeys the connection axioms",
-            _psi_laws,
-            params=dict(conn_struct)),
+            *_row("laws", _psi_laws_residual, "connection", "structure", _WEIGHT,
+                  note="the averaged operator is a connection")),
         CheckKind(
             "mean_decomposition",
             "average of base and conjugate, against both presentations",
-            _suite(mean_decomposition_suite, "connection", "structure"),
-            params=dict(conn_struct),
+            *_suite(mean_decomposition_suite, "connection", "structure"),
             anchors={"halving": "0.5", "forms_agreement": "1.1,1.2"}),
         CheckKind(
             "membership",
             "parallel structure and the fixed-point characterization",
-            _suite(membership_suite, "connection", "structure"),
-            params=dict(conn_struct),
+            *_suite(membership_suite, "connection", "structure"),
             anchors={"parallel_structure": "D0.1", "fixed_point": "D0.1"},
             invertible=frozenset({"parallel_structure", "fixed_point"})),
         CheckKind(
             "levi_civita_props",
             "metric-born connection: conjugate metricity and the parallel collapse",
-            _suite(metric_consequence_suite, "connection", "structure", "metric", TOL),
-            params=dict(conn_struct, metric=ParamSpec("metric", required=True)),
+            *_suite(metric_consequence_suite, "connection", "structure", "metric", TOL),
             anchors={
                 "compatibility": "1.7",
                 "conjugate_metricity": "C1.i",
@@ -301,11 +297,9 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "recurrent",
             "torsion shape of the conjugate under a recurrence hypothesis",
-            _suite(recurrent_suite, "connection", "structure", "eta", "mode", TOL),
-            params=dict(conn_struct,
-                        eta=ParamSpec("oneform", required=True),
-                        mode=ParamSpec("str", required=True,
-                                       choices=("structure", "identity"))),
+            *_suite(recurrent_suite, "connection", "structure", "eta", "mode", TOL,
+                    eta=ParamSpec("oneform", required=True),
+                    mode=ParamSpec("str", required=True, choices=("structure", "identity"))),
             anchors={
                 "hypothesis_recurrence": "P1.2",
                 "hypothesis_symmetry": "P1.2",
@@ -317,19 +311,15 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "pencil_precondition",
             "skew commutation of two structures",
-            _row("skew_commutation", skew_commutation_residual, "first", "second"),
-            params={"first": ParamSpec("structure", required=True),
-                    "second": ParamSpec("structure", required=True)},
+            *_row("skew_commutation", skew_commutation_residual, "first", "second"),
             anchors={"skew_commutation": "1.8"},
             invertible=frozenset({"skew_commutation"})),
         CheckKind(
             "pencil",
             "mixing rule of a structure pencil, axis reductions, special cases",
-            _suite(pencil_suite, "connection", "pencil", "eta", "case", TOL),
-            params=dict(conn,
-                        pencil=ParamSpec("pencil", required=True),
-                        eta=ParamSpec("oneform"),
-                        case=ParamSpec("str", choices=("recurrent", "mixed"))),
+            *_suite(pencil_suite, "connection", "pencil", "eta", "case", TOL,
+                    eta=ParamSpec("oneform"),
+                    case=ParamSpec("str", choices=("recurrent", "mixed"))),
             anchors={
                 "skew_commutation": "1.8",
                 "mixing_rule": "1.8",
@@ -349,8 +339,7 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "kirichenko",
             "structural and virtual tensors: flips, rotations, decomposition",
-            _suite(splitting_suite, "connection", "structure"),
-            params=dict(conn_struct),
+            *_suite(splitting_suite, "connection", "structure"),
             anchors={
                 "structural_flip": "1.13,1.11",
                 "virtual_flip": "1.13,1.12",
@@ -361,53 +350,41 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "projective_change",
             "projective shift: structural invariance, virtual difference",
-            _suite(projective_suite, "connection", "structure", "tau"),
-            params=dict(conn_struct, tau=ParamSpec("oneform", required=True)),
-            anchors={
-                "structural_invariance": "1.16",
-                "virtual_difference": "1.17",
-            }),
+            *_suite(projective_suite, "connection", "structure", "tau",
+                    tau=ParamSpec("oneform", required=True)),
+            anchors={"structural_invariance": "1.16", "virtual_difference": "1.17"}),
         CheckKind(
             "pair_axioms",
             "complementary projector algebra",
-            _suite(pair_axiom_rows, "pair"),
-            params={"pair": ParamSpec("pair", required=True)},
+            *_suite(pair_axiom_rows, "pair"),
             default_anchor="D2.1"),
         CheckKind(
             "structure_from_pair",
             "difference structure and the half-sum/half-difference inverses",
-            _suite(structure_rows, "pair"),
-            params={"pair": ParamSpec("pair", required=True)},
+            *_suite(structure_rows, "pair"),
             default_anchor="2.1"),
         CheckKind(
             "invariant_distribution",
             "distribution invariance under the structure",
-            _row("invariance", invariance_residual, "distribution", "structure"),
-            params={"distribution": ParamSpec("distribution", required=True),
-                    "structure": ParamSpec("structure", required=True)},
+            *_row("invariance", invariance_residual, "distribution", "structure"),
             anchors={"invariance": "P2.2"},
             invertible=frozenset({"invariance"})),
         CheckKind(
             "restricts",
             "covariant derivative stays inside the distribution",
-            _row("restriction", restriction_residual, "connection", "distribution"),
-            params=dict(conn, distribution=ParamSpec("distribution", required=True)),
+            *_row("restriction", restriction_residual, "connection", "distribution"),
             anchors={"restriction": "D2.1.i"},
             invertible=frozenset({"restriction"})),
         CheckKind(
             "geodesic_invariant",
             "symmetrized covariant derivative stays inside the distribution",
-            _row("geodesic", geodesic_residual, "connection", "distribution"),
-            params=dict(conn, distribution=ParamSpec("distribution", required=True)),
+            *_row("geodesic", geodesic_residual, "connection", "distribution"),
             anchors={"geodesic": "D2.1.ii"},
             invertible=frozenset({"geodesic"})),
         CheckKind(
             "prop22",
             "invariance plus restriction carries over to the conjugate",
-            _suite(conjugate_restriction_rows, "connection", "distribution", "structure", TOL),
-            params=dict(conn,
-                        distribution=ParamSpec("distribution", required=True),
-                        structure=ParamSpec("structure", required=True)),
+            *_suite(conjugate_restriction_rows, "connection", "distribution", "structure", TOL),
             anchors={
                 "hypothesis_invariance": "P2.2",
                 "hypothesis_restriction": "D2.1.i",
@@ -417,10 +394,7 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "prop23",
             "invariance plus restriction makes the conjugate geodesically invariant",
-            _suite(conjugate_geodesic_rows, "connection", "distribution", "structure", TOL),
-            params=dict(conn,
-                        distribution=ParamSpec("distribution", required=True),
-                        structure=ParamSpec("structure", required=True)),
+            *_suite(conjugate_geodesic_rows, "connection", "distribution", "structure", TOL),
             anchors={
                 "hypothesis_invariance": "P2.3",
                 "hypothesis_restriction": "D2.1.i",
@@ -430,42 +404,36 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "conjugate_hv",
             "conjugate by the difference structure in projected form",
-            _suite(hv_form_rows, "connection", "pair"),
-            params=dict(conn, pair=ParamSpec("pair", required=True)),
+            *_suite(hv_form_rows, "connection", "pair"),
             anchors={"four_term_form": "2.2"}),
         CheckKind(
             "restriction_collapse",
             "a connection restricting to both sides is its own conjugate",
-            _suite(restriction_collapse_rows, "connection", "pair", TOL),
-            params=dict(conn, pair=ParamSpec("pair", required=True)),
+            *_suite(restriction_collapse_rows, "connection", "pair", TOL),
             default_anchor="2.3",
             hypotheses=frozenset({"hypothesis_restricts_h", "hypothesis_restricts_v"})),
         CheckKind(
             "schouten",
             "projected-sum connection: restriction, parallelism, self-conjugacy",
-            _suite(schouten_rows, "connection", "pair", TOL),
-            params=dict(conn, pair=ParamSpec("pair", required=True)),
+            *_suite(schouten_rows, "connection", "pair", TOL),
             default_anchor="2.4"),
         CheckKind(
             "prop25",
             "torsion-free conjugate forces both distributions involutive",
-            _suite(involutivity_rows, "connection", "pair", TOL),
-            params=dict(conn, pair=ParamSpec("pair", required=True)),
+            *_suite(involutivity_rows, "connection", "pair", TOL),
             default_anchor="P2.5",
             hypotheses=frozenset({"hypothesis_torsion_free"})),
         CheckKind(
             "nonzero_torsion",
             "conjugate torsion magnitude on a non-involutive pair",
-            _row("conjugate_torsion", conjugate_torsion_magnitude, "connection", "pair",
-                 note="conjugate torsion magnitude; a counterexample must keep it large"),
-            params=dict(conn, pair=ParamSpec("pair", required=True)),
+            *_row("conjugate_torsion", conjugate_torsion_magnitude, "connection", "pair",
+                  note="conjugate torsion magnitude; a counterexample must keep it large"),
             anchors={"conjugate_torsion": "X2.4"},
             invertible=frozenset({"conjugate_torsion"})),
         CheckKind(
             "prop27",
             "block structure of the splitting tensors over the two distributions",
-            _suite(splitting_block_rows, "connection", "pair"),
-            params=dict(conn, pair=ParamSpec("pair", required=True)),
+            *_suite(splitting_block_rows, "connection", "pair"),
             anchors={
                 "structural_formula": "P2.7,2.5",
                 "virtual_formula": "P2.7,2.5",
@@ -483,23 +451,18 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "skew_pairs",
             "skew commutation of two pair structures and their projectors",
-            _suite(skew_pair_rows, "pair", "other"),
-            params={"pair": ParamSpec("pair", required=True),
-                    "other": ParamSpec("pair", required=True)},
+            *_suite(skew_pair_rows, "pair", "other"),
             default_anchor="X2.5",
             invertible=frozenset({"structure_skew", "projector_skew"})),
         CheckKind(
             "skew_bridge",
             "structure anticommutator rewritten through the projectors",
-            _suite(skew_bridge_rows, "pair", "other"),
-            params={"pair": ParamSpec("pair", required=True),
-                    "other": ParamSpec("pair", required=True)},
+            *_suite(skew_bridge_rows, "pair", "other"),
             default_anchor="X2.5"),
         CheckKind(
             "duality",
             "twist kernel condition and the double application",
-            _suite(duality_rows, "connection", "structure", "twist"),
-            params=dict(conn_struct, twist=ParamSpec("tensor", required=True)),
+            *_suite(duality_rows, "connection", "structure", "twist"),
             anchors={
                 "defect": "3.3",
                 "double_application": "3.2",
@@ -511,10 +474,9 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "family",
             "one coefficient pair of the scaled family",
-            _family,
-            params=dict(conn_struct,
-                        lam=ParamSpec("float", required=True),
-                        mu=ParamSpec("float", required=True)),
+            *_suite(family_rows, "connection", "structure", "lam", "mu", _WEIGHT,
+                    lam=ParamSpec("float", required=True),
+                    mu=ParamSpec("float", required=True)),
             anchors={
                 "route_agreement": "3.4",
                 "leibniz_scaling": "3.4",
@@ -523,19 +485,15 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "prop32_sweep",
             "grid sweep of the family: closure set and coefficient extraction",
-            _sweep,
-            params=dict(conn_struct,
-                        probes=ParamSpec("vectors", required=True),
-                        floor=ParamSpec("float", default=DEFAULT_FLOOR)),
+            *_suite(sweep_rows, "connection", "structure", _GRID, "probes", TOL, "floor",
+                    probes=ParamSpec("vectors", required=True),
+                    floor=ParamSpec("float", default=DEFAULT_FLOOR)),
             default_anchor="P3.2"),
         CheckKind(
             "generalized_identities",
             "twisted operator: structure derivative, torsion, curvature",
-            _suite(generalized_identity_rows, "connection", "structure", "twist", TOL,
-                   "probes"),
-            params=dict(conn_struct,
-                        twist=ParamSpec("tensor", required=True),
-                        probes=ParamSpec("vectors")),
+            *_suite(generalized_identity_rows, "connection", "structure", "twist", TOL,
+                    "probes", probes=ParamSpec("vectors")),
             anchors={
                 "structure_derivative": "G.1",
                 "torsion_form": "G.3",
@@ -545,19 +503,15 @@ def _kinds() -> dict[str, CheckKind]:
         CheckKind(
             "curvature_transcription",
             "shortened curvature form that only a vanishing twist satisfies",
-            _row("transcription", curvature_transcription_residual,
-                 "connection", "structure", "twist", "probes",
-                 note="shortened curvature form; only a vanishing twist satisfies it"),
-            params=dict(conn_struct,
-                        twist=ParamSpec("tensor", required=True),
-                        probes=ParamSpec("vectors")),
+            *_row("transcription", curvature_transcription_residual,
+                  "connection", "structure", "twist", "probes", probes=ParamSpec("vectors"),
+                  note="shortened curvature form; only a vanishing twist satisfies it"),
             anchors={"transcription": "G.4"},
             invertible=frozenset({"transcription"})),
         CheckKind(
             "degeneration",
             "zero twist recovers the plain conjugate",
-            _suite(degeneration_rows, "connection", "structure"),
-            params=dict(conn_struct),
+            *_suite(degeneration_rows, "connection", "structure"),
             anchors={"zero_twist": "D3.1"}),
     ]
     return {k.name: k for k in table}

@@ -22,7 +22,7 @@ def _run_one(ctx, spec: CheckSpec, default_tol: float):
     kind = spec.kind
     try:
         with np.errstate(all="ignore"):
-            raw = kind.runner(ctx, kind.runner_params(ctx, spec.params), tol)
+            raw = kind.runner(ctx, spec.params, tol)
             return judge(spec.name, kind, raw, spec.params, tol, spec.floor, spec.expect)
     except Exception as exc:  # noqa: BLE001 - one failing check must not stop the rest
         return [error_row(spec.name, kind, exc)]

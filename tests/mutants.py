@@ -1,0 +1,115 @@
+"""One-line mutants of the program, each run against the test suite.
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # the named ones
+
+Each mutant replaces one piece of text in one file of `src/prodconj`.  It
+is applied to a temporary copy of the checkout, and `pytest -x -q` runs
+there; a failing run catches the mutant, a passing one lets it survive.
+The unmutated copy runs first and must pass, or no verdict means anything.
+The script prints one line per mutant and exits 1 if any survived.  It is
+not collected by pytest (its name has no `test_` prefix): a full run
+takes several minutes.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 900
+
+# (name, file under src/prodconj, old text, new text)
+MUTANTS = [
+    ("torsion_bracket_sign", "connections.py",
+     "nabla.apply(ctx, y, x)), bracket(x, y))", "nabla.apply(ctx, y, x)), bracket(y, x))"),
+    ("curvature_bracket_sign", "connections.py",
+     "t3 = nabla.apply(ctx, bracket(x, y), z)", "t3 = nabla.apply(ctx, bracket(y, x), z)"),
+    ("weak_counterexample", "checks.py",
+     "status = PASS if res.value > floor else FAIL",
+     "status = PASS if res.value > tol else FAIL"),
+    ("exp_second_derivative", "jets.py",
+     "e if f.order >= 2 else None)", "2 * e if f.order >= 2 else None)"),
+    ("product_hessian_cross_term", "jets.py",
+     "g0[..., None] * self.hess + cross", "g0[..., None] * self.hess"),
+    ("reducer_argmin", "fields.py",
+     "k = int(np.argmax(size))", "k = int(np.argmin(size))"),
+    ("gate_any_hypothesis", "fields.py",
+     "if all(res.within(tol) for _, res in hypotheses):",
+     "if any(res.within(tol) for _, res in hypotheses):"),
+    ("lower_triangle_frame_scan", "fields.py",
+     "for j, Y in enumerate(frame):", "for j, Y in enumerate(frame[:i + 1]):"),
+    ("levi_civita_half_weight", "connections.py",
+     "gammas[k][i][j] = gammas[k][j][i] = total * 0.5",
+     "gammas[k][i][j] = gammas[k][j][i] = total * 0.5000001"),
+    ("contract_slots_swapped", "fields.py",
+     "c = plane[i][j]", "c = plane[j][i]"),
+    ("strict_within", "reporting.py",
+     "return self.value <= tol", "return self.value < tol"),
+    ("along_on_argument", "connections.py",
+     "x = endo_apply(ctx.endo(self.along), x)",
+     "x, y = endo_apply(ctx.endo(self.along), x), endo_apply(ctx.endo(self.along), y)"),
+    ("inverse_metric_gradient_sign", "connections.py",
+     "dGinv = -np.einsum(", "dGinv = np.einsum("),
+    ("structure_derivative_slot", "connections.py",
+     "(1.0, Sandwiched(base, arg=structure))", "(1.0, Sandwiched(base, along=structure))"),
+    ("suite_tolerance_unreplaced", "checks.py",
+     "return tol if a is TOL else a", "return a"),
+    ("suite_args_reversed", "checks.py",
+     "for a in args))", "for a in reversed(args)))"),
+]
+
+_SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                               "*.egg-info")
+
+
+def run_mutant(file: str, old: str, new: str) -> tuple[bool, float, str]:
+    """(caught, seconds, first failing test or '') for one mutant; an empty
+    `old` runs the copy unmutated."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=_SKIP)
+        if old:
+            path = copy / "src" / "prodconj" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                raise SystemExit(f"{file}: {old!r} occurs {text.count(old)} times, not once")
+            path.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        seconds = time.perf_counter() - start
+    failed = [line.split()[1] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return done.returncode != 0, seconds, failed[0] if failed else ""
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"no mutant named {sorted(unknown)}")
+    failed, seconds, first = run_mutant("", "", "")
+    if failed:
+        raise SystemExit(f"the unmutated suite fails ({first}); no mutant can be judged")
+    print(f"{'baseline':9s} {'unmutated suite passes':30s} {seconds:6.1f} s", flush=True)
+    survived = 0
+    for name, file, old, new in MUTANTS:
+        if names and name not in names:
+            continue
+        caught, seconds, first = run_mutant(file, old, new)
+        survived += not caught
+        print(f"{'caught' if caught else 'SURVIVED':9s} {name:30s} {seconds:6.1f} s  {first}",
+              flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

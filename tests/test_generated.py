@@ -18,6 +18,16 @@ declare three distributions: both sides of the pair, and the line spanned
 by v, which is the vertical side again through the spanning-field route.
 All three are invariant under E exactly (E h = h, E v = -v), and a
 multiple of v lies in the line under both routes.
+
+A third set of instances carries a metric and a second pair.  The metric
+is g = h + E^T h E with h = I + A^T A for a random polynomial matrix A,
+that is the sum of M^T M over M in {I, E, A, AE}: positive definite, and
+compatible with E exactly, because E^2 = I permutes those four terms.
+(I + A^T A alone is compatible only with an E that is orthogonal for it.)
+The second pair has h_Q = P D P^-1 for a coordinate projector D and
+P = I + N, where N maps odd coordinates to even ones and kills even ones,
+so N^2 = 0, P^-1 = I - N exactly and no division is needed; its sides are
+not the line of v.
 """
 
 import numpy as np
@@ -53,17 +63,51 @@ def polynomials(draw, dim):
     return f"(+ {' '.join(parts)})" if parts else "0"
 
 
+def _mat_mul(a, b):
+    """The product of two square matrices of expression texts."""
+    n = len(a)
+    return [[f"(+ {' '.join(f'(* {a[i][k]} {b[k][j]})' for k in range(n))})"
+             for j in range(n)] for i in range(n)]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _metric_and_split(draw, dim, E) -> list[str]:
+    """Sections for the metric g, its Levi-Civita connection lc, and the
+    pair Q = (h_Q, I - h_Q), given the structure's matrix E."""
+    eye = [[str(int(i == j)) for j in range(dim)] for i in range(dim)]
+    A = [[draw(polynomials(dim)) for _ in range(dim)] for _ in range(dim)]
+    terms = [_mat_mul(_transpose(M), M) for M in (eye, E, A, _mat_mul(A, E))]
+    lines = ["", "[metric g]"]
+    for a in range(dim):
+        lines.append(f"upper {a} = " + " ".join(
+            f"(+ {' '.join(t[a][b] for t in terms)})" for b in range(a, dim)))
+    lines += ["", "[connection lc]", "kind = levi_civita", "metric = g"]
+    # N maps odd coordinates to even ones and kills even ones, so N^2 = 0
+    N = [[draw(polynomials(dim)) if i % 2 == 0 and j % 2 else "0" for j in range(dim)]
+         for i in range(dim)]
+    P = [[f"(+ {eye[i][j]} {N[i][j]})" for j in range(dim)] for i in range(dim)]
+    P_inv = [[f"(- {eye[i][j]} {N[i][j]})" for j in range(dim)] for i in range(dim)]
+    D = [[str(int(i == j and i % 2 == 1)) for j in range(dim)] for i in range(dim)]
+    h_Q = _mat_mul(_mat_mul(P, D), P_inv)
+    lines += ["", "[endo hq]"] + [f"row {k} = {' '.join(row)}" for k, row in enumerate(h_Q)]
+    return lines + ["", "[pair Q]", "h = hq"]
+
+
 @st.composite
-def instances(draw, dim, with_pair=False):
-    """Scenario text for one random base connection and structure, and
-    with `with_pair` the projector pair P and a one-form eta; no checks."""
+def instances(draw, dim, with_pair=False, with_metric=False):
+    """Scenario text for one random base connection and structure, with
+    `with_pair` the projector pair P and a one-form eta, and with
+    `with_metric` the metric g, lc and the pair Q as well; no checks."""
     v = ["1"] + [draw(polynomials(dim)) for _ in range(dim - 1)]
     lines = ["[chart]", f"dim = {dim}", f"names = {', '.join(NAMES[:dim])}", "",
              "[samples]", f"count = {SAMPLES}", "seed = 5", "", "[endo E]"]
-    for k in range(dim):
-        # row k of I - 2 v (x) e^0: only column 0 carries v
-        first = f"(- {int(k == 0)} (* 2 {v[k]}))"
-        lines.append(f"row {k} = {first} " + " ".join(str(int(k == j)) for j in range(1, dim)))
+    # I - 2 v (x) e^0: only column 0 carries v
+    E = [[f"(- {int(k == 0)} (* 2 {v[k]}))"] + [str(int(k == j)) for j in range(1, dim)]
+         for k in range(dim)]
+    lines += [f"row {k} = {' '.join(row)}" for k, row in enumerate(E)]
     lines += ["", "[connection base]", "kind = christoffel"]
     for k in range(dim):
         for i in range(dim):
@@ -83,6 +127,8 @@ def instances(draw, dim, with_pair=False):
         lines += ["", "[vector v]", f"components = {' '.join(v)}",
                   "", "[distribution line]", "span = v",
                   "", "[vector qv]", "components = " + " ".join(f"(* {q} {c})" for c in v)]
+    if with_metric:
+        lines += _metric_and_split(draw, dim, E)
     return "\n".join(lines) + "\n"
 
 
@@ -115,6 +161,19 @@ GATED = {
     **{f"{kind}_{d}": {"kind": kind, "connection": "base", "distribution": d,
                        "structure": "E"} for kind in ("prop22", "prop23") for d in DISTRIBUTIONS},
 }
+
+
+METRIC_AND_SPLIT = {
+    "levi_civita_props": {"kind": "levi_civita_props", "connection": "lc", "structure": "E",
+                          "metric": "g"},
+    "prop11": {"kind": "prop11", "connection": "base", "structure": "E", "metric": "g"},
+    **{kind: {"kind": kind, "connection": "base", "pair": "Q"}
+       for kind in ("conjugate_hv", "prop27", "prop25")},
+    **{kind: {"kind": kind, "pair": "Q"} for kind in ("pair_axioms", "structure_from_pair")},
+    "skew_bridge": {"kind": "skew_bridge", "pair": "P", "other": "Q"},
+}
+MAY_SKIP = {"levi_civita_props.parallel_collapse",
+            "prop25.vertical_involutive", "prop25.horizontal_involutive"}
 
 
 def _conjugate_coefficients(scn, points):
@@ -187,3 +246,23 @@ def test_generated_pairs_pass_every_identity_and_measure_every_gate(dim, data):
     for d in ("line", "Dv"):  # the spanning-field route and the pair route
         outside = scn.distributions[d].complement_values(ctx, qv)
         assert np.all(outside <= 1e-12 * vmax_abs(qv)), (d, np.max(outside), text)
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4))
+@settings(FIXED, max_examples=3)
+@given(data=st.data())
+def test_generated_metrics_and_split_pairs_pass_every_identity(dim, data):
+    """Three instances per dimension with the metric g and the pair Q.  A
+    random E is seldom parallel and Q's sides seldom involutive, so the
+    rows behind those gates may be skipped; every other row passes."""
+    text = data.draw(instances(dim, with_pair=True, with_metric=True), label="scenario")
+    report = run_scenario(load_scenario(text + _checks(METRIC_AND_SPLIT), name="generated"))
+    assert {r.row_id.split(".", 1)[0] for r in report.rows} == set(METRIC_AND_SPLIT)
+    for row in report.rows:
+        check, name = row.row_id.split(".", 1)
+        if name in REGISTRY[METRIC_AND_SPLIT[check]["kind"]].hypotheses:
+            assert np.isfinite(row.residual), (row.row_id, text)
+        elif row.row_id in MAY_SKIP:
+            assert row.status in (PASS, SKIP), (row.row_id, row.status, text)
+        else:
+            assert row.status == PASS, (row.row_id, row.status, row.residual, text)
