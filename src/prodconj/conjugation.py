@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .connections import (
     ConnectionOp,
@@ -58,9 +59,8 @@ Rows = list  # list[tuple[str, Residual | None, str]]
 class ConjugateConnection(Sandwiched):
     """E(nabla_x(Ey)).  Consumes one jet order, same as the base."""
 
-    def __init__(self, base: ConnectionOp, structure: EndoField, label: str | None = None):
-        super().__init__(base, out=structure, arg=structure, label=label if label is not None
-                         else f"conj({base.label},{structure.label})")
+    def __init__(self, base: ConnectionOp, structure: EndoField):
+        super().__init__(base, out=structure, arg=structure)
 
 
 def expansion_form(base: ConnectionOp, structure: EndoField) -> SumConnection:
@@ -69,19 +69,14 @@ def expansion_form(base: ConnectionOp, structure: EndoField) -> SumConnection:
                                           out=structure))
 
 
-def psi_connection(base: ConnectionOp, structure: EndoField,
-                   label: str | None = None) -> ConnectionOp:
+def psi_connection(base: ConnectionOp, structure: EndoField) -> ConnectionOp:
     """The averaging projector applied to a connection: (base + conjugate)/2."""
-    conj = ConjugateConnection(base, structure)
-    return CombinationOp(((0.5, base), (0.5, conj)),
-                         label=label or f"psi({base.label},{structure.label})")
+    return CombinationOp(((0.5, base), (0.5, ConjugateConnection(base, structure))))
 
 
-def chi_tensor(tau: Tensor12Field, structure: EndoField,
-               label: str | None = None) -> CombinationOp:
+def chi_tensor(tau: Tensor12Field, structure: EndoField) -> CombinationOp:
     """The tensor companion of psi: (tau + E tau(.,E.))/2."""
-    return CombinationOp(((0.5, tau), (0.5, Sandwiched(tau, out=structure, arg=structure))),
-                         label=label or f"chi({tau.label})")
+    return CombinationOp(((0.5, tau), (0.5, Sandwiched(tau, out=structure, arg=structure))))
 
 
 def parallel_structure_residual(ctx: EvalContext, base: ConnectionOp,
@@ -282,9 +277,10 @@ class Pencil:
             raise ConfigError(
                 f"pencil weights ({self.alpha}, {self.beta}) are off the unit circle")
 
-    def endo(self, label: str | None = None) -> EndoField:
-        return endo_combination(((self.alpha, self.first), (self.beta, self.second)),
-                                label=label or f"pencil({self.alpha},{self.beta})")
+    @cached_property
+    def endo(self) -> EndoField:
+        """alpha E1 + beta E2, one field per pencil, so its checks share its jets."""
+        return endo_combination(((self.alpha, self.first), (self.beta, self.second)))
 
 
 def skew_commutation_residual(ctx: EvalContext, first: EndoField,
@@ -304,7 +300,7 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
     J1, J2 = ctx.endo(E1), ctx.endo(E2)
     conj1 = ConjugateConnection(base, E1)
     conj2 = ConjugateConnection(base, E2)
-    mixed = ConjugateConnection(base, pencil.endo())
+    mixed = ConjugateConnection(base, pencil.endo)
     a2 = float(pencil.alpha ** 2)
     b2 = float(pencil.beta ** 2)
     ab = float(pencil.alpha * pencil.beta)
@@ -320,8 +316,8 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
     w = ctx.oneform(eta) if case else None
     # Axis reductions rebuild the pencil with exact weights (1,0) and (0,1),
     # so the residual must be exactly representable zero, not merely small.
-    axis1 = ConjugateConnection(base, Pencil(E1, E2, Fraction(1), Fraction(0)).endo())
-    axis2 = ConjugateConnection(base, Pencil(E1, E2, Fraction(0), Fraction(1)).endo())
+    axis1 = ConjugateConnection(base, Pencil(E1, E2, Fraction(1), Fraction(0)).endo)
+    axis2 = ConjugateConnection(base, Pencil(E1, E2, Fraction(0), Fraction(1)).endo)
 
     def rows(X, Y):
         c1, c2 = conj1.apply(ctx, X, Y), conj2.apply(ctx, X, Y)
@@ -368,25 +364,22 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
 # ---- structural / virtual splitting -----------------------------------
 
 
-def _half_tensor(base: ConnectionOp, structure: EndoField, sign: float,
-                 label: str) -> CombinationOp:
+def _half_tensor(base: ConnectionOp, structure: EndoField, sign: float) -> CombinationOp:
     """((nabla_{Ex} E)y + sign (nabla_x E)Ey) / 2."""
     dE = structure_derivative_twist(base, structure)
     return CombinationOp(((0.5, Sandwiched(dE, along=structure)),
-                          (0.5 * sign, Sandwiched(dE, arg=structure))), label=label)
+                          (0.5 * sign, Sandwiched(dE, arg=structure))))
 
 
-def structural_tensor(base: ConnectionOp, structure: EndoField,
-                      label: str | None = None) -> CombinationOp:
+def structural_tensor(base: ConnectionOp, structure: EndoField) -> CombinationOp:
     """Half the sum of the two ways of deriving the structure along its
     own rotation; the symmetric half of the conjugation difference."""
-    return _half_tensor(base, structure, 1.0, label or f"structural({base.label})")
+    return _half_tensor(base, structure, 1.0)
 
 
-def virtual_tensor(base: ConnectionOp, structure: EndoField,
-                   label: str | None = None) -> CombinationOp:
+def virtual_tensor(base: ConnectionOp, structure: EndoField) -> CombinationOp:
     """Half the difference of the same two derivatives."""
-    return _half_tensor(base, structure, -1.0, label or f"virtual({base.label})")
+    return _half_tensor(base, structure, -1.0)
 
 
 def splitting_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField) -> Rows:
@@ -414,7 +407,7 @@ def splitting_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField) 
     return [(name, res, "") for name, res in frame_pair_rows(ctx, rows).items()]
 
 
-def projective_tensor(tau: OneFormField, label: str | None = None) -> Tensor12Field:
+def projective_tensor(tau: OneFormField) -> Tensor12Field:
     """tau(x) y + tau(y) x, the symmetric rank-one shift of a connection:
     T^k_ij = tau_i delta_jk + tau_j delta_ik."""
     n, w = tau.chart.dim, tau.components
@@ -423,8 +416,7 @@ def projective_tensor(tau: OneFormField, label: str | None = None) -> Tensor12Fi
         terms = tuple(t for t, hit in ((w[i], j == k), (w[j], i == k)) if hit)
         return Sum(terms) if len(terms) == 2 else terms[0] if terms else ZERO
     return Tensor12Field.from_components(
-        tau.chart, [[[entry(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)],
-        label=label or f"proj({tau.label})")
+        tau.chart, [[[entry(k, i, j) for j in range(n)] for i in range(n)] for k in range(n)])
 
 
 def projective_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,

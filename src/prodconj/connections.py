@@ -5,11 +5,13 @@ jets at order k-1, against a shared evaluation context.  Every operator is
 a coefficient-table contraction (ChristoffelConnection, or a component
 Tensor12Field), endomorphisms applied around another operator (Sandwiched),
 a linear combination (CombinationOp) or ZeroOp; composites never
-materialize tables, so they are exact.
+materialize tables, so they are exact.  Leaves compare by identity,
+composites by their operands, slots and coefficients, never by label.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -98,11 +100,13 @@ class LeviCivitaConnection(ChristoffelConnection):
         return ctx.cached((self, "gamma"), build)
 
 
-def _same_chart(pieces, what: str) -> None:
+def _same_chart(pieces, what: str) -> Chart:
     if any(p.chart is not pieces[0].chart for p in pieces):
         raise ConfigError(f"{what} {[p.label for p in pieces]} live on different charts")
+    return pieces[0].chart
 
 
+@dataclass(frozen=True)
 class Sandwiched(ConnectionOp):
     """out(op_{along x}(arg y)) for endomorphism fields out, arg and along.
 
@@ -110,13 +114,15 @@ class Sandwiched(ConnectionOp):
     connection stays one when out after arg is the identity (E nabla E).
     """
 
-    def __init__(self, op, out: EndoField | None = None, arg: EndoField | None = None,
-                 along: EndoField | None = None, label: str | None = None):
-        _same_chart([f for f in (op, out, arg, along) if f is not None],
-                    "operator and endomorphisms")
-        self.op, self.out, self.arg, self.along = op, out, arg, along
-        self.chart = op.chart
-        self.label = label if label is not None else op.label
+    op: ConnectionOp | Tensor12Field
+    out: EndoField | None = None
+    arg: EndoField | None = None
+    along: EndoField | None = None
+    label: str = field(default="nabla", compare=False)
+
+    def __post_init__(self):
+        pieces = [f for f in (self.op, self.out, self.arg, self.along) if f is not None]
+        object.__setattr__(self, "chart", _same_chart(pieces, "operator and endomorphisms"))
 
     def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
         if self.along is not None:
@@ -127,6 +133,7 @@ class Sandwiched(ConnectionOp):
         return r if self.out is None else endo_apply(ctx.endo(self.out), r)
 
 
+@dataclass(frozen=True)
 class CombinationOp(ConnectionOp):
     """Pointwise linear combination of operators and (1,2)-tensors.
 
@@ -135,14 +142,15 @@ class CombinationOp(ConnectionOp):
     which for coefficient sum s equals (s - 1) * X(f) * Y exactly.
     """
 
-    def __init__(self, terms, label: str = "combination"):
-        terms = tuple((float(c), op) for c, op in terms)
+    terms: tuple
+    label: str = field(default="combination", compare=False)
+
+    def __post_init__(self):
+        terms = tuple((float(c), op) for c, op in self.terms)
         if not terms:
             raise ConfigError("combination needs at least one term")
-        _same_chart([op for _, op in terms], "combination terms")
-        self.terms = terms
-        self.chart = terms[0][1].chart
-        self.label = label
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "chart", _same_chart([op for _, op in terms], "combination terms"))
 
     def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
         acc = None
@@ -157,17 +165,15 @@ class CombinationOp(ConnectionOp):
 class SumConnection(CombinationOp):
     """base + (1,2)-tensor; still a connection because the defect is tensorial."""
 
-    def __init__(self, base: ConnectionOp, tensor, label: str | None = None):
-        super().__init__(((1.0, base), (1.0, tensor)),
-                         label=label or f"({base.label} + {tensor.label})")
+    def __init__(self, base: ConnectionOp, tensor, label: str = "combination"):
+        super().__init__(((1.0, base), (1.0, tensor)), label)
 
 
+@dataclass(frozen=True)
 class ZeroOp(ConnectionOp):
     """The zero bilinear map; what degenerate combinations collapse to."""
 
-    def __init__(self, chart: Chart):
-        self.chart = chart
-        self.label = "zero"
+    chart: Chart
 
     def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
         z = ctx.zero_scalar()
@@ -190,12 +196,11 @@ def curvature(ctx: EvalContext, nabla: ConnectionOp, x: Vec, y: Vec, z: Vec) -> 
 
 
 def structure_derivative_twist(base: ConnectionOp, structure: EndoField,
-                               label: str | None = None) -> CombinationOp:
+                               label: str = "combination") -> CombinationOp:
     """(nabla_x E)y = nabla_x(Ey) - E(nabla_x y) as a tensor node; the
     canonical kernel element."""
     return CombinationOp(((1.0, Sandwiched(base, arg=structure)),
-                          (-1.0, Sandwiched(base, out=structure))),
-                         label=label or f"d{structure.label}")
+                          (-1.0, Sandwiched(base, out=structure))), label)
 
 
 def nabla_metric(ctx: EvalContext, nabla: ConnectionOp, G: list[list[Jet]],

@@ -15,6 +15,7 @@ complementary projector.  Zero residual means the same thing either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -60,7 +61,6 @@ _RANK_RTOL = 1e-8  # singular values below this fraction of the largest are rank
 class ProjectorPair:
     h: EndoField
     v: EndoField
-    _structure: EndoField | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.h.chart is not self.v.chart:
@@ -70,12 +70,10 @@ class ProjectorPair:
     def chart(self):
         return self.h.chart
 
+    @cached_property
     def structure(self) -> EndoField:
-        """E = h - v, built on first use and the same object on every call,
-        so all suites of one pair share its cached jets."""
-        if self._structure is None:
-            object.__setattr__(self, "_structure", endo_from_difference(self.h, self.v))
-        return self._structure
+        """E = h - v, one field per pair, so the pair's suites share its jets."""
+        return endo_from_difference(self.h, self.v)
 
 
 def pair_from_h(h: EndoField) -> ProjectorPair:
@@ -101,7 +99,7 @@ def pair_axiom_rows(ctx: EvalContext, pair: ProjectorPair) -> Rows:
 
 
 def structure_rows(ctx: EvalContext, pair: ProjectorPair) -> Rows:
-    E = pair.structure()
+    E = pair.structure
     Ev = jets_matrix_values(ctx.endo(E))
     H = jets_matrix_values(ctx.endo(pair.h))
     V = jets_matrix_values(ctx.endo(pair.v))
@@ -113,21 +111,24 @@ def structure_rows(ctx: EvalContext, pair: ProjectorPair) -> Rows:
     ]
 
 
+@dataclass(frozen=True)
 class DistributionSpec:
-    """A distribution given by spanning fields or by one side of a pair."""
+    """A distribution given by spanning fields or by one side of a pair;
+    equal by (span, pair, side), whatever its label."""
 
-    def __init__(self, label: str, span: tuple[VectorField, ...] | None = None,
-                 pair: ProjectorPair | None = None, side: str | None = None):
+    label: str = field(compare=False)
+    span: tuple[VectorField, ...] | None = None
+    pair: ProjectorPair | None = None
+    side: str | None = None
+
+    def __post_init__(self):
+        label, span, pair = self.label, self.span, self.pair
         if (span is None) == (pair is None):
             raise ConfigError(f"distribution {label!r} needs spanning fields or a pair side, not both")
-        if pair is not None and side not in ("horizontal", "vertical"):
+        if pair is not None and self.side not in ("horizontal", "vertical"):
             raise ConfigError(f"distribution {label!r} side must be horizontal or vertical")
         if span is not None and len(span) == 0:
             raise ConfigError(f"distribution {label!r} has an empty spanning list")
-        self.label = label
-        self.span = span
-        self.pair = pair
-        self.side = side
 
     @staticmethod
     def from_span(fields, label: str = "D") -> "DistributionSpec":
@@ -156,9 +157,9 @@ class DistributionSpec:
 
     def certify(self, ctx: EvalContext) -> int:
         """Pointwise rank: full for spanning fields, and for a pair side the
-        projector's rank, the same at every sample; raises otherwise.  A
-        pair side's rank is kept under its projector field, so every spec
-        of that side shares one SVD per context."""
+        projector's rank, the same at every sample; raises otherwise.  The
+        rank is kept under the spec's value, so every spec of one side or
+        one span shares one SVD per context."""
         def build():
             M = (np.stack([vvalues(ctx.vector(f)) for f in self.span], axis=-1)
                  if self.span is not None else jets_matrix_values(ctx.endo(self._onto())))
@@ -169,7 +170,7 @@ class DistributionSpec:
                 raise EvaluationError(f"rank of {self.label!r} drops or varies across samples",
                                       point=ctx.points[int(np.argmax(counts != rank))])
             return int(rank)
-        return ctx.cached((self if self.span is not None else self._onto(), "rank"), build)
+        return ctx.cached((self, "rank"), build)
 
     def complement_values(self, ctx: EvalContext, w: Vec) -> np.ndarray:
         """|component of w outside the distribution| at every sample."""
@@ -248,7 +249,7 @@ def conjugate_geodesic_rows(ctx: EvalContext, nabla: ConnectionOp,
 def hv_form_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair) -> Rows:
     """Direct conjugation by h - v against the four projected blocks."""
     H, V = ctx.endo(pair.h), ctx.endo(pair.v)
-    conj = ConjugateConnection(nabla, pair.structure())
+    conj = ConjugateConnection(nabla, pair.structure)
 
     def four_term(X, Y):
         hY, vY = endo_apply(H, Y), endo_apply(V, Y)
@@ -267,7 +268,7 @@ def restriction_collapse_rows(ctx: EvalContext, nabla: ConnectionOp,
     and the connection already splits through the projectors."""
     Dh = DistributionSpec.from_pair(pair, "horizontal", label="Dh")
     Dv = DistributionSpec.from_pair(pair, "vertical", label="Dv")
-    conj = ConjugateConnection(nabla, pair.structure())
+    conj = ConjugateConnection(nabla, pair.structure)
     H, V = ctx.endo(pair.h), ctx.endo(pair.v)
 
     def conclusions(X, Y):
@@ -289,16 +290,15 @@ class SchoutenConnection(CombinationOp):
     """h(nabla_x(hy)) + v(nabla_x(vy)): the part of the base preserving
     both sides of the splitting."""
 
-    def __init__(self, base: ConnectionOp, pair: ProjectorPair, label: str | None = None):
+    def __init__(self, base: ConnectionOp, pair: ProjectorPair):
         super().__init__(((1.0, Sandwiched(base, out=pair.h, arg=pair.h)),
-                          (1.0, Sandwiched(base, out=pair.v, arg=pair.v))),
-                         label=label or f"schouten({base.label})")
+                          (1.0, Sandwiched(base, out=pair.v, arg=pair.v))))
 
 
 def schouten_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair,
                   tol: float) -> Rows:
     s = SchoutenConnection(nabla, pair)
-    E = pair.structure()
+    E = pair.structure
     dE = structure_derivative_twist(s, E)
     Dh = DistributionSpec.from_pair(pair, "horizontal", label="Dh")
     Dv = DistributionSpec.from_pair(pair, "vertical", label="Dv")
@@ -333,7 +333,7 @@ def involutivity_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair
     which the proof quietly uses, so the base torsion is reported in the
     note for transparency.
     """
-    conj = ConjugateConnection(nabla, pair.structure())
+    conj = ConjugateConnection(nabla, pair.structure)
     hyp = torsion_residual(ctx, conj)
     base_t = torsion_residual(ctx, nabla)
 
@@ -352,7 +352,7 @@ def involutivity_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair
 
 def conjugate_torsion_magnitude(ctx: EvalContext, nabla: ConnectionOp,
                                 pair: ProjectorPair) -> Residual:
-    return torsion_residual(ctx, ConjugateConnection(nabla, pair.structure()))
+    return torsion_residual(ctx, ConjugateConnection(nabla, pair.structure))
 
 
 # ---- fundamental splitting tensors ------------------------------------
@@ -363,7 +363,7 @@ def fundamental_tensors(nabla: ConnectionOp, pair: ProjectorPair):
     h, v = pair.h, pair.v
     swap = CombinationOp(((1.0, Sandwiched(nabla, out=h, arg=v)),
                           (1.0, Sandwiched(nabla, out=v, arg=h))))
-    return Sandwiched(swap, along=v, label="T"), Sandwiched(swap, along=h, label="A")
+    return Sandwiched(swap, along=v), Sandwiched(swap, along=h)
 
 
 def splitting_block_rows(ctx: EvalContext, nabla: ConnectionOp,
@@ -371,7 +371,7 @@ def splitting_block_rows(ctx: EvalContext, nabla: ConnectionOp,
     """The projected shape of the structural and virtual tensors at
     E = h - v: vanishing blocks, the two-block splits, the explicit block
     formulas, and their expression through the fundamental tensors."""
-    E = pair.structure()
+    E = pair.structure
     C = structural_tensor(nabla, E)
     B = virtual_tensor(nabla, E)
     T, A = fundamental_tensors(nabla, pair)
@@ -423,7 +423,7 @@ def skew_pair_rows(ctx: EvalContext, pair1: ProjectorPair, pair2: ProjectorPair)
     the projector level.  For pairs sharing a vertical side both defects
     are forced away from zero, so these rows usually carry a flipped
     expectation."""
-    e_skew = skew_commutation_residual(ctx, pair1.structure(), pair2.structure())
+    e_skew = skew_commutation_residual(ctx, pair1.structure, pair2.structure)
     H1 = jets_matrix_values(ctx.endo(pair1.h))
     H2 = jets_matrix_values(ctx.endo(pair2.h))
     return [("structure_skew", e_skew, ""),
@@ -435,8 +435,8 @@ def skew_bridge_rows(ctx: EvalContext, pair1: ProjectorPair, pair2: ProjectorPai
     skew-commutation defects of two splittings."""
     H1 = jets_matrix_values(ctx.endo(pair1.h))
     H2 = jets_matrix_values(ctx.endo(pair2.h))
-    A1 = jets_matrix_values(ctx.endo(pair1.structure()))
-    A2 = jets_matrix_values(ctx.endo(pair2.structure()))
+    A1 = jets_matrix_values(ctx.endo(pair1.structure))
+    A2 = jets_matrix_values(ctx.endo(pair2.structure))
     h_anti = H1 @ H2 + H2 @ H1
     bridge = (A1 @ A2 + A2 @ A1) - (4.0 * h_anti - 4.0 * (H1 + H2) + 2.0 * np.eye(ctx.chart.dim))
     return [_pointwise_row(ctx, "defect_bridge", bridge,

@@ -473,7 +473,7 @@ def metric_compat_residual(ctx: EvalContext, g: MetricField, E: EndoField) -> Re
     return worst(ctx, [(None, np.swapaxes(A, -1, -2) @ G @ A - G)])
 
 
-def endo_combination(terms, label: str = "E") -> EndoField:
+def endo_combination(terms) -> EndoField:
     """sum c F entrywise at the expression level over (c, F) terms, a None F
     standing for the identity.  A weight 1 adds the entry itself and -1 its
     negation; any other weight multiplies it as a rational constant."""
@@ -487,15 +487,14 @@ def endo_combination(terms, label: str = "E") -> EndoField:
             e = (ONE if k == j else ZERO) if F is None else F.entries[k][j]
             parts.append(e if c == 1 else Neg(e) if c == -1 else Product((w, e)))
         return Sum(tuple(parts))
-    return EndoField(chart, tuple(tuple(entry(k, j) for j in range(n)) for k in range(n)),
-                     label=label)
+    return EndoField(chart, tuple(tuple(entry(k, j) for j in range(n)) for k in range(n)))
 
 
-def endo_from_difference(h: EndoField, v: EndoField, label: str = "E") -> EndoField:
+def endo_from_difference(h: EndoField, v: EndoField) -> EndoField:
     """Entrywise h - v at the expression level."""
-    return endo_combination(((1, h), (-1, v)), label=label)
+    return endo_combination(((1, h), (-1, v)))
 
 
-def complement_endo(h: EndoField, label: str = "v") -> EndoField:
+def complement_endo(h: EndoField) -> EndoField:
     """I - h at the expression level."""
-    return endo_combination(((1, None), (-1, h)), label=label)
+    return endo_combination(((1, None), (-1, h)))

@@ -65,28 +65,21 @@ _MAX_CONDITION = 1e8
 class GeneralizedConjugate(CombinationOp):
     """E(nabla_x(Ey)) + C(x, y) for a chosen twist tensor C."""
 
-    def __init__(self, base: ConnectionOp, structure: EndoField,
-                 twist: Tensor12Field, label: str | None = None):
-        super().__init__(((1.0, ConjugateConnection(base, structure)), (1.0, twist)),
-                         label=label if label is not None else
-                         f"gconj({base.label},{structure.label},{twist.label})")
+    def __init__(self, base: ConnectionOp, structure: EndoField, twist: Tensor12Field):
+        super().__init__(((1.0, ConjugateConnection(base, structure)), (1.0, twist)))
 
 
-def rotated_twist(twist: Tensor12Field, structure: EndoField,
-                  label: str | None = None) -> Sandwiched:
+def rotated_twist(twist: Tensor12Field, structure: EndoField) -> Sandwiched:
     """E composed after the twist; preserves membership in the duality kernel."""
-    return Sandwiched(twist, out=structure, label=label or f"rot({twist.label})")
+    return Sandwiched(twist, out=structure)
 
 
 def mixed_derivative_twist(base: ConnectionOp, structure: EndoField,
-                           lam: float, mu: float,
-                           label: str | None = None) -> Sandwiched:
+                           lam: float, mu: float, label: str = "nabla") -> Sandwiched:
     """lam * (nabla E) + mu * E(nabla E), as (lam I + mu E) after one nabla E;
     the kernel is linear, so any mix stays inside."""
-    weights = endo_combination(((lam, None), (mu, structure)),
-                               label=f"{lam:g}I+{mu:g}{structure.label}")
-    return Sandwiched(structure_derivative_twist(base, structure), out=weights,
-                      label=label or f"mix({lam:g},{mu:g})d{structure.label}")
+    weights = endo_combination(((lam, None), (mu, structure)))
+    return Sandwiched(structure_derivative_twist(base, structure), out=weights, label=label)
 
 
 def duality_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
@@ -131,11 +124,9 @@ def duality_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 
 
 def family_member(base: ConnectionOp, structure: EndoField,
-                  lam: float, mu: float, label: str | None = None) -> ConnectionOp:
+                  lam: float, mu: float) -> ConnectionOp:
     """(1 + mu) * conjugate + lam * base as one operator."""
-    conj = ConjugateConnection(base, structure)
-    return CombinationOp(((1.0 + mu, conj), (lam, base)),
-                         label=label or f"family({lam:g},{mu:g})")
+    return CombinationOp(((1.0 + mu, ConjugateConnection(base, structure)), (lam, base)))
 
 
 _SPECIAL_MEMBERS = {

@@ -528,18 +528,22 @@ class _Loader:
     def probe_structures(self) -> None:
         """Refuse structures that do not square to the identity.
 
-        Every endo a check uses as a structure is probed, except those of
-        a check whose kind measures involution itself and is expected to
-        fail.  Endos that only serve as raw projectors (pair members, skew
-        probes) are exempt; pencil members are probed with their pencil.
+        Every endo a check uses as a structure, and both members of every
+        pencil a check uses, are probed; a check whose kind measures
+        involution itself and is expected to fail probes none of its own.
+        Endos that only serve as raw projectors (pair members, skew probes)
+        are exempt.
         """
-        probed, exempt = set(), set()
+        probed = set()
         for check in self.scn.checks:
-            skip = check.kind.probe_exempt and check.expect == "fail"
+            if check.kind.probe_exempt and check.expect == "fail":
+                continue
             for pname, spec in check.kind.params.items():
-                if spec.role == "structure" and check.params[pname] is not None:
-                    (exempt if skip else probed).add(check.params[pname].label)
-        for name in sorted(probed - exempt):
+                value = check.params[pname]
+                if value is not None and spec.role in ("structure", "pencil"):
+                    members = (value.first, value.second) if spec.role == "pencil" else (value,)
+                    probed.update(m.label for m in members)
+        for name in sorted(probed):
             self.guarded(self.where[("endo", name)], self.probe_involution, name)
 
     def probe_involution(self, name: str) -> None:

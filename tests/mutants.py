@@ -63,6 +63,21 @@ MUTANTS = [
      "return tol if a is TOL else a", "return a"),
     ("suite_args_reversed", "checks.py",
      "for a in args))", "for a in reversed(args)))"),
+    ("equality_ignores_along", "connections.py",
+     "along: EndoField | None = None",
+     "along: EndoField | None = field(default=None, compare=False)"),
+    ("equality_ignores_coefficients", "connections.py",
+     '_same_chart([op for _, op in terms], "combination terms"))\n',
+     '_same_chart([op for _, op in terms], "combination terms"))\n\n'
+     "    def __eq__(self, other):\n"
+     "        return type(self) is type(other) and \\\n"
+     "            [t for _, t in self.terms] == [t for _, t in other.terms]\n\n"
+     "    def __hash__(self):\n"
+     "        return hash(tuple(t for _, t in self.terms))\n"),
+    ("equality_compares_label", "connections.py",
+     'label: str = field(default="combination", compare=False)', 'label: str = "combination"'),
+    ("distribution_equality_compares_label", "distributions.py",
+     "label: str = field(compare=False)", "label: str"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

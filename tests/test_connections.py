@@ -10,9 +10,11 @@ import pytest
 
 from prodconj.errors import ConfigError
 from prodconj.expr import ZERO, parse_expr
-from prodconj.conjugation import (ConjugateConnection, chi_tensor, projective_tensor,
-                                  structural_tensor, virtual_tensor)
-from prodconj.distributions import fundamental_tensors, pair_from_h
+from prodconj.conjugation import (ConjugateConnection, chi_tensor, expansion_form,
+                                  projective_tensor, psi_connection, structural_tensor,
+                                  virtual_tensor)
+from prodconj.distributions import (DistributionSpec, SchoutenConnection, fundamental_tensors,
+                                    pair_from_h)
 from prodconj.fields import (
     Chart,
     EndoField,
@@ -43,7 +45,8 @@ from prodconj.connections import (
     torsion,
     torsion_residual,
 )
-from prodconj.generalized import mixed_derivative_twist, rotated_twist
+from prodconj.generalized import (GeneralizedConjugate, family_member, mixed_derivative_twist,
+                                  rotated_twist)
 from prodconj.runner import corpus_names, corpus_text
 from prodconj.sampling import SamplePlan
 from prodconj.scenario import load_scenario
@@ -277,7 +280,7 @@ SHEAR_PAIR = pair_from_h(EndoField(CHART, ((_p("1"), _p("(* 1/2 x)")), (ZERO, ZE
 
 def _derived_tensors():
     pair = SHEAR_PAIR
-    base, E = LeviCivitaConnection(WARPED), pair.structure()
+    base, E = LeviCivitaConnection(WARPED), pair.structure
     tau = Tensor12Field.from_components(CHART, [[[_p("x"), ZERO], [_p("y"), _p("1")]],
                                                 [[ZERO, _p("(* x y)")], [ZERO, ZERO]]])
     dE = structure_derivative_twist(base, E)
@@ -321,7 +324,7 @@ def test_torsion_and_curvature_are_tensorial_off_the_frame(conjugated):
     vanishes, so only non-frame fields see the bracket's sign."""
     nabla = LeviCivitaConnection(WARPED)
     if conjugated:
-        nabla = ConjugateConnection(nabla, SHEAR_PAIR.structure())
+        nabla = ConjugateConnection(nabla, SHEAR_PAIR.structure)
     ctx = _ctx(CHART, count=30)
     x, y, f = _off_frame(ctx)
     fx = vscale(f, x)
@@ -365,3 +368,91 @@ def test_shipped_operators_are_tables_under_composition_nodes(name):
                     or _is_component_table(leaf, n)), (op.label, leaf)
             table = getattr(leaf, "table", None)
             assert table is None or _is_component_table(table, n), (op.label, leaf)
+
+
+# ---- derived operators are values ------------------------------------
+
+FLAT_SWAP = load_scenario(corpus_text("flat_swap"), name="flat_swap")
+
+
+# two choices of every leaf a derived constructor takes, from the shipped
+# scenario: the first is the default, the second the change
+LEAVES = {"base": (FLAT_SWAP.connections["adapted"], FLAT_SWAP.connections["obstructed"]),
+          "structure": (FLAT_SWAP.endos["swap"], FLAT_SWAP.endos["refl"]),
+          "tau": (FLAT_SWAP.tensors["tau"], FLAT_SWAP.tensors["csym"]),
+          "pair": (FLAT_SWAP.pairs["coords"], pair_from_h(FLAT_SWAP.endos["hproj"])),
+          "lam": (0.5, 2.0), "mu": (-1.0, 0.0)}
+
+# name: (constructor, the leaves it takes in order)
+CONSTRUCTORS = {
+    "conjugate": (ConjugateConnection, ("base", "structure")),
+    "psi": (psi_connection, ("base", "structure")),
+    "chi": (chi_tensor, ("tau", "structure")),
+    "structure_derivative": (structure_derivative_twist, ("base", "structure")),
+    "structural": (structural_tensor, ("base", "structure")),
+    "virtual": (virtual_tensor, ("base", "structure")),
+    "fundamental_T": (lambda b, p: fundamental_tensors(b, p)[0], ("base", "pair")),
+    "fundamental_A": (lambda b, p: fundamental_tensors(b, p)[1], ("base", "pair")),
+    "twisted_conjugate": (GeneralizedConjugate, ("base", "structure", "tau")),
+    "schouten": (SchoutenConnection, ("base", "pair")),
+    "family_member": (family_member, ("base", "structure", "lam", "mu")),
+    "expansion_form": (expansion_form, ("base", "structure")),
+    "rotated_twist": (rotated_twist, ("tau", "structure")),
+    "sum": (SumConnection, ("base", "tau")),
+}
+
+
+def _build(name, changed=None):
+    fn, leaves = CONSTRUCTORS[name]
+    return fn(*(LEAVES[leaf][1 if leaf == changed else 0] for leaf in leaves))
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_a_constructor_on_the_same_leaves_gives_one_value(name):
+    """Built twice, a derived operator is two equal, hash-equal nodes that
+    share one context cache entry."""
+    a, b = _build(name), _build(name)
+    assert a is not b and a == b and hash(a) == hash(b)
+    ctx = _ctx(CHART, count=3)
+    first = ctx.cached((a, "table"), object)
+    assert ctx.cached((b, "table"), lambda: pytest.fail("built again")) is first
+
+
+@pytest.mark.parametrize("name, leaf", [(name, leaf) for name, (_, leaves) in
+                                        CONSTRUCTORS.items() for leaf in leaves])
+def test_a_changed_leaf_or_coefficient_gives_another_value(name, leaf):
+    assert _build(name) != _build(name, changed=leaf)
+
+
+def test_every_slot_and_coefficient_takes_part_in_equality():
+    """Sandwiched(dE, along=E), the structural half's first term, is not
+    dE sandwiched in any other slot; the structural and virtual tensors
+    differ only in one coefficient's sign."""
+    base, E = LEAVES["base"][0], LEAVES["structure"][0]
+    dE = structure_derivative_twist(base, E)
+    nodes = [Sandwiched(dE, out=o, arg=a, along=w)
+             for o in (None, E) for a in (None, E) for w in (None, E)]
+    assert all((x == y) == (i == j) for i, x in enumerate(nodes) for j, y in enumerate(nodes))
+    assert structural_tensor(base, E) != virtual_tensor(base, E)
+    assert CombinationOp(((0.5, dE),)) != CombinationOp(((-0.5, dE),))
+    assert ZeroOp(CHART) == ZeroOp(CHART) != ZeroOp(SPHERE_CHART)
+
+
+def test_a_label_never_takes_part_in_equality():
+    """The loader's labelled structure derivative equals the unlabelled
+    one, and distributions differing only in label are one value."""
+    scn = FLAT_SWAP
+    base, E, tau = scn.connections["adapted"], scn.endos["swap"], scn.tensors["tau"]
+    named = scn.tensors["dswap"]
+    assert named.label == "dswap" and named == structure_derivative_twist(base, E)
+    assert hash(named) == hash(structure_derivative_twist(base, E))
+    assert Sandwiched(tau, out=E, label="a") == Sandwiched(tau, out=E, label="b")
+    assert SumConnection(base, tau, label="a") == SumConnection(base, tau)
+    assert mixed_derivative_twist(base, E, 1.0, 0.0, label="a").op == named
+    span = DistributionSpec.from_span((scn.vectors["e0"],), label="other")
+    assert span == scn.distributions["dh"] and hash(span) == hash(scn.distributions["dh"])
+    pair = scn.pairs["coords"]
+    sides = [DistributionSpec.from_pair(pair, side, label=label)
+             for side in ("horizontal", "vertical") for label in ("Dh", "D")]
+    assert sides[0] == sides[1] != sides[2] == sides[3]
+    assert DistributionSpec.from_pair(pair_from_h(pair.h), "horizontal") != sides[0]

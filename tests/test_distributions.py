@@ -105,7 +105,7 @@ def test_pair_axioms_fail_for_non_idempotent():
 
 def test_slanted_structure_matrix():
     ctx = _ctx(count=10)
-    E = SLANTED.structure()
+    E = SLANTED.structure
     A = np.stack([np.stack([j.value for j in row], -1) for row in ctx.endo(E)], -2)
     x = ctx.points[:, 0]
     assert np.allclose(A[:, 0, 0], 1.0) and np.allclose(A[:, 1, 1], -1.0)
@@ -159,7 +159,7 @@ def test_pair_route_membership_matches_span_route():
 def test_invariance_under_structure():
     ctx = _ctx()
     Dh = DistributionSpec.from_pair(SLANTED, "horizontal", label="Dh")
-    assert invariance_residual(ctx, Dh, SLANTED.structure()).value < 1e-12
+    assert invariance_residual(ctx, Dh, SLANTED.structure).value < 1e-12
     Dc = DistributionSpec.from_pair(COORDS, "horizontal", label="Dc")
     assert invariance_residual(ctx, Dc, SWAP).value == pytest.approx(1.0)
 
@@ -180,7 +180,7 @@ def test_geodesic_residual_weaker_than_restriction():
 def test_conjugate_restriction_rows_positive_and_gated():
     ctx = _ctx()
     Dh = DistributionSpec.from_pair(SLANTED, "horizontal", label="Dh")
-    rows = conjugate_restriction_rows(ctx, _framed(), Dh, SLANTED.structure(), 1e-9)
+    rows = conjugate_restriction_rows(ctx, _framed(), Dh, SLANTED.structure, 1e-9)
     _assert_rows(rows, bound=1e-11)
     tilt = DistributionSpec.from_span((VectorField(CHART, (_p("(- 0 x)"), _p("1"))),))
     gated = conjugate_restriction_rows(ctx, FLAT, tilt, REFL, 1e-9)
@@ -190,7 +190,7 @@ def test_conjugate_restriction_rows_positive_and_gated():
 def test_conjugate_geodesic_rows_gate_on_restriction():
     ctx = _ctx()
     Dh = DistributionSpec.from_pair(SLANTED, "horizontal", label="Dh")
-    rows = conjugate_geodesic_rows(ctx, _framed(), Dh, SLANTED.structure(), 1e-9)
+    rows = conjugate_geodesic_rows(ctx, _framed(), Dh, SLANTED.structure, 1e-9)
     assert [n for n, _, _ in rows] == \
         ["hypothesis_invariance", "hypothesis_restriction", "conjugate_geodesic"]
     _assert_rows(rows, bound=1e-11)
@@ -260,7 +260,7 @@ def test_involutivity_gate_fails_closed_on_nan(monkeypatch):
 
 def test_pair_structure_is_built_once():
     pair = pair_from_h(HX)
-    assert pair.structure() is pair.structure()
+    assert pair.structure is pair.structure
 
 
 def test_one_rank_svd_per_projector_in_a_context(monkeypatch):

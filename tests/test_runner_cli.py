@@ -20,6 +20,8 @@ import prodconj
 from prodconj import jets
 from prodconj.checks import CheckKind, catalog_lines
 from prodconj.cli import _parser, main
+from prodconj.connections import CombinationOp, Sandwiched
+from prodconj.distributions import DistributionSpec
 from prodconj.errors import ConfigError, OrderError
 from prodconj.fields import EvalContext
 from prodconj.jets import Jet
@@ -275,11 +277,12 @@ def test_corpus_runs_clean_and_deterministic():
 
 def test_runs_leave_no_context_alive(monkeypatch):
     """Everything a run caches lives on its EvalContext and dies with it:
-    after two shipped scenarios and a collection, no context and no cached
-    value that takes a weak reference is alive, and the shared zero arrays
+    after two shipped scenarios and a collection, no context, no cached
+    value that takes a weak reference, and no composite operator or
+    distribution built during the runs is alive, and the shared zero arrays
     hold one entry per shape their batches needed."""
     monkeypatch.setattr(jets, "_ZEROS_CACHE", {})
-    contexts, values = [], []
+    contexts, values, nodes = [], [], []
     init, cached = EvalContext.__init__, EvalContext.cached
 
     def tracked_init(self, chart, points):
@@ -295,12 +298,18 @@ def test_runs_leave_no_context_alive(monkeypatch):
         return cached(self, key, recorded)
     monkeypatch.setattr(EvalContext, "__init__", tracked_init)
     monkeypatch.setattr(EvalContext, "cached", tracked_cached)
+    for cls in (Sandwiched, CombinationOp, DistributionSpec):
+        def tracked_post_init(self, post_init=cls.__post_init__):
+            post_init(self)
+            nodes.append(weakref.ref(self))
+        monkeypatch.setattr(cls, "__post_init__", tracked_post_init)
     for name in ("involutivity_r3", "warped"):
         assert not run_scenario(load_scenario(corpus_text(name), name=name)).failed
     gc.collect()
     assert len(contexts) >= 2 and values
     assert [ref() for ref, _, _ in contexts] == [None] * len(contexts)
     assert [ref() for ref in values] == [None] * len(values)
+    assert len(nodes) > 100 and sum(ref() is not None for ref in nodes) == 0
     shapes = {shape for _, m, n in contexts for shape in ((m, n), (m, n * (n + 1) // 2))}
     assert set(jets._ZEROS_CACHE) == shapes
 

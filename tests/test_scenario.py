@@ -248,6 +248,27 @@ expect = fail
     assert scn.checks[0].expect == "fail"
 
 
+def test_an_expected_failure_exempts_only_its_own_check():
+    """A non-involutive endo that an almost_product check expects to fail
+    is still refused where another check conjugates by it."""
+    msgs = _errors(HEAD, FLAT, """\
+[endo proj]
+row 0 = 1 0
+row 1 = 0 0
+
+[check ax]
+kind = almost_product
+structure = proj
+expect = fail
+
+[check c]
+kind = prop11
+connection = flat
+structure = proj
+""")
+    assert any(m.startswith("line 9: endo 'proj' is not involutive") for m in msgs), msgs
+
+
 def test_pencil_members_must_skew_commute():
     msgs = _errors(HEAD, SWAP, FLAT, """\
 [endo also_swap]
@@ -334,6 +355,11 @@ REFUSED = {
     "box_infinite": (("[chart]\ndim = 2\nbox = -inf:inf, -1:1\n",), "bad number '-inf'"),
     "seed_negative": ((HEAD, "[samples]\nseed = -1\n", SWAP, FLAT, CHECK), "seed must be"),
     "alpha_division_by_zero": ((HEAD, SWAP, PENCIL.replace("3/5", "1/0")), "bad number '1/0'"),
+    "pencil_member_not_involutive":
+        ((HEAD, SWAP, FLAT,
+          PENCIL.replace("refl", "d2").replace("1 0\nrow 1 = 0 -1", "2 0\nrow 1 = 0 -2"),
+          "[check pc]\nkind = pencil\nconnection = flat\npencil = p\n"),
+         "line 13: endo 'd2' is not involutive"),
     "pencil_member_divides_by_zero":
         ((HEAD, SWAP, PENCIL.replace("row 1 = 0 -1", "row 1 = 0 (/ 1 0)")),
          "division by zero"),
