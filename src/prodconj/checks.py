@@ -69,7 +69,7 @@ from .generalized import (
     generalized_identity_rows,
     sweep_rows,
 )
-from .reporting import ERROR, FAIL, PASS, SKIP, CheckRow
+from .reporting import ERROR, FAIL, PASS, SKIP, CheckRow, Residual
 
 EXPECTATIONS = ("pass", "fail", "hypothesis_fail")
 DEFAULT_FLOOR = 1e-3
@@ -93,13 +93,15 @@ class ParamSpec:
     Roles name object tables of the scenario (connection, structure,
     metric, oneform, tensor, pair, pencil, distribution), plain values
     (float, str), or composites (vectors = comma-joined vector-field
-    names).
+    names).  `needs` names a parameter that must be given whenever this
+    one is.
     """
 
     role: str
     required: bool = False
     default: object = None
     choices: tuple[str, ...] | None = None
+    needs: str | None = None
 
 
 @dataclass(frozen=True)
@@ -319,7 +321,7 @@ def _kinds() -> dict[str, CheckKind]:
             "mixing rule of a structure pencil, axis reductions, special cases",
             *_suite(pencil_suite, "connection", "pencil", "eta", "case", TOL,
                     eta=ParamSpec("oneform"),
-                    case=ParamSpec("str", choices=("recurrent", "mixed"))),
+                    case=ParamSpec("str", choices=("recurrent", "mixed"), needs="eta")),
             anchors={
                 "skew_commutation": "1.8",
                 "mixing_rule": "1.8",
@@ -526,31 +528,25 @@ def judge(check_id: str, kind: CheckKind, rows, params: dict,
     out: list[CheckRow] = []
     hypothesis_violated = False
     for name, res, note in rows:
-        row_id = f"{check_id}.{name}"
-        anchor = kind.anchor_for(name, params)
+        suffix = ""
         if res is None:
-            status = SKIP
+            res, status = Residual(math.nan), SKIP
             if expect == "hypothesis_fail":
-                note = (note + "; " if note else "") + "skip expected here"
-            out.append(CheckRow(row_id, anchor, math.nan, status, note=note))
-            continue
-        row_tol = kind.row_tols.get(name, tol)
-        finite = math.isfinite(res.value)
-        if expect == "hypothesis_fail" and name in kind.hypotheses \
-                and finite and res.value > floor:
+                suffix = "skip expected here"
+        elif not math.isfinite(res.value):
+            status = ERROR
+        elif expect == "hypothesis_fail" and name in kind.hypotheses and res.value > floor:
             hypothesis_violated = True
-            out.append(CheckRow(row_id, anchor, res.value, PASS,
-                                res.worst_point, res.frame,
-                                (note + "; " if note else "") + "hypothesis violated as expected"))
-            continue
-        if expect == "fail" and name in kind.invertible and finite:
+            status, suffix = PASS, "hypothesis violated as expected"
+        elif expect == "fail" and name in kind.invertible:
             status = PASS if res.value > floor else FAIL
-            out.append(CheckRow(row_id, anchor, res.value, status,
-                                res.worst_point, res.frame,
-                                (note + "; " if note else "")
-                                + f"expected violation, floor {floor:g}"))
+            suffix = f"expected violation, floor {floor:g}"
         else:
-            out.append(CheckRow.judged(row_id, anchor, res, row_tol, note))
+            status = PASS if res.within(kind.row_tols.get(name, tol)) else FAIL
+        if suffix:
+            note = (note + "; " if note else "") + suffix
+        out.append(CheckRow(f"{check_id}.{name}", kind.anchor_for(name, params), res.value,
+                            status, res.worst_point, res.frame, note))
     if expect == "hypothesis_fail" and not hypothesis_violated:
         out.append(CheckRow(f"{check_id}.expectation", kind.default_anchor,
                             math.inf, FAIL,

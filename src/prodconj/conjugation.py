@@ -282,6 +282,11 @@ class Pencil:
         """alpha E1 + beta E2, one field per pencil, so its checks share its jets."""
         return endo_combination(((self.alpha, self.first), (self.beta, self.second)))
 
+    @cached_property
+    def axes(self) -> tuple[EndoField, EndoField]:
+        """The endos at exact weights (1, 0) and (0, 1), one pair per pencil."""
+        return tuple(Pencil(self.first, self.second, a, b).endo for a, b in ((1, 0), (0, 1)))
+
 
 def skew_commutation_residual(ctx: EvalContext, first: EndoField,
                               second: EndoField) -> Residual:
@@ -314,10 +319,8 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
     if recurrences is None:
         raise ConfigError(f"unknown pencil case {case!r}")
     w = ctx.oneform(eta) if case else None
-    # Axis reductions rebuild the pencil with exact weights (1,0) and (0,1),
-    # so the residual must be exactly representable zero, not merely small.
-    axis1 = ConjugateConnection(base, Pencil(E1, E2, Fraction(1), Fraction(0)).endo)
-    axis2 = ConjugateConnection(base, Pencil(E1, E2, Fraction(0), Fraction(1)).endo)
+    # The axis endos carry exact weights, so these residuals must be exact zeros.
+    axis1, axis2 = (ConjugateConnection(base, E) for E in pencil.axes)
 
     def rows(X, Y):
         c1, c2 = conj1.apply(ctx, X, Y), conj2.apply(ctx, X, Y)

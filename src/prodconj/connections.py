@@ -176,8 +176,7 @@ class ZeroOp(ConnectionOp):
     chart: Chart
 
     def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        z = ctx.zero_scalar()
-        return [z] * self.chart.dim
+        return [x[0].like_constant(0.0)] * self.chart.dim
 
 
 # ---- derived quantities ----------------------------------------------
@@ -241,16 +240,15 @@ def connection_laws_residual(ctx: EvalContext, nabla: ConnectionOp,
     fj = ctx.scalar(f)
     direction = vvalues(nabla.apply(ctx, vscale(fj, x), y)) - \
         vvalues(vscale(fj, nabla.apply(ctx, x, y)))
-    lhs = nabla.apply(ctx, x, vscale(fj, y))
-    rhs = vadd(vscale(dirderiv(x, fj), y), vscale(fj, nabla.apply(ctx, x, y)))
-    return worst(ctx, [("direction", direction), ("argument", vvalues(lhs) - vvalues(rhs))])
+    return worst(ctx, [("direction", direction)]).merged(
+        leibniz_defect_residual(ctx, nabla, 1.0, f, x, y, label="argument"))
 
 
 def leibniz_defect_residual(ctx: EvalContext, op: ConnectionOp, coefficient_sum: float,
-                            f: Expr, x: Vec, y: Vec):
+                            f: Expr, x: Vec, y: Vec, label: str = "leibniz-defect"):
     """|nabla_x(fy) - f nabla_x y - s X(f) y| with the defect scale s pinned."""
     fj = ctx.scalar(f)
     lhs = op.apply(ctx, x, vscale(fj, y))
     xf = dirderiv(x, fj)
     rhs = vadd(vscale(fj, op.apply(ctx, x, y)), vscale(xf * coefficient_sum, y))
-    return worst(ctx, [("leibniz-defect", vvalues(lhs) - vvalues(rhs))])
+    return worst(ctx, [(label, vvalues(lhs) - vvalues(rhs))])

@@ -66,10 +66,6 @@ class ProjectorPair:
         if self.h.chart is not self.v.chart:
             raise ConfigError("projector pair members live on different charts")
 
-    @property
-    def chart(self):
-        return self.h.chart
-
     @cached_property
     def structure(self) -> EndoField:
         """E = h - v, one field per pair, so the pair's suites share its jets."""

@@ -120,17 +120,15 @@ def _parse(tokens: list[str], pos: int, names) -> tuple[Expr, int]:
     head = tokens[pos]
     pos += 1
     args: list[Expr] = []
-    raw: list[str] = []
     while True:
         if pos >= len(tokens):
             raise ConfigError(f"unterminated ({head} ...)")
         if tokens[pos] == ")":
             pos += 1
             break
-        raw.append(tokens[pos])
         arg, pos = _parse(tokens, pos, names)
         args.append(arg)
-    return _form(head, args, raw), pos
+    return _form(head, args), pos
 
 
 def _atom(tok: str, names) -> Expr:
@@ -141,7 +139,7 @@ def _atom(tok: str, names) -> Expr:
     raise ConfigError(f"unknown symbol {tok!r}")
 
 
-def _form(head: str, args: list[Expr], raw: list[str]) -> Expr:
+def _form(head: str, args: list[Expr]) -> Expr:
     if head == "coord":
         if len(args) != 1 or not isinstance(args[0], Const) or args[0].value.denominator != 1:
             raise ConfigError("(coord i) takes one integer index")

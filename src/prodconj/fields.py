@@ -190,8 +190,7 @@ class EvalContext:
             raise ConfigError(f"points must have shape (m, {chart.dim}), got {points.shape}")
         self.chart = chart
         self.points = points
-        self._expr_memo: dict = {}
-        self._memo: dict = {}
+        self._memo: dict = {}  # expression jets by (expr, 2), built values by (owner, tag)
 
     @property
     def count(self) -> int:
@@ -200,7 +199,7 @@ class EvalContext:
     # ---- expression-level --------------------------------------------
 
     def scalar(self, e: Expr) -> Jet:
-        return eval_jet(e, self.points, 2, self._expr_memo)
+        return eval_jet(e, self.points, 2, self._memo)
 
     def cached(self, key, build):
         hit = self._memo.get(key)
@@ -211,11 +210,10 @@ class EvalContext:
 
     # ---- field-level --------------------------------------------------
 
-    def vector(self, f: VectorField) -> Vec:
+    def vector(self, f: VectorField | OneFormField) -> Vec:
         return self.cached((f, "vec"), lambda: [self.scalar(c) for c in f.components])
 
-    def oneform(self, f: OneFormField) -> Vec:
-        return self.cached((f, "form"), lambda: [self.scalar(c) for c in f.components])
+    oneform = vector
 
     def endo(self, f: EndoField) -> Grid:
         return self.cached(
@@ -259,9 +257,6 @@ class EvalContext:
             return [FrameVector([Jet.constant(1.0 if k == i else 0.0, n, 2, shape)
                                  for k in range(n)], i) for i in range(n)]
         return self.cached(("frame",), build)
-
-    def zero_scalar(self) -> Jet:
-        return Jet.constant(0.0, self.chart.dim, 2, (self.count,))
 
 
 def context_for(chart: Chart, plan: SamplePlan) -> EvalContext:

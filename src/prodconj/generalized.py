@@ -175,9 +175,9 @@ def family_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     return rows
 
 
-def _pooled_values(ctx: EvalContext, op_fn, probes: list[Vec]) -> np.ndarray:
-    """Stack op_fn(X, Y) component values over probe pairs, shape (P, m, n)."""
-    return np.stack([vvalues(op_fn(X, Y)) for X, Y in combinations(probes, 2)])
+def _pooled_values(ctx: EvalContext, op: ConnectionOp, probes: list[Vec]) -> np.ndarray:
+    """Stack op's component values over probe pairs, shape (P, m, n)."""
+    return np.stack([vvalues(op.apply(ctx, X, Y)) for X, Y in combinations(probes, 2)])
 
 
 def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
@@ -193,8 +193,8 @@ def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     skips the whole sweep rather than reporting noise.
     """
     conj = ConjugateConnection(base, structure)
-    Vb = _pooled_values(ctx, lambda X, Y: base.apply(ctx, X, Y), probes)
-    Vc = _pooled_values(ctx, lambda X, Y: conj.apply(ctx, X, Y), probes)
+    Vb = _pooled_values(ctx, base, probes)
+    Vc = _pooled_values(ctx, conj, probes)
 
     design = np.stack([Vb.ravel(), Vc.ravel()], axis=1)
     sv = np.linalg.svd(design, compute_uv=False)
@@ -216,7 +216,7 @@ def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
             member = family_member(base, structure, lam, mu)
             squared = CombinationOp(((1.0 + mu, ConjugateConnection(member, structure)),
                                      (lam, member)))
-            Vs = _pooled_values(ctx, lambda X, Y: squared.apply(ctx, X, Y), probes)
+            Vs = _pooled_values(ctx, squared, probes)
             diff = np.max(np.abs(Vs - Vb))
 
             a_pred = (1.0 + mu) ** 2 + lam ** 2

@@ -160,9 +160,6 @@ class Jet:
         )
 
     def __sub__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.dim, self.order, self.value - other, self.grad, self.hess,
-                       None if self.const is None else _finite_const(self.const - other))
         return self + (-other)
 
     def __rsub__(self, other):

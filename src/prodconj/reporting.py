@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -47,17 +48,6 @@ class CheckRow:
     frame: str | None = None
     note: str = ""
 
-    @staticmethod
-    def judged(row_id: str, anchor: str, res: Residual, tol: float,
-               note: str = "") -> "CheckRow":
-        """Pass within tol, fail beyond it; a non-finite residual is an error."""
-        if not math.isfinite(res.value):
-            status = ERROR
-        else:
-            status = PASS if res.within(tol) else FAIL
-        return CheckRow(row_id, anchor, res.value, status,
-                        res.worst_point, res.frame, note)
-
 
 @dataclass
 class Report:
@@ -87,9 +77,6 @@ class Report:
             where = "-" if r.worst_point is None else \
                 "(" + ", ".join(f"{c:.12g}" for c in r.worst_point) + ")"
             lines.append(f"#   at={where} frame={r.frame or '-'} note={r.note or '-'}")
-        npass = sum(r.status == PASS for r in self.rows)
-        nfail = sum(r.status == FAIL for r in self.rows)
-        nskip = sum(r.status == SKIP for r in self.rows)
-        nerr = sum(r.status == ERROR for r in self.rows)
-        lines.append(f"# summary pass={npass} fail={nfail} skip={nskip} error={nerr}")
+        n = Counter(r.status for r in self.rows)
+        lines.append(f"# summary pass={n[PASS]} fail={n[FAIL]} skip={n[SKIP]} error={n[ERROR]}")
         return lines

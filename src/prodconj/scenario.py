@@ -507,6 +507,10 @@ class _Loader:
         tol = self.tolerance(got["tol"]) if "tol" in got else None
         params = {p: self.param(spec, got[p]) if p in got else spec.default
                   for p, spec in kind.params.items()}
+        for p, spec in kind.params.items():
+            if p in got and spec.needs is not None and params[spec.needs] is None:
+                key, text, line = got[p]
+                raise _bad(line, f"{key} = {text} needs {spec.needs}")
         need = kind.hypotheses_need
         unmet = need is not None and params[need] is None
         if expect == "hypothesis_fail" and (not kind.hypotheses or unmet):

@@ -13,7 +13,7 @@ from prodconj import fields
 from prodconj.checks import REGISTRY, judge
 from prodconj.fields import Chart, EvalContext, frame_pair_residual, worst
 from prodconj.jets import Jet
-from prodconj.reporting import ERROR, FAIL, PASS, CheckRow, Residual
+from prodconj.reporting import ERROR, FAIL, PASS, SKIP, Residual
 
 POINTS = np.arange(12.0).reshape(6, 2)
 CTX = EvalContext(Chart(2, ("x", "y"), ((0.0, 20.0), (0.0, 20.0))), POINTS)
@@ -166,7 +166,7 @@ def test_only_the_gate_decides_hypotheses():
     `.within(` appears only in the judge's rule and the loader's two probes,
     and no module writes a skip note of its own."""
     gate = inspect.getsource(fields.gated)
-    allowed = {"reporting.py": 1, "scenario.py": 2}
+    allowed = {"checks.py": 1, "scenario.py": 2}
     for path in sorted(Path(prodconj.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         if path.name == "fields.py":
@@ -219,6 +219,26 @@ def test_non_finite_residual_is_an_error_under_every_expectation():
     assert [r.status for r in rows] == [ERROR, "fail"]
 
 
+def test_skip_notes_say_whether_the_skip_was_expected():
+    """A skipped row keeps its suite note; under `expect = hypothesis_fail`
+    the judge appends that the skip was expected, and under `pass` it
+    adds nothing."""
+    rows = [("hypothesis_recurrence", Residual(0.5), ""),
+            ("torsion_shape", None, "skipped: hypothesis fails"),
+            ("hypothesis_symmetry", None, "")]
+    for expect, notes in (
+            ("hypothesis_fail", ["hypothesis violated as expected",
+                                 "skipped: hypothesis fails; skip expected here",
+                                 "skip expected here"]),
+            ("pass", ["", "skipped: hypothesis fails", ""])):
+        out = judge("c", REGISTRY["recurrent"], rows, {"mode": "structure"},
+                    1e-9, 1e-3, expect)
+        assert [r.note for r in out] == notes, expect
+        assert [r.status for r in out[1:]] == [SKIP, SKIP]
+        assert all(math.isnan(r.residual) and r.worst_point is None and r.frame is None
+                   for r in out[1:])
+
+
 def test_expected_violation_at_or_below_the_floor_fails():
     """Under `expect = fail` a counterexample row passes only above the
     floor: a residual of 1e-6 against the floor 1e-3 is no counterexample."""
@@ -239,5 +259,5 @@ def test_injected_non_finite_value_reaches_the_row(frames, where, bad):
     res = _accumulated(frames)
     assert res.value == bad or (math.isnan(bad) and math.isnan(res.value))
     assert res.frame == f"f{f}" and res.worst_point == tuple(POINTS[k])
-    row = CheckRow.judged("c.r", "-", res, 1e-9)
+    row = _judged(res)
     assert row.status == ERROR and row.worst_point == tuple(POINTS[k])

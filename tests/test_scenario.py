@@ -5,9 +5,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prodconj.connections import ChristoffelConnection
 from prodconj.errors import ScenarioError
 from prodconj.reporting import Residual
-from prodconj.runner import corpus_names, corpus_text
+from prodconj.runner import corpus_names, corpus_text, run_scenario
 from prodconj.scenario import load_scenario, make_context
 
 HEAD = """\
@@ -104,8 +105,12 @@ tensor = bump
 [connection adapted]
 kind = christoffel
 gamma 1 0 0 = (sin x)
+
+[connection bare]
+gamma 1 0 0 = (sin x)
 """)
-    assert set(scn.connections) == {"flat", "lc", "shifted", "adapted"}
+    assert set(scn.connections) == {"flat", "lc", "shifted", "adapted", "bare"}
+    assert type(scn.connections["bare"]) is ChristoffelConnection  # the default kind
 
 
 def test_derived_tensor_kinds():
@@ -121,8 +126,19 @@ connection = flat
 structure = swap
 lam = 1/2
 mu = -3
+
+[check twisted]
+kind = generalized_identities
+connection = flat
+structure = swap
+twist = dsw
 """)
     assert set(scn.tensors) == {"dsw", "dmix"}
+    # probes are optional: without them the identities scan the frame only
+    [check] = scn.checks
+    assert check.params["probes"] is None
+    report = run_scenario(scn)
+    assert [r.status for r in report.rows] == ["pass"] * 4
 
 
 def test_tensor_mix_weight_validation():
@@ -421,6 +437,42 @@ REFUSED = {
     "expression_nested_too_deep":
         ((HEAD, "[vector v]\ncomponents = " + "(+ " * 3000 + "x" + ")" * 3000 + " 1\n"),
          "line 7: RecursionError"),
+    "pencil_case_without_eta":
+        ((HEAD, SWAP, FLAT, PENCIL,
+          "[check pc]\nkind = pencil\nconnection = flat\npencil = p\ncase = recurrent\n"),
+         "line 27: case = recurrent needs eta"),
+    "header_malformed": ((HEAD, "[endo swap\nrow 0 = 0 1\n"),
+                         "line 6: malformed section header '[endo swap'"),
+    "section_type_unknown": ((HEAD, "[widget w]\n"), "line 6: unknown section type 'widget'"),
+    "chart_named": (("[chart c]\ndim = 2\n",), "line 1: section [chart] takes no name"),
+    "samples_named": ((HEAD, "[samples s]\ncount = 5\n"),
+                      "line 6: section [samples] takes no name"),
+    "tolerance_named": ((HEAD, "[tolerance t]\nidentity = 1e-9\n"),
+                        "line 6: section [tolerance] takes no name"),
+    "entry_without_equals": ((HEAD, SWAP.replace("row 1 = 1 0", "row 1 1 0")),
+                             "line 8: expected 'key = value', got 'row 1 1 0'"),
+    "index_not_integer": ((HEAD, SWAP.replace("row 1 = 1 0", "row y = 1 0")),
+                          "line 8: indices in 'row y' must be integers in 0..1"),
+    "check_without_kind": ((HEAD, SWAP, FLAT, "[check c]\nstructure = swap\n"),
+                           "line 13: [check c] needs kind"),
+    "dim_not_integer": (("[chart]\ndim = two\n",),
+                        "line 2: dim must be an integer in 1..16, got 'two'"),
+    "value_outside_choices":
+        ((HEAD, SWAP, FLAT, "[oneform eta]\ncomponents = 0 0\n",
+          "[check r]\nkind = recurrent\nconnection = flat\nstructure = swap\neta = eta\n"
+          "mode = both\n"),
+         "line 21: value 'both' not one of ('structure', 'identity')"),
+    "distribution_without_span_or_pair":
+        ((HEAD, "[distribution d]\nside = h\n"),
+         "line 6: [distribution d] needs either span or pair + side"),
+    "sum_without_terms": ((HEAD, "[vector v]\ncomponents = (+) 1\n"),
+                          "line 7: (+) needs at least one term"),
+    "product_without_factors": ((HEAD, "[vector v]\ncomponents = (*) 1\n"),
+                                "line 7: (*) needs at least one factor"),
+    "minus_three_arguments": ((HEAD, "[vector v]\ncomponents = (- x y 1) 1\n"),
+                              "line 7: (-) takes one or two arguments"),
+    "quotient_one_argument": ((HEAD, "[vector v]\ncomponents = (/ x) 1\n"),
+                              "line 7: (/) takes exactly two arguments"),
 }
 
 
