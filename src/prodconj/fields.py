@@ -176,6 +176,10 @@ class Tensor12Field:
     def apply(self, ctx: "EvalContext", x: Vec, y: Vec) -> Vec:
         return contract(ctx.tensor_components(self), x, y)
 
+    def normal_form(self, ctx: "EvalContext") -> tuple[dict, list]:
+        """No derivative weight, and the components as the table."""
+        return {}, ctx.tensor_components(self)
+
 
 def is_zero_expr(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0

@@ -14,18 +14,22 @@ product rule's result up to the sign of zero, so a product skips them
 unless the other operand is finite (`Jet.finite`): there `inf * 0` would
 have made a NaN the shortcut leaves out.
 
-Three rules keep a constant jet at the cost of its value array.  A
+A constant jet costs nothing per sample.  Its value is a read-only
+stride-0 array over one stored number, and constants of one batch shape
+share one read-only zero gradient and Hessian, so building one allocates
+no batch-sized array.  Sums, negations and products of constants, and a
+constant times a number, are constants again while they stay finite.  A
 constant is finite by construction, so `finite` scans nothing for it.
 `shift` and `truncated` of a jet already found finite inherit the flag,
 since their arrays are sub-arrays of the source's; any other jet is
-scanned once, when first asked.  Constants of one batch shape share one
-read-only zero gradient and Hessian, and `shift` of a constant is the
-constant 0 on its source's zero gradient.
+scanned once, when first asked.  `shift` of a constant is the constant 0
+on its source's zero gradient.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +40,7 @@ from .expr import (Const, Coord, Cos, Exp, Expr, Neg, Power, Product,
 
 _TRI_CACHE: dict[int, tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]] = {}
 _ZEROS_CACHE: dict[tuple[int, ...], np.ndarray] = {}
+_PACK = struct.Struct("d").pack
 
 
 def _tri(dim: int):
@@ -64,6 +69,12 @@ def _zeros(shape: tuple[int, ...]) -> np.ndarray:
         cached = _ZEROS_CACHE[shape] = np.zeros(shape)
         cached.flags.writeable = False
     return cached
+
+
+def _filled(c: float, shape: tuple[int, ...]) -> np.ndarray:
+    """c at every index of `shape`: a read-only stride-0 view of one packed
+    float, so the batch costs no memory."""
+    return np.ndarray(shape, float, _PACK(c), 0, (0,) * len(shape))
 
 
 @dataclass(eq=False)
@@ -98,10 +109,9 @@ class Jet:
     @staticmethod
     def constant(c: float, dim: int, order: int, batch_shape: tuple[int, ...]) -> "Jet":
         c = float(c)
-        value = np.full(batch_shape, c)
         grad = _zeros(batch_shape + (dim,)) if order >= 1 else None
         hess = _zeros(batch_shape + (tri_size(dim),)) if order >= 2 else None
-        return Jet(dim, order, value, grad, hess, _finite_const(c))
+        return Jet(dim, order, _filled(c, batch_shape), grad, hess, _finite_const(c))
 
     def like_constant(self, c: float) -> "Jet":
         return Jet.constant(c, self.dim, self.order, self.value.shape)
@@ -133,30 +143,33 @@ class Jet:
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.dim, self.order, self.value + other, self.grad, self.hess,
-                       None if self.const is None else _finite_const(self.const + other))
+            if self.const is not None and (c := _finite_const(self.const + other)) is not None:
+                return self.like_constant(c)
+            return Jet(self.dim, self.order, self.value + other, self.grad, self.hess)
         k = min(self.order, other.order)
         if self.value.shape == other.value.shape:
             if other.const == 0.0:
                 return self.truncated(k)
             if self.const == 0.0:
                 return other.truncated(k)
+            if (self.const is not None and other.const is not None
+                    and (c := _finite_const(self.const + other.const)) is not None):
+                return Jet.constant(c, self.dim, k, self.value.shape)
         return Jet(
             self.dim, k, self.value + other.value,
             self.grad + other.grad if k >= 1 else None,
             self.hess + other.hess if k >= 2 else None,
-            None if self.const is None or other.const is None
-            else _finite_const(self.const + other.const),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self.const is not None:
+            return self.like_constant(-self.const)
         return Jet(
             self.dim, self.order, -self.value,
             None if self.grad is None else -self.grad,
             None if self.hess is None else -self.hess,
-            None if self.const is None else -self.const,
         )
 
     def __sub__(self, other):
@@ -168,11 +181,12 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             c = float(other)
+            if self.const is not None and (p := _finite_const(self.const * c)) is not None:
+                return self.like_constant(p)
             return Jet(
                 self.dim, self.order, self.value * c,
                 None if self.grad is None else self.grad * c,
                 None if self.hess is None else self.hess * c,
-                None if self.const is None else _finite_const(self.const * c),
             )
         k = min(self.order, other.order)
         f0, g0 = self.value, other.value
@@ -235,10 +249,11 @@ def _times_const(c: Jet, f: Jet, k: int) -> Jet:
         return f.truncated(k)
     if a == 0.0:
         return c.truncated(k)
-    return Jet(f.dim, k, f.value * c.value,
+    if f.const is not None and (p := _finite_const(a * f.const)) is not None:
+        return Jet.constant(p, f.dim, k, f.value.shape)
+    return Jet(f.dim, k, f.value * a,
                a * f.grad if k >= 1 else None,
-               a * f.hess if k >= 2 else None,
-               None if f.const is None else _finite_const(a * f.const))
+               a * f.hess if k >= 2 else None)
 
 
 def _chain(f: Jet, u0: np.ndarray, u1, u2) -> Jet:

@@ -89,6 +89,16 @@ MUTANTS = [
      "for a, b in ((1, 0), (0, 1)))", "for a, b in ((0, 1), (1, 0)))"),
     ("case_needs_unchecked", "scenario.py",
      'raise _bad(line, f"{key} = {text} needs {spec.needs}")', "pass"),
+    ("sandwiched_weight_reversed", "connections.py",
+     "weight = {_slot(self.out) + word + _slot(self.arg): c",
+     "weight = {(_slot(self.out) + word + _slot(self.arg))[::-1]: c"),
+    ("frame_pair_lookup_transposed", "connections.py",
+     "(plane[i][j] for plane in table)", "(plane[j][i] for plane in table)"),
+    ("weight_term_dropped", "connections.py",
+     "block = _weight_block(ctx, weight) if formed and weight and R is not None else None",
+     "block = None"),
+    ("combination_weight_without_coefficient", "connections.py",
+     "sum(c * w.get(word, 0.0) for c, w in parts)", "sum(w.get(word, 0.0) for c, w in parts)"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

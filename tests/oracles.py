@@ -4,6 +4,7 @@ Scalars are evaluated by direct recursion over the expression tree in
 extended precision, derivatives come from central difference quotients,
 Christoffel symbols from the metric formula with those quotients, and
 curvature from difference quotients of Christoffel values.  The
+derivative of a structure comes from the same quotients.  The
 recurrence equations are assembled as a dense pointwise linear system
 and handed to a least-squares solver.  Jet sums and products are
 recomputed from the operands' arrays with every term of the product
@@ -179,6 +180,20 @@ def conjugate_gamma(gamma, E, dE):
     for i in range(n):
         inner = dE[i] + np.einsum("km,mj->kj", gamma[:, i, :], E)
         out[:, i, :] = E @ inner
+    return out
+
+
+def structure_derivative(gamma, E, dE):
+    """The derivative of the structure, (nabla_i E)^k_j, from the pointwise
+    expansion d_i E^k_j + Gamma^k_im E^m_j - E^k_m Gamma^m_ij.
+
+    gamma[k, i, j], E[k, j] and dE[i][k, j] are plain arrays at one point,
+    as for `conjugate_gamma`; the result is laid out [k, i, j].
+    """
+    n = E.shape[0]
+    out = np.zeros((n, n, n))
+    for i in range(n):
+        out[:, i, :] = dE[i] + gamma[:, i, :] @ E - E @ gamma[:, i, :]
     return out
 
 

@@ -7,6 +7,7 @@ are frozen so regressions move a literal, not a tolerance.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodconj.errors import ConfigError
 from prodconj.expr import ZERO, parse_expr
@@ -456,3 +457,132 @@ def test_a_label_never_takes_part_in_equality():
              for side in ("horizontal", "vertical") for label in ("Dh", "D")]
     assert sides[0] == sides[1] != sides[2] == sides[3]
     assert DistributionSpec.from_pair(pair_from_h(pair.h), "horizontal") != sides[0]
+
+
+# ---- normal forms: the frame-pair table against the composed route ----
+
+CHART3 = Chart(3, ("x", "y", "z"), ((-1.0, 1.0),) * 3)
+
+
+def _p3(text):
+    return parse_expr(text, names=("x", "y", "z"))
+
+
+def _table3(texts):
+    """A dim-3 coefficient grid from 27 expression texts in [k][i][j] order."""
+    it = iter(texts)
+    return [[[_p3(next(it)) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+
+
+# overflows to inf where x is large enough, so products with it turn into NaN
+OVERFLOW = "(exp (exp (exp (* 3 x))))"
+POLYS3 = ("(* x y)", "0", "(+ 1 z)", "(* -2 z z)", "y", "0", "(- x 1)", "0", "(* 1/2 y z)")
+
+# the leaves and endomorphisms a random tree is built over, per chart
+TREE_PARTS = {
+    2: (CHART, [LeviCivitaConnection(WARPED), _rolled(), ZeroOp(CHART),
+                Tensor12Field.from_components(CHART, [[[_p("x"), ZERO], [_p("y"), _p("1")]],
+                                                      [[ZERO, _p("(* x y)")], [ZERO, ZERO]]]),
+                Tensor12Field.from_components(CHART, [[[_p(OVERFLOW), ZERO], [ZERO, ZERO]],
+                                                      [[ZERO, ZERO], [_p("x"), ZERO]]])],
+        [SHEAR_PAIR.structure, SHEAR_PAIR.h, SHEAR_PAIR.v, _shear(CHART),
+         EndoField(CHART, ((_p("(sin y)"), _p("x")), (_p("(* x y)"), _p("2"))))]),
+    3: (CHART3, [ChristoffelConnection(CHART3, _table3(POLYS3 * 3)), flat_connection(CHART3),
+                 ZeroOp(CHART3),
+                 Tensor12Field.from_components(CHART3, _table3((OVERFLOW,) + POLYS3[1:] * 3
+                                                               + ("x",) * 2))],
+        [EndoField(CHART3, tuple(tuple(_p3(e) for e in row) for row in rows))
+         for rows in ((("1", "0", "0"), ("0", "1", "0"), ("0", "x", "0")),
+                      (("1", "0", "0"), ("0", "1", "0"), ("0", "(* 2 x)", "-1")),
+                      (("y", "1", "(* x z)"), ("0", "(+ 1 x)", "z"), ("1", "0", "(* y y)")))]),
+}
+
+
+@st.composite
+def _trees(draw, leaves, endos, depth=3):
+    """A random operator: a leaf, a Sandwiched node whose out, arg and along
+    slots each hold one of `endos` or the identity, or a combination of up
+    to three terms with coefficients that are not all 1."""
+    kind = draw(st.sampled_from(("leaf", "sandwiched", "combination") if depth else ("leaf",)))
+    if kind == "leaf":
+        return draw(st.sampled_from(leaves))
+    below = _trees(leaves, endos, depth - 1)
+    if kind == "sandwiched":
+        slot = st.one_of(st.none(), st.sampled_from(endos))
+        return Sandwiched(draw(below), out=draw(slot), arg=draw(slot), along=draw(slot))
+    coefficients = st.sampled_from((1.0, -1.0, 0.5, 2.0, -0.75))
+    return CombinationOp(tuple(draw(st.lists(st.tuples(coefficients, below),
+                                             min_size=1, max_size=3))))
+
+
+def _same_jets(got, want, what):
+    """Value and gradient equal to 1e-12 relative where finite, and not
+    finite in the same places.  An overflow may read inf on one route and
+    NaN on the other: a table entry stores an inf entry's products with the
+    frame's zeros as NaN, and a frame pair read from a table built on it
+    sees them, where the composed route sees the inf itself."""
+    for g, w in zip(got, want, strict=True):
+        for a, b in ((g.value, w.value), (g.grad, w.grad)):
+            finite = np.isfinite(b)
+            assert np.array_equal(np.isfinite(a), finite), what
+            scale = max(1.0, float(np.max(np.abs(b[finite]), initial=0.0)))
+            np.testing.assert_allclose(a[finite], b[finite], rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=str(what))
+
+
+@pytest.mark.parametrize("dim", sorted(TREE_PARTS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_frame_pair_tables_equal_the_composed_route(dim, data):
+    """op(d_i, d_j) read from the tables equals op applied to the same frame
+    vectors as plain lists, which takes the composed route."""
+    chart, leaves, endos = TREE_PARTS[dim]
+    op = data.draw(_trees(leaves, endos), label="operator")
+    ctx = _ctx(chart, count=25)
+    frame = ctx.frame()
+    with np.errstate(all="ignore"):
+        for i, X in enumerate(frame):
+            for j, Y in enumerate(frame):
+                _same_jets(op.apply(ctx, X, Y), op.apply(ctx, list(X), list(Y)), (i, j, op))
+
+
+def test_the_overflowing_leaves_reach_nan():
+    """The NaN case of the table test is not vacuous: a tree over each
+    overflowing tensor gives NaN on some frame pair."""
+    for chart, leaves, endos in TREE_PARTS.values():
+        op = Sandwiched(leaves[-1], out=endos[-1], arg=endos[-1])
+        ctx = _ctx(chart, count=25)
+        with np.errstate(all="ignore"):
+            values = [vvalues(op.apply(ctx, X, Y)) for X in ctx.frame() for Y in ctx.frame()]
+        assert np.isnan(values).any()
+
+
+def test_sandwiched_weight_is_out_weight_arg():
+    """W' = O·W·R, one word per word of W: a connection's I becomes the word
+    (O, R), and a conjugate of a conjugate the word (E, E, E, E).  Along a
+    field that is not the identity a weighted operator has no normal form."""
+    chart, leaves, (E, h, v, *_) = TREE_PARTS[2]
+    ctx = _ctx(chart, count=3)
+    base, tau = leaves[0], leaves[3]
+    assert Sandwiched(base, out=h, arg=v).normal_form(ctx)[0] == {(h, v): 1.0}
+    assert Sandwiched(base, arg=v, along=h).normal_form(ctx)[0] is None
+    assert Sandwiched(tau, arg=v, along=h).normal_form(ctx)[0] == {}
+    assert Sandwiched(tau, out=h, arg=v).normal_form(ctx)[0] == {}
+    twice = ConjugateConnection(ConjugateConnection(base, E), E)
+    assert twice.normal_form(ctx)[0] == {(E, E, E, E): 1.0}
+    assert psi_connection(base, E).normal_form(ctx)[0] == {(): 0.5, (E, E): 0.5}
+
+
+def test_weights_cancel_by_structure():
+    """nabla E has no derivative weight, so the structural and virtual
+    tensors, which derive it along E, keep a normal form; the O'Neill-Gray T
+    and A derive the swap along a projector, and have none."""
+    chart, leaves, (E, *_) = TREE_PARTS[2]
+    ctx = _ctx(chart, count=3)
+    base = leaves[0]
+    for op in (structure_derivative_twist(base, E), structural_tensor(base, E),
+               virtual_tensor(base, E), mixed_derivative_twist(base, E, 0.7, -1.3)):
+        assert op.normal_form(ctx)[0] == {}, op
+    assert CombinationOp(((1.0, base), (-1.0, base))).normal_form(ctx)[0] == {}
+    for op in fundamental_tensors(base, SHEAR_PAIR):
+        assert op.normal_form(ctx)[0] is None

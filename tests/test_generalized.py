@@ -24,6 +24,7 @@ from prodconj.fields import (
 )
 from prodconj.connections import (
     ChristoffelConnection,
+    CombinationOp,
     LeviCivitaConnection,
     flat_connection,
 )
@@ -167,21 +168,29 @@ def test_one_pass_rows_match_separate_scans(suite, monkeypatch):
 
 @pytest.mark.parametrize("name", ["dshear", "dmix"])
 def test_a_derivative_twist_evaluates_nabla_e_once(name, monkeypatch):
-    """One apply of either shipped derivative tensor reads the base twice,
-    nabla_X(EY) and nabla_X Y: the mix weights one nabla E by lam I + mu E."""
+    """Either shipped derivative tensor reads one nabla E table, built once
+    per context however often the tensor is applied; the mix weights that
+    nabla E by lam I + mu E.  nabla E's derivative weights, E from
+    nabla_X(EY) and E from E(nabla_X Y), cancel by structure: W = {}."""
     scn = load_scenario(corpus_text("shear"), name="shear")
-    base, calls = scn.connections["flat"], []
-    apply = base.apply
+    dE = structure_derivative_twist(scn.connections["flat"], scn.endos["shear"])
+    twist, builds = scn.tensors[name], []
+    build = CombinationOp._normal_form
 
-    def counted(ctx, x, y):
-        calls.append(None)
-        return apply(ctx, x, y)
+    def counted(self, ctx):
+        builds.append((self, ctx))
+        return build(self, ctx)
 
-    monkeypatch.setattr(base, "apply", counted)
-    ctx = _ctx(count=5)
-    X, Y = ctx.frame()
-    scn.tensors[name].apply(ctx, X, Y)
-    assert len(calls) == 2
+    monkeypatch.setattr(CombinationOp, "_normal_form", counted)
+    contexts = [_ctx(count=5), _ctx(seed=8, count=5)]
+    for ctx in contexts:
+        for _ in range(2):
+            for X in ctx.frame():
+                for Y in ctx.frame():
+                    twist.apply(ctx, X, Y)
+            twist.normal_form(ctx)
+        assert dE.normal_form(ctx)[0] == {}
+    assert [ctx for node, ctx in builds if node == dE] == contexts
 
 
 def test_duality_rows_with_kernel_twist():

@@ -7,7 +7,8 @@ v = (1, p_1, ..., p_{n-1}) for random polynomials p_k, so that E^2 = I
 holds exactly and no division is needed.  The text goes through
 `load_scenario`, so the loader is on the route.  Every row of the kinds
 whose statements hold for every instance must pass, and the conjugate's
-coefficients must match the pointwise expansion in tests/oracles.py.
+coefficients and the tables of nabla E and of the structural and virtual
+tensors must match the pointwise expansions in tests/oracles.py.
 
 Some instances also carry the projector pair h = I - v (x) e^0, which is
 idempotent because e^0 . v = 1 and whose difference structure h - (I - h)
@@ -34,14 +35,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from prodconj.conjugation import ConjugateConnection
+from prodconj.conjugation import ConjugateConnection, structural_tensor, virtual_tensor
+from prodconj.connections import structure_derivative_twist
 from prodconj.fields import EvalContext, vmax_abs
 from prodconj.checks import REGISTRY
 from prodconj.reporting import PASS, SKIP
 from prodconj.runner import run_scenario
 from prodconj.scenario import load_scenario, make_context
 
-from oracles import conjugate_gamma, eval_scalar, fd_grad
+from oracles import conjugate_gamma, eval_scalar, fd_grad, structure_derivative
 
 NAMES = ("x", "y", "z", "w")
 SAMPLES = 20
@@ -190,14 +192,44 @@ def _conjugate_coefficients(scn, points):
     return out
 
 
-def _oracle_coefficients(scn, point):
+def _oracle_parts(scn, point):
+    """Gamma, E and the difference-quotient partials of E at one point."""
     gamma = np.array([[[float(eval_scalar(e, point)) for e in row] for row in plane]
                       for plane in scn.connections["base"].table.components])
     entries = scn.endos["E"].entries
     E = np.array([[float(eval_scalar(e, point)) for e in row] for row in entries])
     grads = np.array([[fd_grad(e, point) for e in row] for row in entries])  # [k, j, i]
-    dE = [grads[:, :, i] for i in range(len(point))]
-    return conjugate_gamma(gamma, E, dE)
+    return gamma, E, [grads[:, :, i] for i in range(len(point))]
+
+
+def _oracle_coefficients(scn, point):
+    return conjugate_gamma(*_oracle_parts(scn, point))
+
+
+def _derivative_tables(scn, points):
+    """The engine's frame-pair tables of nabla E and of the structural and
+    virtual tensors, [m, k, i, j] with None read as 0."""
+    ctx = EvalContext(scn.chart, points)
+    base, E = scn.connections["base"], scn.endos["E"]
+    out = {}
+    for name, op in (("nabla_E", structure_derivative_twist(base, E)),
+                     ("structural", structural_tensor(base, E)),
+                     ("virtual", virtual_tensor(base, E))):
+        _, table = op.normal_form(ctx)
+        out[name] = np.moveaxis(np.array([[[np.zeros(len(points)) if e is None else e.value
+                                            for e in row] for row in plane]
+                                          for plane in table]), -1, 0)
+    return out
+
+
+def _oracle_derivative_tables(scn, point):
+    """nabla E from `oracles.structure_derivative`, and the halves
+    ((nabla_{Ex} E)y +- (nabla_x E)Ey) / 2 written out in components."""
+    gamma, E, dE = _oracle_parts(scn, point)
+    D = structure_derivative(gamma, E, dE)
+    along = np.einsum("mi,kmj->kij", E, D)
+    rotated = np.einsum("kim,mj->kij", D, E)
+    return {"nabla_E": D, "structural": (along + rotated) / 2, "virtual": (along - rotated) / 2}
 
 
 @pytest.mark.parametrize("dim", (2, 3, 4))
@@ -216,9 +248,12 @@ def test_generated_instances_pass_every_unconditional_row(dim, data):
 
     points = np.random.default_rng(0).uniform(-0.9, 0.9, size=(3, scn.chart.dim))
     got = _conjugate_coefficients(scn, points)
+    tables = _derivative_tables(scn, points)
     for m, point in enumerate(points):
         want = _oracle_coefficients(scn, point)
         assert np.allclose(got[m], want, rtol=1e-9, atol=1e-8), text
+        for name, table in _oracle_derivative_tables(scn, point).items():
+            assert np.allclose(tables[name][m], table, rtol=1e-9, atol=1e-8), (name, text)
 
 
 @pytest.mark.parametrize("dim", (2, 3, 4))

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 from hypothesis import given, settings, strategies as st
 
 from prodconj.errors import ConfigError, EvaluationError, OrderError
@@ -326,3 +327,19 @@ def test_constant_jets_cost_no_scans_and_no_copies(monkeypatch):
     for shared in (c.grad, c.hess):
         with pytest.raises(ValueError):
             shared[0, 0] = 1.0
+
+
+def test_a_constant_holds_no_per_sample_array():
+    """A constant's value is a read-only stride-0 view of one number, and
+    sums, negations and products of constants, or of a constant and a
+    number, are such constants again."""
+    c = Jet.constant(2.5, 3, 2, (5000,))
+    d = Jet.constant(-4.0, 3, 1, (5000,))
+    for jet in (c, c + d, c - d, -c, c * 3.0, 3.0 * c, c + 1.0, c * d, d * c):
+        assert jet.const is not None and jet.value.strides == (0,), jet
+        low, high = byte_bounds(jet.value)
+        assert high - low == jet.value.itemsize
+        with pytest.raises(ValueError):
+            jet.value[0] = 1.0
+    assert (c * d).const == -10.0 and (c * d).order == 1
+    assert np.array_equal(c.value, np.full(5000, 2.5))

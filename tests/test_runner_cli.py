@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 from hypothesis import given, settings, strategies as st
 
 import prodconj
@@ -312,6 +313,44 @@ def test_runs_leave_no_context_alive(monkeypatch):
     assert len(nodes) > 100 and sum(ref() is not None for ref in nodes) == 0
     shapes = {shape for _, m, n in contexts for shape in ((m, n), (m, n * (n + 1) // 2))}
     assert set(jets._ZEROS_CACHE) == shapes
+
+
+# the bytes the frame-pair tables of involutivity_r3 may hold at 5000
+# samples: nearly every entry there is a constant, which holds no array
+TABLE_BYTES_BOUND = 1_000_000
+
+
+def test_frame_pair_tables_stay_small_at_wide_batches(monkeypatch):
+    """The `(node, "table")` entries of an involutivity_r3 run at 5000
+    samples hold under TABLE_BYTES_BOUND of distinct arrays, each array
+    counted once by the memory it spans, and their constants hold a stride-0
+    value."""
+    tables = []
+    cached = EvalContext.cached
+
+    def recorded(self, key, build):
+        value = cached(self, key, build)
+        if key[-1] == "table":
+            tables.append(value[1])
+        return value
+    monkeypatch.setattr(EvalContext, "cached", recorded)
+    scn = load_scenario(corpus_text("involutivity_r3"), name="involutivity_r3")
+    assert not run_scenario(scn, samples=5000).failed
+    spans, constants = {}, 0
+    for table in tables:
+        for e in (e for plane in table for row in plane for e in row if e is not None):
+            assert e.value.shape == (5000,) and e.order <= 1
+            if e.const is not None:
+                constants += 1
+                assert e.value.strides == (0,)
+            for a in (e.value, e.grad, e.hess):
+                while isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray):
+                    a = a.base
+                if a is not None:
+                    low, high = byte_bounds(a)
+                    spans[id(a)] = high - low
+    assert len(tables) > 10 and constants > 10
+    assert sum(spans.values()) < TABLE_BYTES_BOUND
 
 
 # ---- command line -----------------------------------------------------
