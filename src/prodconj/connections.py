@@ -8,50 +8,94 @@ a linear combination (CombinationOp) or ZeroOp.  Leaves compare by
 identity, composites by their operands, slots and coefficients, never by
 label.
 
-Every operator also has a per-context Christoffel normal form
-S(x, y) = W·x(y) + Γ(x, y) (`normal_form`).  Γ is the frame-pair table,
-Γ[k][i][j] = S(d_i, d_j)^k at order <= 1, None for an exact zero; W is the
-derivative weight, a formal sum of words of endomorphism fields, so that
-the weights of a connection's terms cancel exactly by structure (W = {} for
-nabla E).  A composite builds its table once per context from its operands'
-tables.  A Sandwiched node applied to a frame pair reads its table, and a
-CombinationOp folds its terms' frame-pair columns; every other operand
-takes the composed route, which applies the operands themselves.
+Every operator has a per-context Christoffel normal form (`normal_form`)
+
+    S(x, y) = sum c·P(d_{Qx} y) + Γ(x, y),
+
+and `ConnectionOp.apply` reads it for every operand.  The weight W maps
+words (outs P, alongs Q), each a tuple of endomorphism fields applied right
+to left, to coefficients c, so that the weights of a connection's terms
+cancel exactly by structure (W = {} for nabla E).  Γ is the frame-pair
+table, Γ[k][i][j] = S(d_i, d_j)^k, since a frame field has no derivative;
+None is an exact zero.  A leaf's table is its coefficient jets.  A
+composite builds its form once per context from its operands' forms, and
+stores its entries at order <= 1, the most an apply can use; no form
+applies an operator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
 from .errors import ConfigError
 from .expr import Expr
-from .fields import (EndoField, EvalContext, FrameVector, Grid, MetricField, Tensor12Field,
-                     Vec, Chart, bracket, contract, dirderiv, endo_apply,
-                     metric_pair, vadd, vscale, vsub, vvalues, worst)
+from .fields import (EndoField, EvalContext, MetricField, Tensor12Field, Vec, Chart,
+                     bracket, contract, dirderiv, endo_apply, metric_pair, vadd, vscale,
+                     vsub, vvalues, worst)
 from .jets import Jet, shift
 
 
 class ConnectionOp:
-    """Base operator; subclasses implement apply(ctx, x, y) -> Vec and
-    normal_form(ctx) -> (W, table)."""
+    """Base operator.  A composite gives _normal_form(ctx) -> (W, Γ), which
+    normal_form builds once per context, and a leaf overrides normal_form;
+    apply(ctx, x, y) -> Vec reads it."""
 
     label = "nabla"
     chart: Chart
 
-    def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        raise NotImplementedError
+    def normal_form(self, ctx: EvalContext) -> tuple[dict, list]:
+        """(W, Γ) with self(x, y) = sum c·P(d_{Qx} y) + Γ(x, y) over the
+        words (P, Q) -> c of W: {((), ()): 1.0} is the coordinate derivative
+        and {} is none."""
+        return ctx.cached((self, "table"), lambda: self._normal_form(ctx))
 
-    def normal_form(self, ctx: EvalContext) -> tuple[dict | None, list]:
-        """(W, Γ) with self(x, y) = W·x(y) + Γ(x, y).  W maps words, tuples
-        of endomorphism fields applied right to left, to coefficients:
-        {(): 1.0} is the identity and {} is 0.  W is None when the operator
-        has no such form; its table still holds its frame-pair values."""
-        raise NotImplementedError
+    def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
+        return _evaluate(ctx, *self.normal_form(ctx), x, y)
+
+
+def _evaluate(ctx: EvalContext, weight: dict, table, x: Vec, y: Vec) -> Vec:
+    """sum c·P(d_{Qx} y) + Γ(x, y) for the normal form (W, Γ), with one
+    `dirderiv` pass per distinct along word Q."""
+    derivs: dict = {}
+    start = None
+    for (outs, alongs), c in weight.items():
+        d = derivs.get(alongs)
+        if d is None:
+            u = _word(ctx, alongs, x)
+            d = derivs[alongs] = [dirderiv(u, yk) for yk in y]
+        term = _word(ctx, outs, d)
+        if c != 1.0:
+            term = vscale(c, term)
+        start = term if start is None else vadd(start, term)
+    return contract(table, x, y, start=start)
+
+
+def _order1(e: Jet) -> Jet:
+    """e at order <= 1, the most an apply's result holds."""
+    return e.truncated(min(e.order, 1))
+
+
+def _word(ctx: EvalContext, word: tuple, v: Vec) -> Vec:
+    """The endomorphisms of `word` applied to v, right to left."""
+    for F in reversed(word):
+        v = endo_apply(ctx.endo(F), v)
+    return v
+
+
+def _fold(terms) -> Jet | None:
+    """sum c·e over (c, e) table entries at order <= 1, a None e being
+    zero; None when every e is."""
+    acc = None
+    for c, e in terms:
+        if e is not None:
+            e = _order1(e)
+            term = e if c == 1.0 else e * c
+            acc = term if acc is None else acc + term
+    return acc
 
 
 class ChristoffelConnection(ConnectionOp):
@@ -59,7 +103,7 @@ class ChristoffelConnection(ConnectionOp):
 
     gamma[k][i][j] is the k-th output component of the derivative of the
     j-th frame field along the i-th frame field.  The table is held as a
-    component tensor; apply adds the coordinate derivative to it.
+    component tensor, and the normal form adds the coordinate derivative.
     """
 
     def __init__(self, chart: Chart, gamma, label: str = "nabla"):
@@ -70,11 +114,8 @@ class ChristoffelConnection(ConnectionOp):
     def _jets(self, ctx: EvalContext):
         return ctx.tensor_components(self.table)
 
-    def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        return contract(self._jets(ctx), x, y, start=(dirderiv(x, yk) for yk in y))
-
     def normal_form(self, ctx: EvalContext) -> tuple[dict, list]:
-        return {(): 1.0}, self._jets(ctx)
+        return {((), ()): 1.0}, self._jets(ctx)
 
 
 def flat_connection(chart: Chart, label: str = "flat") -> ChristoffelConnection:
@@ -113,7 +154,7 @@ class LeviCivitaConnection(ChristoffelConnection):
                          for b in range(n)] for a in range(n)]
             dmet = [[[shift(G[a][b], i) for b in range(n)] for a in range(n)]
                     for i in range(n)]
-            gammas = [Grid([None] * n for _ in range(n)) for _ in range(n)]
+            gammas = _empty_table(n)
             for i in range(n):
                 for j in range(i, n):
                     braces = [dmet[i][j][l] + dmet[j][i][l] - dmet[l][i][j] for l in range(n)]
@@ -123,22 +164,15 @@ class LeviCivitaConnection(ChristoffelConnection):
         return ctx.cached((self, "gamma"), build)
 
 
-def _column(table, x: FrameVector, y: FrameVector) -> Vec:
-    """The table at the frame pair (d_i, d_j), the constant 0 for None."""
-    i, j = x.index, y.index
-    zero = Jet.constant(0.0, x[0].dim, 1, x[0].value.shape)
-    return [zero if e is None else e for e in (plane[i][j] for plane in table)]
+def _empty_table(n: int) -> list:
+    return [[[None] * n for _ in range(n)] for _ in range(n)]
 
 
-def _order1(v: Vec) -> Vec:
-    return [e.truncated(min(e.order, 1)) for e in v]
-
-
-def _tabulated(ctx: EvalContext, entry) -> list[Grid]:
+def _tabulated(ctx: EvalContext, entry) -> list:
     """The frame-pair table whose column at (d_i, d_j) is entry(i, j), each
     entry as `_stored` keeps it."""
     n = ctx.chart.dim
-    table = [Grid([None] * n for _ in range(n)) for _ in range(n)]
+    table = _empty_table(n)
     for i in range(n):
         for j in range(n):
             for plane, e in zip(table, entry(i, j)):
@@ -146,11 +180,13 @@ def _tabulated(ctx: EvalContext, entry) -> list[Grid]:
     return table
 
 
-def _stored(e: Jet) -> Jet | None:
+def _stored(e: Jet | None) -> Jet | None:
     """e at order <= 1; a constant jet when its value is one finite number
     at every sample and its gradient is zero, so that it holds no per-sample
-    array; None for the constant 0."""
-    e = e.truncated(min(e.order, 1))
+    array; None for None and for the constant 0."""
+    if e is None:
+        return None
+    e = _order1(e)
     if e.const is None:
         c = float(e.value.flat[0]) if e.value.size else math.nan
         if math.isfinite(c) and (e.value == c).all() and (e.grad is None or not e.grad.any()):
@@ -158,21 +194,14 @@ def _stored(e: Jet) -> Jet | None:
     return None if e.const == 0.0 else e
 
 
-def _weight_block(ctx: EvalContext, weight: dict) -> list[list[Jet]]:
-    """The weight W = sum c·P over its words P as the block row
-    [c1·P1 | c2·P2 | ...], so that W·u is one `endo_apply` of it against u
-    repeated once per word.  Column m of a word's P is its endomorphisms
-    applied to d_m, right to left."""
-    frame = ctx.frame()
-    words = [(c, [reduce(lambda v, F: endo_apply(ctx.endo(F), v), reversed(word), e)
-                  for e in frame]) for word, c in weight.items()]
-    return [[col[k] * c for c, cols in words for col in cols] for k in range(ctx.chart.dim)]
-
-
 def _same_chart(pieces, what: str) -> Chart:
     if any(p.chart is not pieces[0].chart for p in pieces):
         raise ConfigError(f"{what} {[p.label for p in pieces]} live on different charts")
     return pieces[0].chart
+
+
+def _slot(f: EndoField | None) -> tuple:
+    return () if f is None else (f,)
 
 
 @dataclass(frozen=True)
@@ -193,49 +222,22 @@ class Sandwiched(ConnectionOp):
         pieces = [f for f in (self.op, self.out, self.arg, self.along) if f is not None]
         object.__setattr__(self, "chart", _same_chart(pieces, "operator and endomorphisms"))
 
-    def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        if isinstance(x, FrameVector) and isinstance(y, FrameVector):
-            return _column(self.normal_form(ctx)[1], x, y)
-        if self.along is not None:
-            x = endo_apply(ctx.endo(self.along), x)
-        if self.arg is not None:
-            y = endo_apply(ctx.endo(self.arg), y)
-        r = self.op.apply(ctx, x, y)
-        return r if self.out is None else endo_apply(ctx.endo(self.out), r)
-
-    def normal_form(self, ctx: EvalContext) -> tuple[dict | None, list]:
-        """W' = O·W·R and Γ'(d_i, d_j) = O·(W·d_{L d_i}(R d_j) + Γ(L d_i, R d_j)).
-        With L not the identity that holds only for W = {}; otherwise W' is
-        None and the table holds O·op(L d_i, R d_j) from the composed route."""
-        return ctx.cached((self, "table"), lambda: self._normal_form(ctx))
-
-    def _normal_form(self, ctx: EvalContext) -> tuple[dict | None, list]:
+    def _normal_form(self, ctx: EvalContext) -> tuple[dict, list]:
+        """Each word (P, Q) of op becomes (O·P·R, Q·L), and
+        Γ'(d_i, d_j) = O·(sum c·P(d_{QL d_i}(R d_j)) + Γ(L d_i, R d_j)),
+        where d_{QL d_i}(R d_j) derives R's column j, d_j being constant."""
         weight, table = self.op.normal_form(ctx)
-        O, R, L = (None if f is None else ctx.endo(f) for f in (self.out, self.arg, self.along))
         frame = ctx.frame()
-        xs = frame if L is None else [endo_apply(L, e) for e in frame]
-        ys = frame if R is None else [endo_apply(R, e) for e in frame]
-        formed = weight is not None and (L is None or not weight)
-        block = _weight_block(ctx, weight) if formed and weight and R is not None else None
-        args = ys if R is None else [_order1(y) for y in ys]
+        # x at order 1 keeps every product at the order the table stores.
+        xs = [[_order1(c) for c in _word(ctx, _slot(self.along), e)] for e in frame]
+        ys = [_word(ctx, _slot(self.arg), e) for e in frame]
+        out = _slot(self.out)
 
         def entry(i, j):
-            if not formed:
-                r = self.op.apply(ctx, xs[i], ys[j])
-            else:
-                # d_{d_i}(R d_j) is column j of R's partials along i.
-                start = None if block is None else endo_apply(
-                    block, [dirderiv(frame[i], e) for e in ys[j]] * len(weight))
-                r = contract(table, xs[i], args[j], start=start)
-            r = _order1(r)
-            return r if O is None else endo_apply(O, r)
-        if formed:
-            weight = {_slot(self.out) + word + _slot(self.arg): c for word, c in weight.items()}
-        return weight if formed else None, _tabulated(ctx, entry)
-
-
-def _slot(f: EndoField | None) -> tuple:
-    return () if f is None else (f,)
+            return _word(ctx, out, _evaluate(ctx, weight, table, xs[i], ys[j]))
+        words = {(out + outs + _slot(self.arg), alongs + _slot(self.along)): c
+                 for (outs, alongs), c in weight.items()}
+        return words, _tabulated(ctx, entry)
 
 
 @dataclass(frozen=True)
@@ -257,30 +259,16 @@ class CombinationOp(ConnectionOp):
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "chart", _same_chart([op for _, op in terms], "combination terms"))
 
-    def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        acc = None
-        for c, op in self.terms:
-            piece = op.apply(ctx, x, y)
-            if c != 1.0:
-                piece = vscale(c, piece)
-            acc = piece if acc is None else vadd(acc, piece)
-        return acc
-
-    def normal_form(self, ctx: EvalContext) -> tuple[dict | None, list]:
-        """W = sum c·W_t, with words that cancel dropped, and Γ = sum c·Γ_t,
-        whose column at a frame pair is `apply`'s fold of the terms' own
-        columns there."""
-        return ctx.cached((self, "table"), lambda: self._normal_form(ctx))
-
-    def _normal_form(self, ctx: EvalContext) -> tuple[dict | None, list]:
-        parts = [(c, op.normal_form(ctx)[0]) for c, op in self.terms]
-        weight = None
-        if all(w is not None for _, w in parts):
-            words = dict.fromkeys(word for _, w in parts for word in w)
-            weight = {word: s for word in words
-                      if (s := sum(c * w.get(word, 0.0) for c, w in parts)) != 0.0}
-        frame = ctx.frame()
-        return weight, _tabulated(ctx, lambda i, j: self.apply(ctx, frame[i], frame[j]))
+    def _normal_form(self, ctx: EvalContext) -> tuple[dict, list]:
+        """W = sum c·W_t, with words that cancel dropped, and Γ = sum c·Γ_t
+        entry by entry."""
+        forms = [(c, *op.normal_form(ctx)) for c, op in self.terms]
+        words = dict.fromkeys(word for _, w, _ in forms for word in w)
+        weight = {word: s for word in words
+                  if (s := sum(c * w.get(word, 0.0) for c, w, _ in forms)) != 0.0}
+        n = self.chart.dim
+        return weight, _tabulated(ctx, lambda i, j: [
+            _fold((c, t[k][i][j]) for c, _, t in forms) for k in range(n)])
 
 
 class SumConnection(CombinationOp):
@@ -296,12 +284,8 @@ class ZeroOp(ConnectionOp):
 
     chart: Chart
 
-    def apply(self, ctx: EvalContext, x: Vec, y: Vec) -> Vec:
-        return [x[0].like_constant(0.0)] * self.chart.dim
-
-    def normal_form(self, ctx: EvalContext) -> tuple[dict, list]:
-        n = self.chart.dim
-        return {}, [Grid([None] * n for _ in range(n)) for _ in range(n)]
+    def _normal_form(self, ctx: EvalContext) -> tuple[dict, list]:
+        return {}, _empty_table(self.chart.dim)
 
 
 # ---- derived quantities ----------------------------------------------

@@ -3,10 +3,12 @@
 Fields hold expression trees per component.  An EvalContext binds a chart
 to a concrete batch of sample points and evaluates every expression there
 at order 2 exactly once; operators downstream consume jet orders from that
-shared pool.  Vector quantities are plain lists of Jets, one per component.
-The three component-sum loops read a coordinate frame operand
-(`FrameVector`) by its index; see `contract` for the rule that keeps that
-exact.
+shared pool.  Vector quantities are plain lists of Jets, one per component,
+and a matrix is a list of rows; a coefficient table is a list of such
+planes, with None for an entry known to be zero.  Three loops, `contract`,
+`endo_apply` and `dirderiv`, hold every component sum.  They treat every
+operand alike: a coordinate frame vector is a list of constant jets, whose
+exact zeros and ones the jet products and sums already skip (see `jets`).
 """
 
 from __future__ import annotations
@@ -23,49 +25,6 @@ from .reporting import Residual
 from .sampling import SamplePlan, sample_points
 
 Vec = list  # list[Jet], one entry per chart coordinate
-
-
-class FrameVector(list):
-    """The coordinate frame field d_index as its component jets: the
-    constant 1 at `index` and 0 elsewhere, at order 2.  Only
-    `EvalContext.frame()` makes them; anything computed from one is a
-    plain list."""
-
-    def __init__(self, components, index: int):
-        super().__init__(components)
-        self.index = index
-
-
-class Grid(list):
-    """Rows of entry jets, None for an entry known to be zero: a matrix or
-    one plane of a coefficient table.  An `EvalContext` builds its
-    matrices and planes as grids, so `grid_facts` reads each grid's
-    entries once and the facts die with the context."""
-
-    facts = None
-
-
-def grid_facts(M) -> tuple[bool, list, int | None]:
-    """Whether every entry of the matrix M is finite, each row's lowest
-    entry order (None for a row of None entries), and the lowest of those;
-    kept on a `Grid`, read anew from any other list."""
-    facts = getattr(M, "facts", None)
-    if facts is None:
-        orders = [min((e.order for e in row if e is not None), default=None) for row in M]
-        facts = (all(e is None or e.finite() for row in M for e in row), orders,
-                 min((k for k in orders if k is not None), default=None))
-        if isinstance(M, Grid):
-            M.facts = facts
-    return facts
-
-
-def flat_order(v: Vec) -> int | None:
-    """The order that every component of v has, when every one is finite;
-    None otherwise.  A frame vector is flat at order 2."""
-    if isinstance(v, FrameVector):
-        return 2
-    k = v[0].order
-    return k if all(e.order == k and e.finite() for e in v) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,15 +178,14 @@ class EvalContext:
 
     oneform = vector
 
-    def endo(self, f: EndoField) -> Grid:
+    def endo(self, f: EndoField) -> list[list[Jet]]:
         return self.cached(
-            (f, "endo"),
-            lambda: Grid([self.scalar(e) for e in row] for row in f.entries))
+            (f, "endo"), lambda: [[self.scalar(e) for e in row] for row in f.entries])
 
-    def metric(self, f: MetricField) -> Grid:
+    def metric(self, f: MetricField) -> list[list[Jet]]:
         def build():
             n = self.chart.dim
-            jets = Grid([None] * n for _ in range(n))
+            jets = [[None] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
                     jets[i][j] = jets[j][i] = self.scalar(f.entry(i, j))
@@ -250,16 +208,18 @@ class EvalContext:
         """Component jets with zero entries dropped (None): the jets of every
         coefficient table read from expressions, Christoffel ones included."""
         def build():
-            return [Grid([None if is_zero_expr(e) else self.scalar(e) for e in row]
-                         for row in plane) for plane in f.components]
+            return [[[None if is_zero_expr(e) else self.scalar(e) for e in row]
+                     for row in plane] for plane in f.components]
         return self.cached((f, "tensor"), build)
 
-    def frame(self) -> list[FrameVector]:
+    def frame(self) -> list[Vec]:
+        """The coordinate frame fields d_i: the constant 1 at i and 0
+        elsewhere, at order 2."""
         def build():
             n = self.chart.dim
             shape = (self.count,)
-            return [FrameVector([Jet.constant(1.0 if k == i else 0.0, n, 2, shape)
-                                 for k in range(n)], i) for i in range(n)]
+            return [[Jet.constant(1.0 if k == i else 0.0, n, 2, shape) for k in range(n)]
+                    for i in range(n)]
         return self.cached(("frame",), build)
 
 
@@ -294,47 +254,25 @@ def vscale(c, a: Vec) -> Vec:
 
 
 def contract(table, x: Vec, y: Vec, start=None) -> Vec:
-    """start + sum_ij T^k_ij x^i y^j per output k; a None entry is zero.  A
-    generator `start` is read one k at a time, keeping one start jet alive.
-
-    When x is the frame vector d_a, a plane with finite entries sums over
-    i = a only, and over j = b only when y is d_b too, without multiplying
-    by the frame's exact 1.  With a finite y of one order, every skipped
-    term is an exact zero, so the sum is the same up to the sign of a zero;
-    it is truncated to the order those terms would have given it.  A frame
-    y beside a general x takes the whole sum: a skipped T^k_ij x^i could
-    overflow, and its product with 0 would then be NaN.
-    """
+    """start + sum_ij T^k_ij x^i y^j per output k; a None entry or start
+    jet is zero."""
     n = len(x)
-    a = x.index if isinstance(x, FrameVector) else None
-    b = y.index if isinstance(y, FrameVector) else None
-    ky = None if a is None else flat_order(y)
     out = []
     for plane, acc in zip(table, [None] * n if start is None else start):
-        fast, _, low = grid_facts(plane) if ky is not None else (False, None, None)
-        both = fast and b is not None
-        for i in (a,) if fast else range(n):
-            for j in (b,) if both else range(n):
+        for i in range(n):
+            for j in range(n):
                 c = plane[i][j]
                 if c is not None:
-                    term = c if both else (c if fast else c * x[i]) * y[j]
+                    term = c * x[i] * y[j]
                     acc = term if acc is None else acc + term
         if acc is None:
             acc = x[0].like_constant(0.0)
-        if fast and low is not None:
-            acc = acc.truncated(min(acc.order, low, ky))
         out.append(acc)
     return out
 
 
 def endo_apply(E: list[list[Jet]], v: Vec) -> Vec:
-    """E v, one output per row of E: sum_j E_kj v^j.  For the frame vector
-    d_b and finite entries this is column b of E, each entry truncated to
-    its row's lowest order: the full sum up to the sign of a zero."""
-    if isinstance(v, FrameVector):
-        finite, orders, _ = grid_facts(E)
-        if finite:
-            return [row[v.index].truncated(k) for row, k in zip(E, orders)]
+    """E v, one output per row of E: sum_j E_kj v^j."""
     out = []
     for row in E:
         acc = row[0] * v[0]
@@ -345,10 +283,7 @@ def endo_apply(E: list[list[Jet]], v: Vec) -> Vec:
 
 
 def dirderiv(x: Vec, s: Jet) -> Jet:
-    """Derivative of the scalar s along x, as a jet one order lower; along
-    the frame vector d_i of a finite s, the partial shift(s, i) itself."""
-    if isinstance(x, FrameVector) and s.finite():
-        return shift(s, x.index)
+    """Derivative of the scalar s along x, as a jet one order lower."""
     acc = x[0] * shift(s, 0)
     for i in range(1, len(x)):
         acc = acc + x[i] * shift(s, i)

@@ -56,8 +56,8 @@ MUTANTS = [
     ("strict_within", "reporting.py",
      "return self.value <= tol", "return self.value < tol"),
     ("along_on_argument", "connections.py",
-     "x = endo_apply(ctx.endo(self.along), x)",
-     "x, y = endo_apply(ctx.endo(self.along), x), endo_apply(ctx.endo(self.along), y)"),
+     "ys = [_word(ctx, _slot(self.arg), e) for e in frame]",
+     "ys = [_word(ctx, _slot(self.arg) + _slot(self.along), e) for e in frame]"),
     ("inverse_metric_gradient_sign", "connections.py",
      "dGinv = -np.einsum(", "dGinv = np.einsum("),
     ("structure_derivative_slot", "connections.py",
@@ -90,15 +90,16 @@ MUTANTS = [
     ("case_needs_unchecked", "scenario.py",
      'raise _bad(line, f"{key} = {text} needs {spec.needs}")', "pass"),
     ("sandwiched_weight_reversed", "connections.py",
-     "weight = {_slot(self.out) + word + _slot(self.arg): c",
-     "weight = {(_slot(self.out) + word + _slot(self.arg))[::-1]: c"),
+     "{(out + outs + _slot(self.arg), alongs",
+     "{((out + outs + _slot(self.arg))[::-1], alongs"),
+    ("along_word_order", "connections.py",
+     "alongs + _slot(self.along)): c", "_slot(self.along) + alongs): c"),
     ("frame_pair_lookup_transposed", "connections.py",
-     "(plane[i][j] for plane in table)", "(plane[j][i] for plane in table)"),
+     "_fold((c, t[k][i][j]) for c, _, t in forms)", "_fold((c, t[k][j][i]) for c, _, t in forms)"),
     ("weight_term_dropped", "connections.py",
-     "block = _weight_block(ctx, weight) if formed and weight and R is not None else None",
-     "block = None"),
+     "_evaluate(ctx, weight, table, xs[i], ys[j])", "_evaluate(ctx, {}, table, xs[i], ys[j])"),
     ("combination_weight_without_coefficient", "connections.py",
-     "sum(c * w.get(word, 0.0) for c, w in parts)", "sum(w.get(word, 0.0) for c, w in parts)"),
+     "sum(c * w.get(word, 0.0) for c, w, _ in forms)", "sum(w.get(word, 0.0) for c, w, _ in forms)"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

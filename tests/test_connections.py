@@ -52,7 +52,7 @@ from prodconj.runner import corpus_names, corpus_text
 from prodconj.sampling import SamplePlan
 from prodconj.scenario import load_scenario
 
-from engine_tables import materialize_christoffels
+from engine_tables import composed_apply, materialize_christoffels
 from oracles import christoffel_fd, riemann_fd
 
 BOX = ((-1.0, 1.0), (-1.0, 1.0))
@@ -459,7 +459,7 @@ def test_a_label_never_takes_part_in_equality():
     assert DistributionSpec.from_pair(pair_from_h(pair.h), "horizontal") != sides[0]
 
 
-# ---- normal forms: the frame-pair table against the composed route ----
+# ---- normal forms: every apply against the composed route ------------
 
 CHART3 = Chart(3, ("x", "y", "z"), ((-1.0, 1.0),) * 3)
 
@@ -515,12 +515,21 @@ def _trees(draw, leaves, endos, depth=3):
                                              min_size=1, max_size=3))))
 
 
+# two fields per chart that are not frame vectors, for the operands (u, w)
+OPERANDS = {
+    2: [VectorField(CHART, (_p("(+ 1 (* x y))"), _p("(sin x)"))),
+        VectorField(CHART, (_p("(* y y)"), _p("(- 2 x)")))],
+    3: [VectorField(CHART3, (_p3("(+ y z)"), _p3("(* x x)"), _p3("(cos z)"))),
+        VectorField(CHART3, (_p3("1"), _p3("(* x (+ y 1))"), _p3("(- z (* x y))")))],
+}
+
+
 def _same_jets(got, want, what):
     """Value and gradient equal to 1e-12 relative where finite, and not
     finite in the same places.  An overflow may read inf on one route and
     NaN on the other: a table entry stores an inf entry's products with the
-    frame's zeros as NaN, and a frame pair read from a table built on it
-    sees them, where the composed route sees the inf itself."""
+    frame's zeros as NaN, and an apply that reads it sees them, where the
+    composed route sees the inf itself."""
     for g, w in zip(got, want, strict=True):
         for a, b in ((g.value, w.value), (g.grad, w.grad)):
             finite = np.isfinite(b)
@@ -534,16 +543,19 @@ def _same_jets(got, want, what):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(data=st.data())
 def test_frame_pair_tables_equal_the_composed_route(dim, data):
-    """op(d_i, d_j) read from the tables equals op applied to the same frame
-    vectors as plain lists, which takes the composed route."""
+    """op.apply, which reads the normal form built from the frame-pair
+    tables, equals the composed route of `composed_apply` on every frame
+    pair and on operands that are not frame vectors."""
     chart, leaves, endos = TREE_PARTS[dim]
     op = data.draw(_trees(leaves, endos), label="operator")
     ctx = _ctx(chart, count=25)
     frame = ctx.frame()
+    u, w = (ctx.vector(f) for f in OPERANDS[dim])
+    pairs = [((i, j), X, Y) for i, X in enumerate(frame) for j, Y in enumerate(frame)]
+    pairs += [("uw", u, w), ("wu", w, u), ("d0u", frame[0], u), ("ud", u, frame[-1])]
     with np.errstate(all="ignore"):
-        for i, X in enumerate(frame):
-            for j, Y in enumerate(frame):
-                _same_jets(op.apply(ctx, X, Y), op.apply(ctx, list(X), list(Y)), (i, j, op))
+        for name, x, y in pairs:
+            _same_jets(op.apply(ctx, x, y), composed_apply(ctx, op, x, y), (name, op))
 
 
 def test_the_overflowing_leaves_reach_nan():
@@ -558,25 +570,29 @@ def test_the_overflowing_leaves_reach_nan():
 
 
 def test_sandwiched_weight_is_out_weight_arg():
-    """W' = O·W·R, one word per word of W: a connection's I becomes the word
-    (O, R), and a conjugate of a conjugate the word (E, E, E, E).  Along a
-    field that is not the identity a weighted operator has no normal form."""
+    """Each word (P, Q) becomes (O·P·R, Q·L): a connection's identity word
+    becomes ((O, R), (L,)), a conjugate of a conjugate ((E, E, E, E), ()),
+    and nested alongs apply the inner one last.  A tensor has no weight."""
     chart, leaves, (E, h, v, *_) = TREE_PARTS[2]
     ctx = _ctx(chart, count=3)
     base, tau = leaves[0], leaves[3]
-    assert Sandwiched(base, out=h, arg=v).normal_form(ctx)[0] == {(h, v): 1.0}
-    assert Sandwiched(base, arg=v, along=h).normal_form(ctx)[0] is None
+    assert base.normal_form(ctx)[0] == {((), ()): 1.0}
+    assert Sandwiched(base, out=h, arg=v).normal_form(ctx)[0] == {((h, v), ()): 1.0}
+    assert Sandwiched(base, arg=v, along=h).normal_form(ctx)[0] == {((v,), (h,)): 1.0}
+    nested = Sandwiched(Sandwiched(base, out=E, along=h), arg=E, along=v)
+    assert nested.normal_form(ctx)[0] == {((E, E), (h, v)): 1.0}
     assert Sandwiched(tau, arg=v, along=h).normal_form(ctx)[0] == {}
     assert Sandwiched(tau, out=h, arg=v).normal_form(ctx)[0] == {}
     twice = ConjugateConnection(ConjugateConnection(base, E), E)
-    assert twice.normal_form(ctx)[0] == {(E, E, E, E): 1.0}
-    assert psi_connection(base, E).normal_form(ctx)[0] == {(): 0.5, (E, E): 0.5}
+    assert twice.normal_form(ctx)[0] == {((E, E, E, E), ()): 1.0}
+    assert psi_connection(base, E).normal_form(ctx)[0] == {((), ()): 0.5, ((E, E), ()): 0.5}
 
 
 def test_weights_cancel_by_structure():
     """nabla E has no derivative weight, so the structural and virtual
-    tensors, which derive it along E, keep a normal form; the O'Neill-Gray T
-    and A derive the swap along a projector, and have none."""
+    tensors, which derive it along E, have none either; the O'Neill-Gray T
+    and A derive the swap along a projector and keep the swap's two words,
+    taken along it."""
     chart, leaves, (E, *_) = TREE_PARTS[2]
     ctx = _ctx(chart, count=3)
     base = leaves[0]
@@ -584,5 +600,7 @@ def test_weights_cancel_by_structure():
                virtual_tensor(base, E), mixed_derivative_twist(base, E, 0.7, -1.3)):
         assert op.normal_form(ctx)[0] == {}, op
     assert CombinationOp(((1.0, base), (-1.0, base))).normal_form(ctx)[0] == {}
-    for op in fundamental_tensors(base, SHEAR_PAIR):
-        assert op.normal_form(ctx)[0] is None
+    h, v = SHEAR_PAIR.h, SHEAR_PAIR.v
+    T, A = fundamental_tensors(base, SHEAR_PAIR)
+    assert T.normal_form(ctx)[0] == {((h, v), (v,)): 1.0, ((v, h), (v,)): 1.0}
+    assert A.normal_form(ctx)[0] == {((h, v), (h,)): 1.0, ((v, h), (h,)): 1.0}

@@ -7,18 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from prodconj import fields
-from prodconj.connections import ChristoffelConnection, LeviCivitaConnection, Sandwiched
+from prodconj import connections, fields
+from prodconj.connections import LeviCivitaConnection
 from prodconj.errors import ConfigError, EvaluationError
-from prodconj.expr import ZERO, parse_expr
+from prodconj.expr import parse_expr
 from prodconj.fields import (
     Chart,
     EndoField,
-    EvalContext,
-    FrameVector,
-    Grid,
     MetricField,
     OneFormField,
     Tensor12Field,
@@ -27,8 +23,6 @@ from prodconj.fields import (
     bracket,
     complement_endo,
     context_for,
-    contract,
-    dirderiv,
     endo_apply,
     endo_from_difference,
     frame_pair_residual,
@@ -36,13 +30,10 @@ from prodconj.fields import (
     metric_compat_residual,
     metric_pair,
     oneform_apply,
-    vadd,
     vmax_abs,
-    vscale,
-    vsub,
     vvalues,
 )
-from prodconj.jets import Jet, tri_size
+from prodconj.jets import Jet
 from prodconj.sampling import SamplePlan, sample_points
 
 from oracles import eval_scalar
@@ -275,151 +266,21 @@ def _sum_loops(tree: ast.AST, scope: str = "", looping: bool = False):
 
 def test_three_loops_hold_every_component_sum():
     """contract, endo_apply and dirderiv are the only component-sum loops
-    besides CombinationOp.apply's fold over its terms; the pairings, the
-    bracket and the Levi-Civita table are built on them."""
+    besides the two folds of a normal form: `connections._evaluate` adds
+    the weighted derivatives of its words, and `connections._fold` a
+    combination's table entries.  The pairings, the bracket, the
+    Levi-Civita table and every operator's apply are built on them."""
     package = Path(fields.__file__).parent
     found = {f"{module}.{name}" for module in GEOMETRY_MODULES for name in _sum_loops(
         ast.parse((package / f"{module}.py").read_text(encoding="utf-8")))}
     assert found == {"fields.contract", "fields.endo_apply", "fields.dirderiv",
-                     "connections.CombinationOp.apply"}
+                     "connections._evaluate", "connections._fold"}
     built_on = {fields.metric_pair: "contract(", fields.oneform_apply: "endo_apply(",
-                fields.bracket: "dirderiv(", LeviCivitaConnection._jets: "endo_apply("}
+                fields.bracket: "dirderiv(", LeviCivitaConnection._jets: "endo_apply(",
+                connections._evaluate: "contract(", connections.CombinationOp._normal_form:
+                "_fold("}
     for fn, call in built_on.items():
         assert call in inspect.getsource(fn), fn.__qualname__
-
-
-# ---- frame operands: read by index, equal to the whole sum -----------
-
-CHART3 = Chart(3, ("x", "y", "z"), ((-1.0, 1.0),) * 3)
-CTX3 = EvalContext(CHART3, np.array([[0.1, -0.2, 0.3], [0.5, 0.4, -0.6]]))
-BAD = (math.inf, -math.inf, math.nan)
-
-
-@st.composite
-def _entry(draw, poisoned=False, orders=(1, 2)):
-    """A jet on CTX3's batch: a constant (0 and 1 included) or random arrays,
-    some large enough that products overflow; a poisoned one holds one inf
-    or NaN entry."""
-    order = draw(st.sampled_from(orders))
-    if not poisoned and draw(st.booleans()):
-        return Jet.constant(draw(st.sampled_from((0.0, 1.0, -2.5))), 3, order, (CTX3.count,))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    scale = draw(st.sampled_from((1.0, 1e200)))
-    arrays = [scale * rng.standard_normal((CTX3.count,) + tail)
-              for tail in ((), (3,), (tri_size(3),))[:order + 1]]
-    if poisoned:
-        slot = arrays[draw(st.integers(0, order))]
-        where = tuple(draw(st.integers(0, n - 1)) for n in slot.shape)
-        slot[where] = draw(st.sampled_from(BAD))
-    return Jet(3, order, *arrays)
-
-
-@st.composite
-def _vector(draw, poison):
-    """Three jets, one order each unless drawn mixed; `poison` picks one."""
-    order = draw(st.sampled_from((1, 2)))
-    orders = (1, 2) if draw(st.booleans()) else (order,)
-    return [draw(_entry(poisoned=(poison == k), orders=orders)) for k in range(3)]
-
-
-def _assert_same_jet(got, want):
-    """Equal order, const and arrays, NaN equal to NaN; the sign of a zero
-    may differ, since a sum of exact zeros keeps the first one's."""
-    assert got.order == want.order
-    assert got.const == want.const
-    for g, w in ((got.value, want.value), (got.grad, want.grad), (got.hess, want.hess)):
-        assert (g is None) == (w is None)
-        assert g is None or np.array_equal(g, w, equal_nan=True)
-
-
-def _assert_same_vec(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        _assert_same_jet(g, w)
-
-
-FRAME_ROUTE = settings(derandomize=True, database=None, deadline=None, max_examples=80)
-
-
-@FRAME_ROUTE
-@given(st.data())
-def test_contract_with_a_frame_operand_is_the_whole_sum(data):
-    """Each loop against itself on `list(frame vector)`, which carries no
-    index and so takes the whole sum; one table entry, vector component or
-    start jet may hold an inf or NaN."""
-    draw = data.draw
-    where = draw(st.sampled_from(("none", "table", "vector", "start")))
-    bad = draw(st.integers(0, 26))
-    table = [Grid([None if draw(st.integers(0, 3)) == 0 else
-                   draw(_entry(poisoned=(where == "table" and bad == 9 * k + 3 * i + j)))
-                   for j in range(3)] for i in range(3)) for k in range(3)]
-    start = None
-    if draw(st.booleans()):
-        start = [draw(_entry(poisoned=(where == "start" and bad % 3 == k))) for k in range(3)]
-    frame = CTX3.frame()
-    a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    other = draw(_vector(bad % 3 if where == "vector" else None))
-    for x, y in ((frame[a], other), (frame[a], frame[b]), (other, frame[b])):
-        with np.errstate(all="ignore"):
-            got = contract(table, x, y, start=start)
-            want = contract(table, list(x), list(y), start=start)
-        _assert_same_vec(got, want)
-
-
-@FRAME_ROUTE
-@given(st.data())
-def test_endo_apply_on_a_frame_vector_is_the_whole_sum(data):
-    draw = data.draw
-    bad = draw(st.one_of(st.none(), st.integers(0, 8)))  # the poisoned entry, if any
-    E = Grid([draw(_entry(poisoned=(bad == 3 * k + j))) for j in range(3)] for k in range(3))
-    b = draw(st.integers(0, 2))
-    with np.errstate(all="ignore"):
-        got = endo_apply(E, CTX3.frame()[b])
-        want = endo_apply(E, list(CTX3.frame()[b]))
-    _assert_same_vec(got, want)
-
-
-@FRAME_ROUTE
-@given(st.data())
-def test_dirderiv_along_a_frame_vector_is_the_whole_sum(data):
-    draw = data.draw
-    s = draw(_entry(poisoned=draw(st.booleans())))
-    i = draw(st.integers(0, 2))
-    with np.errstate(all="ignore"):
-        got = dirderiv(CTX3.frame()[i], s)
-        want = dirderiv(list(CTX3.frame()[i]), s)
-    _assert_same_jet(got, want)
-
-
-def test_frame_pair_christoffel_apply_of_a_flat_table_multiplies_nothing(monkeypatch):
-    flat = ChristoffelConnection(CHART3, [[[ZERO] * 3] * 3] * 3)
-    products = []
-    original = Jet.__mul__
-
-    def counted(self, other):
-        products.append(1)
-        return original(self, other)
-    monkeypatch.setattr(Jet, "__mul__", counted)
-    monkeypatch.setattr(Jet, "__rmul__", counted)
-    frame = CTX3.frame()
-    for X in frame:
-        for Y in frame:
-            assert np.all(vvalues(flat.apply(CTX3, X, Y)) == 0.0)
-    assert products == []
-
-
-def test_only_the_context_frame_carries_its_index():
-    ctx = _ctx(count=5)
-    frame = ctx.frame()
-    assert [v.index for v in frame] == [0, 1]
-    assert all(type(v) is FrameVector for v in frame)
-    X, Y = frame
-    E = ctx.endo(SHEAR)
-    flat = ChristoffelConnection(CHART, [[[ZERO] * 2] * 2] * 2)
-    derived = [vadd(X, Y), vsub(X, Y), vscale(2.0, X), vscale(X[0], Y), endo_apply(E, X),
-               bracket(X, Y), Sandwiched(flat).apply(ctx, X, Y),
-               Sandwiched(flat, out=SHEAR, arg=SHEAR, along=SHEAR).apply(ctx, X, Y)]
-    assert all(type(v) is list for v in derived)
 
 
 def test_magnitude_folds_components_like_a_reduction():
