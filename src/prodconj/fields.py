@@ -7,8 +7,11 @@ shared pool.  Vector quantities are plain lists of Jets, one per component,
 and a matrix is a list of rows; a coefficient table is a list of such
 planes, with None for an entry known to be zero.  Three loops, `contract`,
 `endo_apply` and `dirderiv`, hold every component sum.  They treat every
-operand alike: a coordinate frame vector is a list of constant jets, whose
-exact zeros and ones the jet products and sums already skip (see `jets`).
+operand alike and leave out each term with a constant-zero factor whose
+other factors are finite, since that term is the constant 0; the sum still
+takes its order.  A coordinate frame vector is a list of constant jets, so
+a frame operand leaves out most terms, and the jet products already skip
+its exact ones (see `jets`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, OrderError
 from .expr import Const, Expr, Neg, Product, Sum, validate_expr, ZERO, ONE
 from .jets import Jet, eval_jet, shift
 from .reporting import Residual
@@ -253,21 +256,51 @@ def vscale(c, a: Vec) -> Vec:
     return [c * x for x in a] if isinstance(c, Jet) else [x * c for x in a]
 
 
+def _vanishes(a: Jet, b: Jet) -> bool:
+    """a * b is the constant 0: one factor is a constant zero and the other
+    is finite (an inf or NaN there would have made a NaN)."""
+    return (a.const == 0.0 and b.finite()) or (b.const == 0.0 and a.finite())
+
+
+# The loops below leave out every term that is the constant 0.  Adding such
+# a term would only lower the sum to the term's order, so each loop keeps
+# the lowest such order in k, which starts above every jet order, and
+# `_summed` applies it at the end.
+_ABOVE_EVERY_ORDER = 3
+
+
+def _summed(acc: Jet | None, k: int, like: Jet) -> Jet:
+    """The sum acc of the formed terms, at the lowest order k of the terms
+    left out where that is below its own; with no term formed, the
+    constant 0 at order k, batched like `like`."""
+    if acc is None:
+        return Jet.constant(0.0, like.dim, k, like.value.shape)
+    return acc.truncated(min(acc.order, k))
+
+
 def contract(table, x: Vec, y: Vec, start=None) -> Vec:
     """start + sum_ij T^k_ij x^i y^j per output k; a None entry or start
     jet is zero."""
     n = len(x)
     out = []
     for plane, acc in zip(table, [None] * n if start is None else start):
+        k = _ABOVE_EVERY_ORDER
         for i in range(n):
             for j in range(n):
                 c = plane[i][j]
                 if c is not None:
-                    term = c * x[i] * y[j]
-                    acc = term if acc is None else acc + term
-        if acc is None:
+                    xi, yj = x[i], y[j]
+                    # c * x^i is formed first and may overflow, so a zero
+                    # y^j leaves the term out only once that product is finite.
+                    p = None if _vanishes(c, xi) and yj.finite() else c * xi
+                    if p is None or _vanishes(p, yj):
+                        k = min(k, c.order, xi.order, yj.order)
+                    else:
+                        term = p * yj
+                        acc = term if acc is None else acc + term
+        if acc is None and k == _ABOVE_EVERY_ORDER:  # no entry and no start
             acc = x[0].like_constant(0.0)
-        out.append(acc)
+        out.append(_summed(acc, k, x[0]))
     return out
 
 
@@ -275,19 +308,31 @@ def endo_apply(E: list[list[Jet]], v: Vec) -> Vec:
     """E v, one output per row of E: sum_j E_kj v^j."""
     out = []
     for row in E:
-        acc = row[0] * v[0]
-        for j in range(1, len(v)):
-            acc = acc + row[j] * v[j]
-        out.append(acc)
+        acc, k = None, _ABOVE_EVERY_ORDER
+        for e, vj in zip(row, v):
+            if _vanishes(e, vj):
+                k = min(k, e.order, vj.order)
+            else:
+                term = e * vj
+                acc = term if acc is None else acc + term
+        out.append(_summed(acc, k, v[0]))
     return out
 
 
 def dirderiv(x: Vec, s: Jet) -> Jet:
-    """Derivative of the scalar s along x, as a jet one order lower."""
-    acc = x[0] * shift(s, 0)
-    for i in range(1, len(x)):
-        acc = acc + x[i] * shift(s, i)
-    return acc
+    """Derivative of the scalar s along x, as a jet one order lower.  A zero
+    x^i beside a finite s takes no partial of s."""
+    if s.order < 1:
+        raise OrderError("cannot take a partial of an order-0 jet")
+    acc, k = None, _ABOVE_EVERY_ORDER
+    for i, xi in enumerate(x):
+        d = None if xi.const == 0.0 and s.finite() else shift(s, i)
+        if d is None or _vanishes(xi, d):
+            k = min(k, xi.order, s.order - 1)
+        else:
+            term = xi * d
+            acc = term if acc is None else acc + term
+    return _summed(acc, k, x[0])
 
 
 def metric_pair(G: list[list[Jet]], v: Vec, w: Vec) -> Jet:

@@ -24,6 +24,11 @@ constant is finite by construction, so `finite` scans nothing for it.
 since their arrays are sub-arrays of the source's; any other jet is
 scanned once, when first asked.  `shift` of a constant is the constant 0
 on its source's zero gradient.
+
+A coordinate's jet is not constant, but its partials are: its gradient is
+a read-only unit row with stride 0 over the batch, and its Hessian the
+shared zero.  `shift` of a jet with the shared zero Hessian (or none) and
+such a gradient is the constant it reads, 0 or 1 for a coordinate.
 """
 
 from __future__ import annotations
@@ -69,6 +74,20 @@ def _zeros(shape: tuple[int, ...]) -> np.ndarray:
         cached = _ZEROS_CACHE[shape] = np.zeros(shape)
         cached.flags.writeable = False
     return cached
+
+
+def _unit(i: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The i-th unit row at every batch index of `shape`: a read-only view
+    with stride 0 on the batch axes, so the batch costs no memory."""
+    row = np.zeros(shape[-1])
+    row[i] = 1.0
+    return np.broadcast_to(row, shape)
+
+
+def _uniform(a: np.ndarray) -> bool:
+    """`a` repeats one row over its batch axes by construction: each of
+    them has stride 0 (or there are none)."""
+    return a.size > 0 and not any(a.strides[:-1])
 
 
 def _filled(c: float, shape: tuple[int, ...]) -> np.ndarray:
@@ -309,6 +328,9 @@ def shift(f: Jet, i: int) -> Jet:
         # Every derivative is zero: the constant 0 on f's own zero gradient.
         return Jet(f.dim, f.order - 1, f.grad[..., i],
                    f.grad if f.order >= 2 else None, None, 0.0)
+    if (f.order == 1 or f.hess is _ZEROS_CACHE.get(f.hess.shape)) and _uniform(f.grad):
+        # One number at every sample with zero derivatives, as for a coordinate.
+        return Jet.constant(f.grad[..., i].flat[0], f.dim, f.order - 1, f.value.shape)
     grad = None
     if f.order >= 2:
         _, _, rows = _tri(f.dim)
@@ -346,10 +368,9 @@ def _eval(e: Expr, P: np.ndarray, order: int, memo: dict) -> Jet:
                 raise ConfigError(f"coordinate index {i} out of range for dimension {dim}")
             grad = hess = None
             if order >= 1:
-                grad = np.zeros(batch + (dim,))
-                grad[..., i] = 1.0
+                grad = _unit(i, batch + (dim,))
                 if order >= 2:
-                    hess = np.zeros(batch + (tri_size(dim),))
+                    hess = _zeros(batch + (tri_size(dim),))
             out = Jet(dim, order, P[..., i] + 0.0, grad, hess)
         case Const(value=v):
             out = Jet.constant(float(v), dim, order, batch)

@@ -100,6 +100,14 @@ MUTANTS = [
      "_evaluate(ctx, weight, table, xs[i], ys[j])", "_evaluate(ctx, {}, table, xs[i], ys[j])"),
     ("combination_weight_without_coefficient", "connections.py",
      "sum(c * w.get(word, 0.0) for c, w, _ in forms)", "sum(w.get(word, 0.0) for c, w, _ in forms)"),
+    ("zero_skip_without_finite_guard", "fields.py",
+     "return (a.const == 0.0 and b.finite()) or (b.const == 0.0 and a.finite())",
+     "return a.const == 0.0 or b.const == 0.0"),
+    ("zero_skip_order_untruncated", "fields.py",
+     "return acc.truncated(min(acc.order, k))", "return acc"),
+    ("zero_skip_before_the_overflow", "fields.py",
+     "if p is None or _vanishes(p, yj):",
+     "if p is None or yj.const == 0.0 and c.finite() and xi.finite() or _vanishes(p, yj):"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -9,7 +9,9 @@ recurrence equations are assembled as a dense pointwise linear system
 and handed to a least-squares solver.  Jet sums and products are
 recomputed from the operands' arrays with every term of the product
 rule.  None of this touches the jet arithmetic, the connection
-operators, or the sampling code.
+operators, or the sampling code, except the whole-sum loops: they are the
+engine's three component sums with every term formed and added by the
+jet arithmetic, none left out.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from prodconj.expr import (
     Sin,
     Sum,
 )
+from prodconj.jets import shift
 
 
 def eval_scalar(e, point):
@@ -112,6 +115,43 @@ def full_sum(a, b):
     return (k, a.value + b.value,
             a.grad + b.grad if k >= 1 else None,
             a.hess + b.hess if k >= 2 else None)
+
+
+def whole_contract(table, x, y, start=None):
+    """start + sum_ij T^k_ij x^i y^j per output k, every term (c x^i) y^j
+    formed and added; a None entry or start jet is zero."""
+    n = len(x)
+    out = []
+    for plane, acc in zip(table, [None] * n if start is None else start):
+        for i in range(n):
+            for j in range(n):
+                c = plane[i][j]
+                if c is not None:
+                    term = c * x[i] * y[j]
+                    acc = term if acc is None else acc + term
+        if acc is None:
+            acc = x[0].like_constant(0.0)
+        out.append(acc)
+    return out
+
+
+def whole_endo_apply(E, v):
+    """E v with every term E_kj v^j formed and added."""
+    out = []
+    for row in E:
+        acc = row[0] * v[0]
+        for j in range(1, len(v)):
+            acc = acc + row[j] * v[j]
+        out.append(acc)
+    return out
+
+
+def whole_dirderiv(x, s):
+    """sum_i x^i d_i s with every partial taken and every term formed."""
+    acc = x[0] * shift(s, 0)
+    for i in range(1, len(x)):
+        acc = acc + x[i] * shift(s, i)
+    return acc
 
 
 def metric_values(metric, point):

@@ -48,6 +48,7 @@ from prodconj.connections import (
 )
 from prodconj.generalized import (GeneralizedConjugate, family_member, mixed_derivative_twist,
                                   rotated_twist)
+from prodconj.jets import Jet
 from prodconj.runner import corpus_names, corpus_text
 from prodconj.sampling import SamplePlan
 from prodconj.scenario import load_scenario
@@ -604,3 +605,29 @@ def test_weights_cancel_by_structure():
     T, A = fundamental_tensors(base, SHEAR_PAIR)
     assert T.normal_form(ctx)[0] == {((h, v), (v,)): 1.0, ((v, h), (v,)): 1.0}
     assert A.normal_form(ctx)[0] == {((h, v), (h,)): 1.0, ((v, h), (h,)): 1.0}
+
+
+def test_a_frame_pair_apply_forms_few_products(monkeypatch):
+    """apply(d_i, d_j) of a dim-3 Christoffel connection with a dense,
+    finite table, and of its conjugate, makes at most 2n jet products per
+    output component; forming every term of the contraction alone makes
+    2n^3 per apply.  A frame's zeros leave their terms out."""
+    n = 3
+    base = ChristoffelConnection(CHART3, _table3([f"(+ {k} (* x z))" for k in range(1, 28)]))
+    ctx = _ctx(CHART3, count=20)
+    frame = ctx.frame()
+    products = []
+    mul = Jet.__mul__
+
+    def counted(a, b):
+        products.append(b)
+        return mul(a, b)
+    for op in (base, ConjugateConnection(base, TREE_PARTS[3][2][2])):
+        op.normal_form(ctx)  # built once per context, before the count
+        with monkeypatch.context() as m:
+            m.setattr(Jet, "__mul__", counted)
+            for X in frame:
+                for Y in frame:
+                    products.clear()
+                    assert len(op.apply(ctx, X, Y)) == n
+                    assert len(products) <= 2 * n * n, op

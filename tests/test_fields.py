@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodconj import connections, fields
 from prodconj.connections import LeviCivitaConnection
-from prodconj.errors import ConfigError, EvaluationError
+from prodconj.errors import ConfigError, EvaluationError, OrderError
 from prodconj.expr import parse_expr
 from prodconj.fields import (
     Chart,
@@ -23,6 +24,8 @@ from prodconj.fields import (
     bracket,
     complement_endo,
     context_for,
+    contract,
+    dirderiv,
     endo_apply,
     endo_from_difference,
     frame_pair_residual,
@@ -33,10 +36,10 @@ from prodconj.fields import (
     vmax_abs,
     vvalues,
 )
-from prodconj.jets import Jet
+from prodconj.jets import Jet, tri_size
 from prodconj.sampling import SamplePlan, sample_points
 
-from oracles import eval_scalar
+from oracles import eval_scalar, whole_contract, whole_dirderiv, whole_endo_apply
 
 BOX = ((-1.0, 1.0), (-1.0, 1.0))
 CHART = Chart(2, ("x", "y"), BOX)
@@ -281,6 +284,141 @@ def test_three_loops_hold_every_component_sum():
                 "_fold("}
     for fn, call in built_on.items():
         assert call in inspect.getsource(fn), fn.__qualname__
+
+
+# ---- the three loops against their whole sums ---------------------------
+
+# 1e200 squared overflows, so a product of two of them is inf
+LOOP_CONSTANTS = (0.0, 1.0, -2.5, 1e200)
+SPOILED_OPERANDS = (None, "table", "matrix", "vector", "scalar")
+
+
+@st.composite
+def _loop_jet(draw, dim, shape, orders=(0, 1, 2)):
+    """A constant jet (0, 1 or another number), or a random one scaled by
+    1 or 1e200, at one of `orders`."""
+    order = draw(st.sampled_from(orders))
+    if draw(st.booleans()):
+        return Jet.constant(draw(st.sampled_from(LOOP_CONSTANTS)), dim, order, shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from((1.0, 1e200)))
+    return Jet(dim, order, *(scale * rng.standard_normal(shape + tail)
+                             for tail in ((), (dim,), (tri_size(dim),))[:order + 1]))
+
+
+@st.composite
+def _loop_vector(draw, dim, shape):
+    """A coordinate frame vector, constants 0 and 1 at order 2, or a list of
+    `_loop_jet`s."""
+    if draw(st.booleans()):
+        i = draw(st.integers(0, dim - 1))
+        return [Jet.constant(float(k == i), dim, 2, shape) for k in range(dim)]
+    return [draw(_loop_jet(dim, shape)) for _ in range(dim)]
+
+
+@st.composite
+def _loop_plane(draw, dim, shape):
+    """A coefficient plane: all None, or entries None, at order 1 as a
+    normal form stores them, or at any order."""
+    entry = st.one_of(st.none(), _loop_jet(dim, shape, orders=(1,)), _loop_jet(dim, shape))
+    if draw(st.integers(0, 3)) == 0:
+        return [[None] * dim for _ in range(dim)]
+    return [[draw(entry) for _ in range(dim)] for _ in range(dim)]
+
+
+def _spoiled(draw, jet):
+    """jet with one inf or NaN entry in one of its arrays."""
+    arrays = [np.array(a, dtype=float) for a in (jet.value, jet.grad, jet.hess)[:jet.order + 1]]
+    slot = arrays[draw(st.integers(0, jet.order))]
+    slot[tuple(draw(st.integers(0, n - 1)) for n in slot.shape)] = draw(
+        st.sampled_from((math.inf, -math.inf, math.nan)))
+    return Jet(jet.dim, jet.order, *arrays)
+
+
+def _assert_same_jet(got, want):
+    """Equal order, const, and value, gradient and Hessian, NaN equal to
+    NaN and the sign of zero ignored."""
+    assert (got.order, got.const) == (want.order, want.const)
+    for a, b in ((got.value, want.value), (got.grad, want.grad), (got.hess, want.hess)):
+        assert (a is None) == (b is None)
+        assert a is None or np.array_equal(a, b, equal_nan=True)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_the_three_loops_equal_their_whole_sums(data):
+    """contract, endo_apply and dirderiv, which leave out the terms that are
+    the constant 0, equal the loops that form and add every term: frame
+    vectors beside random and overflowing operands, mixed orders, start
+    jets, all-None planes, and one inf or NaN in one operand."""
+    draw = data.draw
+    dim, shape = draw(st.integers(2, 3)), draw(st.sampled_from(((), (3,))))
+    table = [draw(_loop_plane(dim, shape)) for _ in range(dim)]
+    x, y = draw(_loop_vector(dim, shape)), draw(_loop_vector(dim, shape))
+    start = draw(st.none() | st.lists(_loop_jet(dim, shape), min_size=dim, max_size=dim))
+    E = [draw(_loop_vector(dim, shape)) for _ in range(dim)]
+    s = draw(_loop_jet(dim, shape, orders=(1, 2)))
+    spoil = draw(st.sampled_from(SPOILED_OPERANDS))
+    if spoil == "table":
+        k, i, j = (draw(st.integers(0, dim - 1)) for _ in range(3))
+        if table[k][i][j] is not None:
+            table[k][i][j] = _spoiled(draw, table[k][i][j])
+    elif spoil == "matrix":
+        k, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        E[k][j] = _spoiled(draw, E[k][j])
+    elif spoil == "vector":
+        v, i = draw(st.sampled_from((x, y))), draw(st.integers(0, dim - 1))
+        v[i] = _spoiled(draw, v[i])
+    elif spoil == "scalar":
+        s = _spoiled(draw, s)
+    with np.errstate(all="ignore"):
+        pairs = [(contract(table, x, y, start), whole_contract(table, x, y, start)),
+                 (endo_apply(E, x), whole_endo_apply(E, x)),
+                 ([dirderiv(x, s)], [whole_dirderiv(x, s)])]
+    for got, want in pairs:
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_jet(g, w)
+
+
+def test_a_zero_y_keeps_the_nan_of_an_overflowing_c_x():
+    """With finite c and x^i whose product overflows, (c x^i) y^j is NaN
+    for y^j = 0 in the whole sum; contract forms c x^i and sees it is not
+    finite before it leaves the term out, so it reads NaN too."""
+    dim, shape = 2, (3,)
+    big = Jet.constant(1e200, dim, 1, shape)
+    x = [Jet(dim, 2, np.full(shape, 1e200), np.zeros(shape + (dim,)),
+             np.zeros(shape + (tri_size(dim),)))] * dim
+    y = [Jet.constant(0.0, dim, 2, shape)] * dim
+    table = [[[big, None], [None, None]] for _ in range(dim)]
+    with np.errstate(all="ignore"):
+        got, want = contract(table, x, y), whole_contract(table, x, y)
+    for g, w in zip(got, want):
+        assert np.isnan(w.value).all()
+        _assert_same_jet(g, w)
+
+
+def test_a_sum_of_left_out_terms_keeps_their_order():
+    """A plane whose one entry meets a zero keeps that term's order 2 as
+    the constant 0, whatever the order of an x^i no entry reads; a plane
+    with no entry and no start is the constant 0 at x^0's order."""
+    shape = (3,)
+    x = [Jet.constant(1.0, 2, 1, shape), Jet.constant(0.0, 2, 2, shape)]
+    y = [Jet.constant(1.0, 2, 2, shape)] * 2
+    entry = Jet.constant(2.5, 2, 2, shape)
+    table = [[[None, None], [None, entry]], [[None, None], [None, None]]]
+    got, want = contract(table, x, y), whole_contract(table, x, y)
+    assert [(g.order, g.const) for g in got] == [(2, 0.0), (1, 0.0)]
+    for g, w in zip(got, want):
+        _assert_same_jet(g, w)
+
+
+def test_dirderiv_of_an_order_0_scalar_is_refused():
+    """Even along a zero vector, whose terms take no partial of s, with
+    the message a partial of it gives."""
+    zero = [Jet.constant(0.0, 2, 2, (3,))] * 2
+    with pytest.raises(OrderError, match="partial of an order-0 jet"):
+        dirderiv(zero, Jet.constant(1.0, 2, 0, (3,)))
 
 
 def test_magnitude_folds_components_like_a_reduction():

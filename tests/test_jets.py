@@ -329,6 +329,31 @@ def test_constant_jets_cost_no_scans_and_no_copies(monkeypatch):
             shared[0, 0] = 1.0
 
 
+def test_a_coordinate_has_constant_partials():
+    """shift of a coordinate's jet is the constant 0 or 1, one order lower,
+    holding no batch-sized array of its own: a stride-0 value over one
+    number and the shared zero gradient.  The coordinate's gradient is a
+    read-only unit row with stride 0 over the batch; a product of
+    coordinates keeps per-sample partials."""
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (5000, 3))
+    zero_grad = Jet.constant(0.0, 3, 1, (5000,)).grad
+    for i in range(3):
+        x = eval_jet(Coord(i), pts, 2)
+        assert x.const is None and x.grad.strides[0] == 0
+        with pytest.raises(ValueError):
+            x.grad[0, i] = 2.0
+        for j in range(3):
+            d = shift(eval_jet(Coord(i), pts, 2), j)
+            assert d.const == float(i == j) and d.order == 1
+            low, high = byte_bounds(d.value)
+            assert d.value.strides == (0,) and high - low == d.value.itemsize
+            assert d.grad is zero_grad
+            assert shift(x.truncated(1), j).const == float(i == j)
+    assert shift(eval_jet(Coord(0), pts[0], 2), 0).const == 1.0
+    xy = eval_jet(parse_expr("(* x y)", names=("x", "y", "z")), pts, 2)
+    assert shift(xy, 0).const is None
+
+
 def test_a_constant_holds_no_per_sample_array():
     """A constant's value is a read-only stride-0 view of one number, and
     sums, negations and products of constants, or of a constant and a
