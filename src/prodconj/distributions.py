@@ -50,6 +50,7 @@ from .fields import (
     vvalues,
     worst,
 )
+from .jets import Jet
 from .reporting import Residual
 
 Rows = list
@@ -107,6 +108,34 @@ def structure_rows(ctx: EvalContext, pair: ProjectorPair) -> Rows:
     ]
 
 
+def _ranks(M: np.ndarray) -> np.ndarray:
+    """Numerical rank of each matrix of a batch: the count of its singular
+    values above _RANK_RTOL of the largest."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    return np.sum(sv > _RANK_RTOL * sv[:, :1], axis=1)
+
+
+def _projector_ranks(P: list[list[Jet]]) -> np.ndarray:
+    """`_ranks` of a projector's values, computed without its rows and
+    columns whose entries are all the constant 0; that leaves the nonzero
+    singular values, so the ranks, as they are.  With nothing left the rank
+    is 0.  One row or one column left has one singular value, its 2-norm,
+    so its rank is 1 where an entry is nonzero and 0 elsewhere, with no SVD.
+    A non-finite entry left sends the whole projector to `_ranks`, so SVD
+    meets it as it always has."""
+    rows = [row for row in P if any(e.const != 0.0 for e in row)]
+    cols = [j for j in range(len(P)) if any(row[j].const != 0.0 for row in rows)]
+    if not cols:
+        return np.zeros(1, dtype=int)
+    kept = [[row[j] for j in cols] for row in rows]
+    M = jets_matrix_values(kept)
+    if not np.isfinite(M).all():
+        return _ranks(jets_matrix_values(P))
+    if min(len(rows), len(cols)) == 1:
+        return np.any(M, axis=(1, 2)).astype(int)
+    return _ranks(M)
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A distribution given by spanning fields or by one side of a pair;
@@ -155,13 +184,16 @@ class DistributionSpec:
         """Pointwise rank: full for spanning fields, and for a pair side the
         projector's rank, the same at every sample; raises otherwise.  The
         rank is kept under the spec's value, so every spec of one side or
-        one span shares one SVD per context."""
+        one span shares one rank build per context.  A pair side's rank is
+        counted as `_projector_ranks` says, with no SVD where the
+        projector's constant zeros leave one row or one column."""
         def build():
-            M = (np.stack([vvalues(ctx.vector(f)) for f in self.span], axis=-1)
-                 if self.span is not None else jets_matrix_values(ctx.endo(self._onto())))
-            sv = np.linalg.svd(M, compute_uv=False)
-            counts = np.sum(sv > _RANK_RTOL * sv[:, :1], axis=1)
-            rank = len(self.span) if self.span is not None else counts[0]
+            if self.span is not None:
+                counts = _ranks(np.stack([vvalues(ctx.vector(f)) for f in self.span], axis=-1))
+                rank = len(self.span)
+            else:
+                counts = _projector_ranks(ctx.endo(self._onto()))
+                rank = counts[0]
             if np.any(counts != rank):
                 raise EvaluationError(f"rank of {self.label!r} drops or varies across samples",
                                       point=ctx.points[int(np.argmax(counts != rank))])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, EvaluationError, OrderError
 from .expr import Const, Expr, Neg, Product, Sum, validate_expr, ZERO, ONE
-from .jets import Jet, eval_jet, shift
+from .jets import Jet, eval_jet, filled, shift
 from .reporting import Residual
 from .sampling import SamplePlan, sample_points
 
@@ -353,8 +353,14 @@ def vvalues(v: Vec) -> np.ndarray:
 
 
 def vmax_abs(v: Vec) -> np.ndarray:
-    """max |component| at every sample, folded elementwise; a NaN stays."""
-    return reduce(np.maximum, (np.abs(j.value) for j in v))
+    """max |component| at every sample, folded elementwise; a NaN stays.
+    The constant components fold as one number and build no array; with
+    no other component, the result is a stride-0 view of that number."""
+    sizes = [np.abs(j.value) for j in v if j.const is None]
+    c = max((abs(j.const) for j in v if j.const is not None), default=None)
+    if c is None:
+        return reduce(np.maximum, sizes)
+    return reduce(np.maximum, sizes, c) if sizes else filled(c, v[0].value.shape)
 
 
 def jets_matrix_values(M: list[list[Jet]]) -> np.ndarray:
@@ -366,9 +372,10 @@ def jets_matrix_values(M: list[list[Jet]]) -> np.ndarray:
 
 def magnitude(out) -> np.ndarray:
     """Per-sample size of a check output: max |component| of a Vec, |value|
-    of a Jet, or max |entry| of an array whose first axis is the sample."""
+    of a Jet, or max |entry| of an array whose first axis is the sample.
+    A Vec or Jet folds its constant components as `vmax_abs` does."""
     if isinstance(out, Jet):
-        return np.abs(out.value)
+        return vmax_abs([out])
     if isinstance(out, np.ndarray):
         if out.ndim < 2:
             return np.abs(out)

@@ -90,7 +90,7 @@ def _uniform(a: np.ndarray) -> bool:
     return a.size > 0 and not any(a.strides[:-1])
 
 
-def _filled(c: float, shape: tuple[int, ...]) -> np.ndarray:
+def filled(c: float, shape: tuple[int, ...]) -> np.ndarray:
     """c at every index of `shape`: a read-only stride-0 view of one packed
     float, so the batch costs no memory."""
     return np.ndarray(shape, float, _PACK(c), 0, (0,) * len(shape))
@@ -130,7 +130,7 @@ class Jet:
         c = float(c)
         grad = _zeros(batch_shape + (dim,)) if order >= 1 else None
         hess = _zeros(batch_shape + (tri_size(dim),)) if order >= 2 else None
-        return Jet(dim, order, _filled(c, batch_shape), grad, hess, _finite_const(c))
+        return Jet(dim, order, filled(c, batch_shape), grad, hess, _finite_const(c))
 
     def like_constant(self, c: float) -> "Jet":
         return Jet.constant(c, self.dim, self.order, self.value.shape)

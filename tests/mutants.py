@@ -108,6 +108,11 @@ MUTANTS = [
     ("zero_skip_before_the_overflow", "fields.py",
      "if p is None or _vanishes(p, yj):",
      "if p is None or yj.const == 0.0 and c.finite() and xi.finite() or _vanishes(p, yj):"),
+    ("rank_drops_constant_rows", "distributions.py",
+     "rows = [row for row in P if any(e.const != 0.0 for e in row)]",
+     "rows = [row for row in P if any(e.const is None for e in row)]"),
+    ("norm_rank_without_finite_fallback", "distributions.py",
+     "if not np.isfinite(M).all():", "if False:"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

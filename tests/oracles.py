@@ -11,12 +11,16 @@ recomputed from the operands' arrays with every term of the product
 rule.  None of this touches the jet arithmetic, the connection
 operators, or the sampling code, except the whole-sum loops: they are the
 engine's three component sums with every term formed and added by the
-jet arithmetic, none left out.
+jet arithmetic, none left out.  The whole-batch rank and residual
+reductions are the engine's own rank guard and residual scan as they were
+before constants were folded: one SVD of every sample's whole matrix, and
+one per-sample array for every component.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -32,7 +36,11 @@ from prodconj.expr import (
     Sin,
     Sum,
 )
-from prodconj.jets import shift
+from prodconj.distributions import _RANK_RTOL
+from prodconj.errors import EvaluationError
+from prodconj.fields import jets_matrix_values, vvalues
+from prodconj.jets import Jet, shift
+from prodconj.reporting import Residual
 
 
 def eval_scalar(e, point):
@@ -152,6 +160,41 @@ def whole_dirderiv(x, s):
     for i in range(1, len(x)):
         acc = acc + x[i] * shift(s, i)
     return acc
+
+
+def whole_batch_certify(self, ctx):
+    """`DistributionSpec.certify` of `self` without its cache: one SVD of
+    the whole matrix at every sample."""
+    M = (np.stack([vvalues(ctx.vector(f)) for f in self.span], axis=-1)
+         if self.span is not None else jets_matrix_values(ctx.endo(self._onto())))
+    sv = np.linalg.svd(M, compute_uv=False)
+    counts = np.sum(sv > _RANK_RTOL * sv[:, :1], axis=1)
+    rank = len(self.span) if self.span is not None else counts[0]
+    if np.any(counts != rank):
+        raise EvaluationError(f"rank of {self.label!r} drops or varies across samples",
+                              point=ctx.points[int(np.argmax(counts != rank))])
+    return int(rank)
+
+
+def whole_batch_magnitude(out):
+    """Per-sample size of a check output, one array for every component."""
+    if isinstance(out, Jet):
+        return np.abs(out.value)
+    if isinstance(out, np.ndarray):
+        if out.ndim < 2:
+            return np.abs(out)
+        return reduce(np.maximum, np.abs(out.reshape(len(out), -1)).T)
+    return reduce(np.maximum, (np.abs(j.value) for j in out))
+
+
+def whole_batch_sample_max(ctx, out, label):
+    """The largest magnitude of one output over the samples, by argmax over
+    the whole per-sample size; a 0-d size has no point."""
+    size = whole_batch_magnitude(out)
+    if size.ndim == 0:
+        return Residual(float(size), None, label)
+    k = int(np.argmax(size))
+    return Residual(float(size[k]), tuple(float(c) for c in ctx.points[k]), label)
 
 
 def metric_values(metric, point):

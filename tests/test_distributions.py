@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodconj.errors import ConfigError, EvaluationError
-from prodconj.expr import ZERO, parse_expr
+from prodconj.expr import ZERO, parse_expr, parse_exprs
 from prodconj.fields import (
     Chart,
     EndoField,
@@ -38,7 +39,11 @@ from prodconj.distributions import (
     structure_rows,
 )
 from prodconj.reporting import Residual
+from prodconj.runner import corpus_text, run_scenario
 from prodconj.sampling import SamplePlan
+from prodconj.scenario import load_scenario
+
+from oracles import whole_batch_certify
 
 BOX = ((-1.0, 1.0), (-1.0, 1.0))
 CHART = Chart(2, ("x", "y"), BOX)
@@ -265,18 +270,106 @@ def test_pair_structure_is_built_once():
 
 def test_one_rank_svd_per_projector_in_a_context(monkeypatch):
     """`restricts` on a pair side and `schouten`, which builds its own side
-    specs, share the rank of each projector: one SVD for h and one for v."""
-    calls = []
-    svd = np.linalg.svd
+    specs, share the rank of each projector: one rank build for h and one
+    for v.  Builds are counted, not SVD calls, since a projector whose
+    constant zeros leave one row or one column takes no SVD."""
+    built = []
+    cached = EvalContext.cached
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    def counted(self, key, build):
+        def counted_build():
+            built.append(key[0].side)
+            return build()
+        return cached(self, key, counted_build if key[-1] == "rank" else build)
+    monkeypatch.setattr(EvalContext, "cached", counted)
     ctx = _ctx()
     restriction_residual(ctx, _rolled(), DistributionSpec.from_pair(SLANTED, "horizontal"))
     schouten_rows(ctx, _rolled(), SLANTED, 1e-9)
-    assert len(calls) == 2
+    assert sorted(built) == ["horizontal", "vertical"]
+
+
+def test_wide_involutivity_r3_takes_one_rank_svd(monkeypatch):
+    """At 5000 samples h of involutivity_r3 drops its constant-zero column
+    and takes one SVD of a (5000, 3, 2) batch; v keeps one row, whose rank
+    needs no SVD."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(M, *args, **kwargs):
+        shapes.append(np.shape(M))
+        return svd(M, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    scn = load_scenario(corpus_text("involutivity_r3"), name="involutivity_r3")
+    assert not run_scenario(scn, samples=5000).failed
+    assert shapes == [(5000, 3, 2)]
+
+
+# Projector entries for the rank property: the constant 0, other constants,
+# sample-dependent entries (a zero at some points), and entries that are inf
+# or NaN where x = 7.
+_ZERO_ENTRIES = ("0", "(* 0 x)")
+_CONST_ENTRIES = ("1", "-2", "1/2", "(+ 1 2)")
+_VARIABLE_ENTRIES = ("x", "y", "(* x y)", "(+ 1 x)", "(- x x)")
+_INF, _NAN = "(exp (exp x))", "(- (exp (exp x)) (exp (exp x)))"
+_COORDINATE_VALUES = (-1.0, 0.0, 0.5, 7.0)
+_NAMES = ("x", "y", "z", "w")
+
+
+def _outcome(certify, ctx):
+    """certify(ctx), or the type, message and witness point it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return certify(ctx)
+    except (EvaluationError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc), getattr(exc, "point", None)
+
+
+def _rank_like_whole_batch(rows, points):
+    """certify of both sides of the pair whose h has the given rows of
+    entries agrees with the whole-batch SVD: the same rank, or the same
+    exception type, message and witness point."""
+    dim = len(rows)
+    chart = Chart(dim, _NAMES[:dim], ((-10.0, 10.0),) * dim)
+    h = EndoField(chart, tuple(tuple(parse_exprs(row, names=chart.names)) for row in rows))
+    pair = pair_from_h(h)
+    for side in ("horizontal", "vertical"):
+        spec = DistributionSpec.from_pair(pair, side)
+        got = _outcome(spec.certify, EvalContext(chart, np.array(points, dtype=float)))
+        want = _outcome(lambda ctx: whole_batch_certify(spec, ctx),
+                        EvalContext(chart, np.array(points, dtype=float)))
+        assert got == want, (side, rows, points)
+
+
+@pytest.mark.parametrize("rows, points", [
+    (("0 0 0", "0 0 0", "0 0 0"), [(0.5, 1, 0), (0, 0, 0)]),          # all zero
+    (("1 0 0", "0 1 0", "0 0 0"), [(0.5, 1, 0), (0, 0, 0)]),          # all constant
+    (("1 -2 0", "0 0 0", "0 0 0"), [(0.5, 1, 0)]),                    # constant 1 x 2
+    (("x 0", "y 0"), [(0.5, 1), (0, 0), (-1, 0)]),                    # 2 x 1, rank varies
+    (("x y 0", "0 0 0", "0 0 0"), [(0.5, 1, 0), (0, 0, 1)]),          # 1 x 2, rank varies
+    (("1 0 0", "0 1 0", "0 x 0"), [(0.5, 1, 0), (0, 0.5, 7)]),        # involutivity_r3's h
+    (("1 0", "0 x"), [(0.5, 1), (0, 1)]),                             # SVD, rank varies
+    ((f"{_INF} 1", "0 0"), [(0.5, 1), (7, 1)]),                       # inf in a 1 x 2
+    ((f"{_NAN} 1", "0 0"), [(0.5, 1), (7, 1)]),                       # NaN in a 1 x 2
+    ((f"{_NAN} 1", "1 x"), [(0.5, 1), (7, 1)]),                       # NaN in a 2 x 2
+    (("x 0 0 0", "0 (* x y) 0 0", "0 0 0 0", "1 0 0 z"), [(0.5, 1, 0, 7), (0, 1, 1, 1)]),
+])
+def test_rank_matches_the_whole_batch_svd(rows, points):
+    _rank_like_whole_batch(rows, points)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(data=st.data())
+def test_rank_matches_the_whole_batch_svd_on_drawn_matrices(data):
+    dim = data.draw(st.integers(2, 4), label="dim")
+    # weighted by repetition: mostly zeros, a non-finite entry rarely
+    entry = st.sampled_from(_ZERO_ENTRIES * 6 + _CONST_ENTRIES * 2 + _VARIABLE_ENTRIES * 2
+                            + (_INF, _NAN))
+    texts = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                               min_size=dim, max_size=dim), label="h")
+    coordinate = st.sampled_from(_COORDINATE_VALUES)
+    points = data.draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=5),
+                       label="points")
+    _rank_like_whole_batch([" ".join(row) for row in texts], points)
 
 
 # ---- fundamental tensors ---------------------------------------------

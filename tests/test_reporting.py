@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from prodconj.checks import REGISTRY, judge
 from prodconj.fields import Chart, EvalContext, frame_pair_residual, worst
 from prodconj.jets import Jet
 from prodconj.reporting import ERROR, FAIL, PASS, SKIP, Residual
+
+from oracles import whole_batch_sample_max
 
 POINTS = np.arange(12.0).reshape(6, 2)
 CTX = EvalContext(Chart(2, ("x", "y"), ((0.0, 20.0), (0.0, 20.0))), POINTS)
@@ -146,6 +149,96 @@ def test_frame_pair_rows_matches_one_scan_per_name(case):
         assert (res[key].frame, res[key].worst_point) == (alone.frame, alone.worst_point)
     assert _same(res[name].value, value)
     assert (res[name].frame, res[name].worst_point) == (frame, tuple(points[sample]))
+
+
+# Entries for the residual property: constants (a -0.0 among them, and a
+# constant larger than every sample value) and sample values with NaN and inf.
+_CONSTANTS = (0.0, -0.0, 0.25, -3.0, 9.0)
+_SAMPLE_VALUES = (0.0, -0.0, 0.5, -3.0, 2.5, math.nan, math.inf, -math.inf)
+
+
+def _same_residual(got, want):
+    """Equal value (NaN equal to NaN, and the same sign of zero), witness
+    point and label."""
+    assert _same(got.value, want.value), (got, want)
+    assert math.copysign(1, got.value) == math.copysign(1, want.value), (got, want)
+    assert (got.worst_point, got.frame) == (want.worst_point, want.frame), (got, want)
+
+
+@st.composite
+def _component(draw, m):
+    """A constant jet or one with a value per sample, at order 0 to 2."""
+    order = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        return Jet.constant(draw(st.sampled_from(_CONSTANTS)), 2, order, (m,))
+    value = np.array(draw(st.lists(st.sampled_from(_SAMPLE_VALUES), min_size=m, max_size=m)))
+    grad = np.zeros((m, 2)) if order >= 1 else None
+    return Jet(2, order, value, grad, np.zeros((m, 3)) if order == 2 else None)
+
+
+@st.composite
+def _output(draw, m):
+    """A check output: a Vec mostly, else a Jet, a per-sample array, a
+    per-sample matrix or a 0-d array."""
+    form = draw(st.sampled_from(("vec", "vec", "vec", "jet", "array", "matrix", "0-d")))
+    if form == "vec":
+        return draw(st.lists(_component(m), min_size=1, max_size=4))
+    if form == "jet":
+        return draw(_component(m))
+    values = st.sampled_from(_SAMPLE_VALUES)
+    shape = {"array": (m,), "matrix": (m, 2, 2), "0-d": ()}[form]
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+
+
+def _whole_batch_worst(ctx, items):
+    reduced = [whole_batch_sample_max(ctx, out, label) for label, out in items]
+    return reduce(Residual.merged, reduced[1:], reduced[0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_residual_scans_match_the_whole_batch_reduction(data):
+    """`worst` and `frame_pair_rows`, which fold constant components as one
+    number, give the value, witness point and label of the reduction that
+    builds one per-sample array per component: on all-constant, mixed and
+    per-sample Vecs, on Jets and on arrays, with first NaNs, -0.0 constants
+    and constants that are the maximum."""
+    m = data.draw(st.integers(1, 6), label="samples")
+    ctx = EvalContext(Chart(2, ("x", "y"), ((0.0, 20.0), (0.0, 20.0))), POINTS[:m])
+    items = data.draw(st.lists(st.tuples(st.sampled_from(("a", "b", "c")), _output(m)),
+                               min_size=1, max_size=4), label="items")
+    with np.errstate(all="ignore"):
+        _same_residual(worst(ctx, items), _whole_batch_worst(ctx, items))
+        # frame pair (i, j) yields the items from the (2i + j)-th on, each under its label
+        per_pair = {(i, j): items[2 * i + j:] or items for i in range(2) for j in range(2)}
+        pair_of = {id(X): i for i, X in enumerate(ctx.frame())}
+        got = fields.frame_pair_rows(
+            ctx, lambda X, Y: per_pair[pair_of[id(X)], pair_of[id(Y)]])
+        want = {}
+        for (i, j), pair_items in per_pair.items():
+            for label, out in pair_items:
+                res = whole_batch_sample_max(ctx, out, ctx.chart.frame_label(i, j))
+                want[label] = want[label].merged(res) if label in want else res
+    assert list(got) == list(want)
+    for label in want:
+        _same_residual(got[label], want[label])
+
+
+@pytest.mark.parametrize("vec, value, sample", [
+    ([Jet.constant(-0.0, 2, 2, (6,)), Jet.constant(0.0, 2, 0, (6,))], 0.0, 0),
+    ([Jet.constant(0.25, 2, 2, (6,)), Jet.constant(-3.0, 2, 1, (6,))], 3.0, 0),
+    ([Jet(2, 0, 0.5 * DEFECT), Jet.constant(0.3, 2, 0, (6,))], 0.3, 0),
+    ([Jet(2, 0, DEFECT), Jet.constant(0.3, 2, 0, (6,))], 0.5, 1),
+    ([Jet(2, 0, _with_nan(3)), Jet.constant(9.0, 2, 0, (6,))], math.nan, 3),
+])
+def test_constant_components_fold_as_one_number(vec, value, sample):
+    """A Vec of constants takes the first sample as its witness, as argmax
+    on a uniform array does; a constant beside per-sample components counts
+    at every sample, and a NaN still wins."""
+    res = worst(CTX, [("v", vec)])
+    _same_residual(res, Residual(value, tuple(POINTS[sample]), "v"))
+    _same_residual(res, whole_batch_sample_max(CTX, vec, "v"))
 
 
 def test_only_the_reducer_accumulates_residuals():
