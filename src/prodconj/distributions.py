@@ -182,7 +182,8 @@ class DistributionSpec:
 
     def certify(self, ctx: EvalContext) -> int:
         """Pointwise rank: full for spanning fields, and for a pair side the
-        projector's rank, the same at every sample; raises otherwise.  The
+        projector's rank, the same at every sample; raises otherwise, at the
+        first sample below the largest rank over the samples.  The
         rank is kept under the spec's value, so every spec of one side or
         one span shares one rank build per context.  A pair side's rank is
         counted as `_projector_ranks` says, with no SVD where the
@@ -193,7 +194,7 @@ class DistributionSpec:
                 rank = len(self.span)
             else:
                 counts = _projector_ranks(ctx.endo(self._onto()))
-                rank = counts[0]
+                rank = counts.max()
             if np.any(counts != rank):
                 raise EvaluationError(f"rank of {self.label!r} drops or varies across samples",
                                       point=ctx.points[int(np.argmax(counts != rank))])

@@ -17,13 +17,15 @@ have made a NaN the shortcut leaves out.
 A constant jet costs nothing per sample.  Its value is a read-only
 stride-0 array over one stored number, and constants of one batch shape
 share one read-only zero gradient and Hessian, so building one allocates
-no batch-sized array.  Sums, negations and products of constants, and a
+no batch-sized array.  Every constant zero of one sign, dim, order and
+batch shape is one shared jet (`_ZERO_JETS`), so a zero is built once
+per process; `truncated` of a constant zero and `shift` of a constant
+return that jet too.  Sums, negations and products of constants, and a
 constant times a number, are constants again while they stay finite.  A
 constant is finite by construction, so `finite` scans nothing for it.
 `shift` and `truncated` of a jet already found finite inherit the flag,
 since their arrays are sub-arrays of the source's; any other jet is
-scanned once, when first asked.  `shift` of a constant is the constant 0
-on its source's zero gradient.
+scanned once, when first asked.
 
 A coordinate's jet is not constant, but its partials are: its gradient is
 a read-only unit row with stride 0 over the batch, and its Hessian the
@@ -45,6 +47,7 @@ from .expr import (Const, Coord, Cos, Exp, Expr, Neg, Power, Product,
 
 _TRI_CACHE: dict[int, tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]] = {}
 _ZEROS_CACHE: dict[tuple[int, ...], np.ndarray] = {}
+_ZERO_JETS: dict[tuple[bytes, int, int, tuple[int, ...]], "Jet"] = {}
 _PACK = struct.Struct("d").pack
 
 
@@ -127,7 +130,20 @@ class Jet:
 
     @staticmethod
     def constant(c: float, dim: int, order: int, batch_shape: tuple[int, ...]) -> "Jet":
+        """c at every sample of `batch_shape`, with zero derivatives.  A
+        zero is the shared jet of its sign (kept apart by its packed bits),
+        dim, order and batch shape."""
         c = float(c)
+        if c == 0.0:
+            key = (_PACK(c), dim, order, batch_shape)
+            shared = _ZERO_JETS.get(key)
+            if shared is None:
+                shared = _ZERO_JETS[key] = Jet._built(c, dim, order, batch_shape)
+            return shared
+        return Jet._built(c, dim, order, batch_shape)
+
+    @staticmethod
+    def _built(c: float, dim: int, order: int, batch_shape: tuple[int, ...]) -> "Jet":
         grad = _zeros(batch_shape + (dim,)) if order >= 1 else None
         hess = _zeros(batch_shape + (tri_size(dim),)) if order >= 2 else None
         return Jet(dim, order, filled(c, batch_shape), grad, hess, _finite_const(c))
@@ -154,6 +170,8 @@ class Jet:
         """This jet at order k <= self.order, sharing its arrays."""
         if k == self.order:
             return self
+        if self.const == 0.0:
+            return Jet.constant(self.const, self.dim, k, self.value.shape)
         return _inherit_finite(
             Jet(self.dim, k, self.value, self.grad if k >= 1 else None, None, self.const),
             self)
@@ -325,9 +343,7 @@ def shift(f: Jet, i: int) -> Jet:
     if not 0 <= i < f.dim:
         raise ConfigError(f"partial index {i} out of range for dimension {f.dim}")
     if f.const is not None:
-        # Every derivative is zero: the constant 0 on f's own zero gradient.
-        return Jet(f.dim, f.order - 1, f.grad[..., i],
-                   f.grad if f.order >= 2 else None, None, 0.0)
+        return Jet.constant(0.0, f.dim, f.order - 1, f.value.shape)
     if (f.order == 1 or f.hess is _ZEROS_CACHE.get(f.hess.shape)) and _uniform(f.grad):
         # One number at every sample with zero derivatives, as for a coordinate.
         return Jet.constant(f.grad[..., i].flat[0], f.dim, f.order - 1, f.value.shape)

@@ -113,6 +113,12 @@ MUTANTS = [
      "rows = [row for row in P if any(e.const is None for e in row)]"),
     ("norm_rank_without_finite_fallback", "distributions.py",
      "if not np.isfinite(M).all():", "if False:"),
+    ("shared_zero_key_drops_order", "jets.py",
+     "key = (_PACK(c), dim, order, batch_shape)", "key = (_PACK(c), dim, batch_shape)"),
+    ("shared_zero_key_drops_shape", "jets.py",
+     "key = (_PACK(c), dim, order, batch_shape)", "key = (_PACK(c), dim, order)"),
+    ("certify_reference_first_sample", "distributions.py",
+     "rank = counts.max()", "rank = counts[0]"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -169,7 +169,7 @@ def whole_batch_certify(self, ctx):
          if self.span is not None else jets_matrix_values(ctx.endo(self._onto())))
     sv = np.linalg.svd(M, compute_uv=False)
     counts = np.sum(sv > _RANK_RTOL * sv[:, :1], axis=1)
-    rank = len(self.span) if self.span is not None else counts[0]
+    rank = len(self.span) if self.span is not None else counts.max()
     if np.any(counts != rank):
         raise EvaluationError(f"rank of {self.label!r} drops or varies across samples",
                               point=ctx.points[int(np.argmax(counts != rank))])

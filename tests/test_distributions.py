@@ -372,6 +372,63 @@ def test_rank_matches_the_whole_batch_svd_on_drawn_matrices(data):
     _rank_like_whole_batch([" ".join(row) for row in texts], points)
 
 
+_EE = "(exp (exp x))"  # inf where x > log(log(max float)), about 6.566
+
+
+@pytest.mark.parametrize("rows, points, witness", [
+    (("x 0", "0 0"), [(0, 1), (0.5, 1), (0.25, 1)], (0.0, 1.0)),
+    (("x 0", "0 0"), [(0.5, 1), (0, 1), (0.25, 1)], (0.0, 1.0)),
+    ((f"1 {_EE}", "0 0"), [(6, 1), (8, 1), (7, 1)], (8.0, 1.0)),
+    ((f"1 {_EE}", "0 0"), [(8, 1), (6, 1), (7, 1)], (8.0, 1.0)),
+    ((f"1 {_EE}", "0 0"), [(6, 1), (6.5, 1), (7, 1), (8, 1)], (7.0, 1.0)),
+])
+def test_rank_witness_is_the_first_sample_below_the_largest_rank(rows, points, witness):
+    """The reference rank is the largest over the samples, whichever comes
+    first, so the witness is a sample where the rank drops: x = 0 for
+    h = [[x, 0], [0, 0]], and an overflowing exp(exp(x)) entry."""
+    chart = Chart(2, ("x", "y"), ((-10.0, 10.0),) * 2)
+    h = EndoField(chart, tuple(tuple(parse_exprs(row, names=chart.names)) for row in rows))
+    spec = DistributionSpec.from_pair(pair_from_h(h), "horizontal")
+    for certify in (spec.certify, lambda ctx: whole_batch_certify(spec, ctx)):
+        got = _outcome(certify, EvalContext(chart, np.array(points, dtype=float)))
+        assert got[0] is EvaluationError and tuple(got[2]) == witness, got
+
+
+def test_rank_error_of_a_scenario_names_an_overflowing_sample():
+    """On x in [6, 8] the projector entry exp(exp(x)) is finite at some
+    samples and inf at others; the error names a sample where it is inf."""
+    scn = load_scenario("""\
+[chart]
+dim = 2
+names = x, y
+box = 6:8, 0:1
+
+[endo hee]
+row 0 = 1 (exp (exp x))
+row 1 = 0 0
+
+[pair p]
+h = hee
+
+[distribution hd]
+pair = p
+side = horizontal
+
+[connection flat]
+kind = flat
+
+[check closed]
+kind = restricts
+connection = flat
+distribution = hd
+""", name="ee")
+    (row,) = run_scenario(scn, samples=20).rows
+    assert row.status == "error" and "drops or varies" in row.note
+    x = float(row.note.split("at point (")[1].split(",")[0])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(np.exp(x)))
+
+
 # ---- fundamental tensors ---------------------------------------------
 
 
