@@ -22,7 +22,7 @@ from .connections import (
     CombinationOp,
     Sandwiched,
     SumConnection,
-    curvature,
+    curvature_table,
     metricity_residual,
     nabla_metric,
     structure_derivative_twist,
@@ -153,7 +153,7 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     double = ConjugateConnection(conj, structure)
     dE = structure_derivative_twist(base, structure)
     dE_conj = structure_derivative_twist(conj, structure)
-    E = ctx.endo(structure)
+    E, frame = ctx.endo(structure), ctx.frame()
 
     def pair_rows(X, Y):
         EY, base_xy = endo_apply(E, Y), base.apply(ctx, X, Y)
@@ -167,12 +167,14 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
         rhs = vadd(torsion(ctx, base, X, Y), endo_apply(E, vsub(d, dE.apply(ctx, Y, X))))
         yield "torsion_shift", vsub(torsion(ctx, conj, X, Y), rhs)
 
-    def item4(X, Y, Z):
-        lhs = curvature(ctx, conj, X, Y, Z)
-        rhs = endo_apply(E, curvature(ctx, base, X, Y, endo_apply(E, Z)))
+    def item4(i, j, k):
+        Z = frame[k]
+        lhs = endo_apply(curvature_table(ctx, conj)[i][j], Z)
+        rhs = endo_apply(E, endo_apply(curvature_table(ctx, base)[i][j], endo_apply(E, Z)))
         return vsub(lhs, rhs)
 
-    def item5(X, Y, Z):
+    def item5(i, j, k):
+        X, Y, Z = frame[i], frame[j], frame[k]
         lhs = nabla_metric(ctx, conj, G, X, endo_apply(E, Y), endo_apply(E, Z))
         return lhs - nabla_metric(ctx, base, G, X, Y, Z)
 

@@ -21,6 +21,15 @@ None is an exact zero.  A leaf's table is its coefficient jets.  A
 composite builds its form once per context from its operands' forms, and
 stores its entries at order <= 1, the most an apply can use; no form
 applies an operator.
+
+Torsion and curvature on the coordinate frame are read from per-node
+tables.  `frame_torsion` is Γ(d_i, d_j) - Γ(d_j, d_i) of the frame-pair
+table.  `curvature_table` holds R[i][j], the matrix of R(d_i, d_j), built
+once per context: R(d_i, d_j)d_k = S(d_i, S(d_j, d_k)) - S(d_j, S(d_i, d_k)),
+one apply of the normal form per term, since the bracket of two frame
+fields is 0; on a connection, whose curvature is a tensor, R(d_i, d_j)z is
+endo_apply(R[i][j], z) for any z.  The composed `torsion` and `curvature`
+take any fields; the tests hold the tables to them.
 """
 
 from __future__ import annotations
@@ -303,6 +312,50 @@ def curvature(ctx: EvalContext, nabla: ConnectionOp, x: Vec, y: Vec, z: Vec) -> 
     return vsub(vsub(t1, t2), t3)
 
 
+def frame_torsion(ctx: EvalContext, nabla: ConnectionOp, i: int, j: int) -> Vec:
+    """T(d_i, d_j) = Γ(d_i, d_j) - Γ(d_j, d_i), read from the frame-pair
+    table: a frame field has no derivative, and the bracket of two is 0.
+    `contract` reads the table as an apply does, so a non-finite entry
+    reaches the same components."""
+    _, table = nabla.normal_form(ctx)
+    frame = ctx.frame()
+    return vsub(contract(table, frame[i], frame[j]), contract(table, frame[j], frame[i]))
+
+
+def curvature_table(ctx: EvalContext, nabla: ConnectionOp) -> list:
+    """R[i][j], the matrix of R(d_i, d_j), built once per context.  On a
+    connection, whose curvature is a tensor, R(d_i, d_j)z is
+    endo_apply(R[i][j], z) for any z."""
+    return ctx.cached((nabla, "curvature"), lambda: _curvature_table(ctx, nabla))
+
+
+def _curvature_table(ctx: EvalContext, nabla: ConnectionOp) -> list:
+    """R(d_i, d_j)d_k = A_ijk - A_jik with A_ijk = S(d_i, S(d_j, d_k)), one
+    apply of the normal form each, since the bracket of two frame fields is
+    0.  Built for i < j only: R_ji = -R_ij and R_ii = 0.  Entries are values
+    (order 0), kept as `_stored` keeps them, an exact zero as the constant
+    0, so that `endo_apply` reads the matrix as it is."""
+    weight, table = nabla.normal_form(ctx)
+    # A reader takes R's values only, so the Γ·Γ terms of A form no gradient;
+    # S(d_j, d_k) keeps its own for the derivative words.
+    values = [[[None if e is None else e.truncated(0) for e in row] for row in plane]
+              for plane in table]
+    frame = ctx.frame()
+    n = len(frame)
+    pairs = [[nabla.apply(ctx, Y, Z) for Z in frame] for Y in frame]
+
+    def A(i, j, k):
+        return _evaluate(ctx, weight, values, frame[i], pairs[j][k])
+    zero = Jet.constant(0.0, n, 0, (ctx.count,))
+    zeros = [[zero] * n for _ in range(n)]
+    R = [[zeros] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        columns = [vsub(A(i, j, k), A(j, i, k)) for k in range(n)]
+        R[i][j] = [[_stored(column[m]) or zero for column in columns] for m in range(n)]
+        R[j][i] = [[-e for e in row] for row in R[i][j]]
+    return R
+
+
 def structure_derivative_twist(base: ConnectionOp, structure: EndoField,
                                label: str = "combination") -> CombinationOp:
     """(nabla_x E)y = nabla_x(Ey) - E(nabla_x y) as a tensor node; the
@@ -328,8 +381,8 @@ def symmetric_product(ctx: EvalContext, nabla: ConnectionOp, x: Vec, y: Vec) -> 
 
 
 def torsion_residual(ctx: EvalContext, nabla: ConnectionOp):
-    frame, label = ctx.frame(), ctx.chart.frame_label
-    return worst(ctx, ((label(i, j), torsion(ctx, nabla, frame[i], frame[j]))
+    label = ctx.chart.frame_label
+    return worst(ctx, ((label(i, j), frame_torsion(ctx, nabla, i, j))
                        for i, j in combinations(range(nabla.chart.dim), 2)))
 
 

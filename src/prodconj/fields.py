@@ -11,13 +11,16 @@ operand alike and leave out each term with a constant-zero factor whose
 other factors are finite, since that term is the constant 0; the sum still
 takes its order.  A coordinate frame vector is a list of constant jets, so
 a frame operand leaves out most terms, and the jet products already skip
-its exact ones (see `jets`).
+its exact ones (see `jets`).  The frame-triple scan hands its callback the
+frame indices, so a suite reads per-node tables by index and indexes
+`frame()` where it needs the vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -438,10 +441,12 @@ def frame_pair_residual(ctx: EvalContext, fn) -> Residual:
 
 
 def frame_triple_residual(ctx: EvalContext, fn) -> Residual:
-    """Worst fn(X, Y, Z) over coordinate frame triples."""
-    frame, label = ctx.frame(), ctx.chart.frame_label
-    return worst(ctx, ((label(i, j, k), fn(X, Y, Z)) for i, X in enumerate(frame)
-                       for j, Y in enumerate(frame) for k, Z in enumerate(frame)))
+    """Worst fn(i, j, k) over the index triples of the coordinate frame;
+    fn indexes ctx.frame() where it needs the vectors, and reads per-node
+    tables such as `connections.curvature_table` by the same indices."""
+    label = ctx.chart.frame_label
+    return worst(ctx, ((label(*ijk), fn(*ijk))
+                       for ijk in product(range(ctx.chart.dim), repeat=3)))
 
 
 # A second name for the same scan, kept because bench/spans.py traces it by name.

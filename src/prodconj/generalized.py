@@ -29,6 +29,7 @@ from .connections import (
     Sandwiched,
     ZeroOp,
     curvature,
+    curvature_table,
     leibniz_defect_residual,
     structure_derivative_twist,
     torsion,
@@ -256,32 +257,43 @@ def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 
 
 def _curvature_scan(ctx: EvalContext, defect, probes: list[Vec] | None) -> Residual:
-    """Max |defect(X, Y, Z)| over coordinate frame triples, and over probe
-    pairs (X, Y) against every frame Z when probes are supplied, since
+    """Max |defect(X, Y, Z, R)| over coordinate frame triples, where R reads
+    the curvature tables, and over probe pairs (X, Y) against every frame Z
+    when probes are supplied, where R is the composed `curvature`, since
     coordinate frames never exercise the bracket term."""
-    res = frame_triple_residual(ctx, defect)
+    frame, label = ctx.frame(), ctx.chart.frame_label
+
+    def on_frame(i: int, j: int, k: int) -> Vec:
+        def R(op: ConnectionOp, W: Vec) -> Vec:
+            return endo_apply(curvature_table(ctx, op)[i][j], W)
+        return defect(frame[i], frame[j], frame[k], R)
+
+    def on_probes(X: Vec, Y: Vec, Z: Vec) -> Vec:
+        return defect(X, Y, Z, lambda op, W: curvature(ctx, op, X, Y, W))
+
+    res = frame_triple_residual(ctx, on_frame)
     if not probes:
         return res
-    frame, label = ctx.frame(), ctx.chart.frame_label
-    return res.merged(worst(ctx, ((f"probes,{label(k)}", defect(X, Y, Z))
+    return res.merged(worst(ctx, ((f"probes,{label(k)}", on_probes(X, Y, Z))
                                   for X, Y in combinations(probes, 2)
                                   for k, Z in enumerate(frame))))
 
 
 def _curvature_form_defect(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
                            twist: Tensor12Field, shortened: bool = False):
-    """(X, Y, Z) -> curvature of the twisted operator minus its closed form,
-    obtained by expanding the definition.  The shortened form differentiates
-    the twist of (Y, Z) along Y instead of X and drops the twist squares."""
+    """(X, Y, Z, R) -> curvature of the twisted operator minus its closed
+    form, obtained by expanding the definition, where R(op, W) is op's
+    R(X, Y)W.  The shortened form differentiates the twist of (Y, Z) along
+    Y instead of X and drops the twist squares."""
     E = ctx.endo(structure)
     gen = GeneralizedConjugate(base, structure, twist)
     C = twist.apply
 
-    def defect(X: Vec, Y: Vec, Z: Vec) -> Vec:
-        lhs = curvature(ctx, gen, X, Y, Z)
+    def defect(X: Vec, Y: Vec, Z: Vec, R) -> Vec:
+        lhs = R(gen, Z)
         EZ = endo_apply(E, Z)
         terms = [
-            endo_apply(E, curvature(ctx, base, X, Y, EZ)),
+            endo_apply(E, R(base, EZ)),
             C(ctx, X, endo_apply(E, base.apply(ctx, Y, EZ))),
             vscale(-1.0, C(ctx, Y, endo_apply(E, base.apply(ctx, X, EZ)))),
             vscale(-1.0, C(ctx, bracket(X, Y), Z)),

@@ -119,6 +119,11 @@ MUTANTS = [
      "key = (_PACK(c), dim, order, batch_shape)", "key = (_PACK(c), dim, order)"),
     ("certify_reference_first_sample", "distributions.py",
      "rank = counts.max()", "rank = counts[0]"),
+    ("curvature_table_indices_swapped", "connections.py",
+     "columns = [vsub(A(i, j, k), A(j, i, k))", "columns = [vsub(A(j, i, k), A(i, j, k))"),
+    ("curvature_table_without_gamma_gamma", "connections.py",
+     "return _evaluate(ctx, weight, values, frame[i], pairs[j][k])",
+     "return _evaluate(ctx, weight, _empty_table(n), frame[i], pairs[j][k])"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prodconj import connections
 from prodconj.errors import ConfigError
 from prodconj.expr import ZERO, parse_expr
 from prodconj.conjugation import (ConjugateConnection, chi_tensor, expansion_form,
@@ -26,6 +27,7 @@ from prodconj.fields import (
     VectorField,
     bracket,
     context_for,
+    endo_apply,
     vscale,
     vsub,
     vvalues,
@@ -39,7 +41,9 @@ from prodconj.connections import (
     ZeroOp,
     connection_laws_residual,
     curvature,
+    curvature_table,
     flat_connection,
+    frame_torsion,
     leibniz_defect_residual,
     metricity_residual,
     structure_derivative_twist,
@@ -49,7 +53,7 @@ from prodconj.connections import (
 from prodconj.generalized import (GeneralizedConjugate, family_member, mixed_derivative_twist,
                                   rotated_twist)
 from prodconj.jets import Jet
-from prodconj.runner import corpus_names, corpus_text
+from prodconj.runner import corpus_names, corpus_text, run_scenario
 from prodconj.sampling import SamplePlan
 from prodconj.scenario import load_scenario
 
@@ -525,18 +529,21 @@ OPERANDS = {
 }
 
 
-def _same_jets(got, want, what):
-    """Value and gradient equal to 1e-12 relative where finite, and not
-    finite in the same places.  An overflow may read inf on one route and
-    NaN on the other: a table entry stores an inf entry's products with the
-    frame's zeros as NaN, and an apply that reads it sees them, where the
-    composed route sees the inf itself."""
+def _same_jets(got, want, what, parts=("value", "grad"), at=slice(None), scale=1.0):
+    """Value and gradient (or the named `parts`) equal to 1e-12 relative
+    where finite, and not finite in the same places, at the samples `at`;
+    relative to the largest of `want` and `scale`, the size of the terms
+    that `want` cancels.
+    An overflow may read inf on one route and NaN on the other: a table
+    entry stores an inf entry's products with the frame's zeros as NaN, and
+    an apply that reads it sees them, where the composed route sees the inf
+    itself."""
     for g, w in zip(got, want, strict=True):
-        for a, b in ((g.value, w.value), (g.grad, w.grad)):
+        for a, b in ((getattr(g, part)[at], getattr(w, part)[at]) for part in parts):
             finite = np.isfinite(b)
             assert np.array_equal(np.isfinite(a), finite), what
-            scale = max(1.0, float(np.max(np.abs(b[finite]), initial=0.0)))
-            np.testing.assert_allclose(a[finite], b[finite], rtol=1e-12, atol=1e-12 * scale,
+            size = max(1.0, scale, float(np.max(np.abs(b[finite]), initial=0.0)))
+            np.testing.assert_allclose(a[finite], b[finite], rtol=1e-12, atol=1e-12 * size,
                                        err_msg=str(what))
 
 
@@ -631,3 +638,190 @@ def test_a_frame_pair_apply_forms_few_products(monkeypatch):
                     products.clear()
                     assert len(op.apply(ctx, X, Y)) == n
                     assert len(products) <= 2 * n * n, op
+
+
+# ---- curvature and torsion tables against the composed route --------
+
+CHART4 = Chart(4, ("x", "y", "z", "w"), ((-1.0, 1.0),) * 4)
+
+
+def _p4(text):
+    return parse_expr(text, names=("x", "y", "z", "w"))
+
+
+def _table4(texts):
+    """A dim-4 coefficient grid from expression texts in [k][i][j] order,
+    cycled to fill 64 entries."""
+    it = iter(texts * (64 // len(texts) + 1))
+    return [[[_p4(next(it)) for _ in range(4)] for _ in range(4)] for _ in range(4)]
+
+
+POLYS4 = ("(* x w)", "0", "(+ 1 z)", "0", "y", "(- w 1)", "0", "(* 1/2 y z)", "0")
+
+# the leaves and endomorphisms of the curvature tables' trees: those of the
+# frame-pair tables, and a dim-4 set with one overflowing leaf
+CURVATURE_PARTS = {**TREE_PARTS, 4: (
+    CHART4, [ChristoffelConnection(CHART4, _table4(POLYS4)), flat_connection(CHART4),
+             ZeroOp(CHART4),
+             Tensor12Field.from_components(CHART4, _table4((OVERFLOW,) + ("0",) * 20 + ("x",)))],
+    [EndoField(CHART4, tuple(tuple(_p4(e) for e in row) for row in rows))
+     for rows in ((("1", "0", "0", "0"), ("0", "-1", "x", "0"), ("0", "0", "1", "0"),
+                   ("w", "0", "0", "1")),
+                  (("y", "1", "0", "(* x z)"), ("0", "(+ 1 x)", "z", "0"),
+                   ("1", "0", "(* y y)", "0"), ("0", "w", "0", "2")))])}
+
+# one field per chart that is not a frame vector, at order 2
+CURVATURE_OPERANDS = {2: OPERANDS[2][0], 3: OPERANDS[3][1],
+                      4: VectorField(CHART4, (_p4("(+ y w)"), _p4("(* x x)"), _p4("(cos z)"),
+                                              _p4("(- 1 (* x w))")))}
+
+
+def _overflow_edge(ctx, op):
+    """The samples where a finite coefficient of a leaf of op, or one of its
+    partials, exceeds 1e100.  There a product of two or three of them may
+    overflow on one route and not on another, which multiplies other pairs."""
+    edge = np.zeros(ctx.count, bool)
+    for leaf in _leaves(op):
+        for e in (e for plane in leaf.normal_form(ctx)[1] for row in plane for e in row):
+            for a in () if e is None else (e.value[None], e.grad.reshape(ctx.count, -1).T):
+                edge |= np.any(np.isfinite(a) & (np.abs(a) > 1e100), axis=0)
+    return edge
+
+
+def _cancelled(ctx, op, X, Y, Z, at):
+    """The largest finite |S(X, S(Y, Z))| and |S(Y, S(X, Z))| at the samples
+    `at`: the terms whose difference is R(X, Y)Z on frame pairs (X, Y)."""
+    terms = np.abs([vvalues(op.apply(ctx, U, op.apply(ctx, V, Z)))[at]
+                    for U, V in ((X, Y), (Y, X))])
+    return float(np.max(terms, initial=0.0, where=np.isfinite(terms)))
+
+
+@pytest.mark.parametrize("dim", sorted(CURVATURE_PARTS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_curvature_and_torsion_tables_equal_the_composed_route(dim, data):
+    """endo_apply(curvature_table(op)[i][j], z) equals the composed
+    `curvature(op, d_i, d_j, z)` for every frame triple, and for an order-2
+    z that is not a frame vector where op's curvature is a tensor in z;
+    `frame_torsion` equals the composed `torsion` on every frame pair.  The
+    trees may hold an overflowing leaf; the samples at its overflow edge,
+    where the two routes square different entries, are left out.  R_ii is
+    the constant 0, where the composed route reads inf - inf as NaN, so a
+    diagonal pair is compared where the composed route is finite; a scan
+    over every triple is still non-finite at the same samples on both
+    routes."""
+    chart, leaves, endos = CURVATURE_PARTS[dim]
+    op = data.draw(_trees(leaves, endos), label="operator")
+    ctx = _ctx(chart, count=25)
+    frame = ctx.frame()
+    poisoned = {"table": np.zeros(ctx.count, bool), "composed": np.zeros(ctx.count, bool)}
+    with np.errstate(all="ignore"):
+        at = ~_overflow_edge(ctx, op)
+        # sum_k z^k R(d_i, d_j)d_k is R(d_i, d_j)z when every derivative word
+        # is the identity word, as in a connection of any coefficient sum
+        # (frame fields commute), or when there is none, as in a tensor
+        tensorial = all(word == ((), ()) for word in op.normal_form(ctx)[0])
+        operands = [*enumerate(frame)] + ([("z", ctx.vector(CURVATURE_OPERANDS[dim]))]
+                                          if tensorial else [])
+        R = curvature_table(ctx, op)
+        for i, X in enumerate(frame):
+            for j, Y in enumerate(frame):
+                for k, Z in operands:
+                    got, want = endo_apply(R[i][j], Z), curvature(ctx, op, X, Y, Z)
+                    for route, v in (("table", got), ("composed", want)):
+                        poisoned[route] |= ~np.isfinite(vvalues(v)).all(axis=1)
+                    if i == j:
+                        assert not vvalues(got).any()
+                        assert not np.nan_to_num(vvalues(want), posinf=0, neginf=0).any()
+                    else:
+                        # a table holds values (order 0): values only
+                        _same_jets(got, want, ("curvature", i, j, k, op), ("value",), at,
+                                   _cancelled(ctx, op, X, Y, Z, at))
+                _same_jets(frame_torsion(ctx, op, i, j), torsion(ctx, op, X, Y),
+                           ("torsion", i, j, op), at=at)
+    assert np.array_equal(poisoned["table"][at], poisoned["composed"][at])
+
+
+def test_the_curvature_tables_reach_nan():
+    """The NaN case of the curvature table test is not vacuous: a
+    combination with each overflowing tensor has NaN in its table."""
+    for chart, leaves, _ in CURVATURE_PARTS.values():
+        op = CombinationOp(((1.0, leaves[0]), (0.5, leaves[-1])))
+        ctx = _ctx(chart, count=25)
+        with np.errstate(all="ignore"):
+            R = curvature_table(ctx, op)
+        assert any(np.isnan(e.value).any() for Rij in R[0][1:] for row in Rij for e in row)
+
+
+def _symmetric_christoffel(chart, parse, texts):
+    """A torsion-free coordinate connection: gamma[k][i][j] = gamma[k][j][i],
+    filled from `texts` in order over i <= j."""
+    n = chart.dim
+    it = iter(texts * n ** 3)
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                gamma[k][i][j] = gamma[k][j][i] = parse(next(it))
+    return ChristoffelConnection(chart, gamma, label="symmetric")
+
+
+METRIC3 = MetricField(CHART3, ((_p3("(+ 2 (* x x))"), _p3("(* 1/2 y)"), _p3("0")),
+                               (_p3("(+ 1 (* z z))"), _p3("(* 1/4 x)")), (_p3("(+ 3 y)"),)))
+TORSION_FREE = {
+    "symmetric_dim3": _symmetric_christoffel(CHART3, _p3, POLYS3),
+    "symmetric_dim4": _symmetric_christoffel(CHART4, _p4, POLYS4),
+    "levi_civita_warped": LeviCivitaConnection(WARPED),
+    "levi_civita_dim3": LeviCivitaConnection(METRIC3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORSION_FREE))
+def test_curvature_tables_keep_the_first_bianchi_identity(name):
+    """On a torsion-free node, R(d_i, d_j)d_k + R(d_j, d_k)d_i +
+    R(d_k, d_i)d_j = 0 from the tables, which never see the identity;
+    R_ij = -R_ji and R_ii = 0 entry by entry.  The curvature is not 0, so
+    the sum cancels."""
+    nabla = TORSION_FREE[name]
+    ctx = _ctx(nabla.chart, count=20)
+    frame, n = ctx.frame(), nabla.chart.dim
+    assert torsion_residual(ctx, nabla).value == 0.0
+    R = curvature_table(ctx, nabla)
+
+    def r(i, j, k):
+        return vvalues(endo_apply(R[i][j], frame[k]))
+    size = max(np.max(np.abs(r(i, j, k))) for i in range(n) for j in range(n) for k in range(n))
+    assert size > 1e-2
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                cyclic = r(i, j, k) + r(j, k, i) + r(k, i, j)
+                assert np.max(np.abs(cyclic)) <= 1e-12 * size, (i, j, k)
+            for row, opposite in zip(R[i][j], R[j][i]):
+                for e, f in zip(row, opposite):
+                    assert np.array_equal(e.value, -f.value)
+                    if i == j:
+                        assert e.const == 0.0
+
+
+def test_one_curvature_table_per_node_and_context(monkeypatch):
+    """The shear scenario's prop11, generalized_identities and
+    curvature_transcription checks read the flat base's table, and the
+    last two the twisted operator's: each node's table is built once in
+    the scenario's context."""
+    builds = []
+    build = connections._curvature_table
+
+    def counted(ctx, nabla):
+        builds.append((id(ctx), nabla))
+        return build(ctx, nabla)
+    monkeypatch.setattr(connections, "_curvature_table", counted)
+    scn = load_scenario(corpus_text("shear"), name="shear")
+    assert not run_scenario(scn).failed
+    kinds = {spec.kind.name for spec in scn.checks}
+    assert {"prop11", "generalized_identities", "curvature_transcription"} <= kinds
+    assert len({ctx for ctx, _ in builds}) == 1
+    nodes = [nabla for _, nabla in builds]
+    assert scn.connections["flat"] in nodes
+    assert all(nodes.count(nabla) == 1 for nabla in nodes), nodes
+    assert len(nodes) == len(set(nodes)) >= 5
