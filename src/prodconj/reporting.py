@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -48,6 +49,11 @@ class CheckRow:
     frame: str | None = None
     note: str = ""
 
+    def __post_init__(self):
+        # Row ids repeat run after run; one shared string per id keeps a
+        # caller that holds many runs' rows from holding a copy each.
+        self.row_id = sys.intern(self.row_id)
+
 
 @dataclass
 class Report:
@@ -70,6 +76,9 @@ class Report:
 
         Witness data goes to '#' comment lines so the record grammar stays
         fixed; wall-time never appears (it would break run-to-run identity).
+        Lines are interned: runs of one seed render the same lines, and a
+        caller that keeps the lines of many runs then holds one string per
+        distinct line, not one per run.
         """
         lines = [f"# scenario={self.scenario} seed={self.seed} samples={self.count}"]
         for r in self.sorted_rows():
@@ -79,4 +88,4 @@ class Report:
             lines.append(f"#   at={where} frame={r.frame or '-'} note={r.note or '-'}")
         n = Counter(r.status for r in self.rows)
         lines.append(f"# summary pass={n[PASS]} fail={n[FAIL]} skip={n[SKIP]} error={n[ERROR]}")
-        return lines
+        return [sys.intern(line) for line in lines]

@@ -354,3 +354,15 @@ def test_injected_non_finite_value_reaches_the_row(frames, where, bad):
     assert res.frame == f"f{f}" and res.worst_point == tuple(POINTS[k])
     row = _judged(res)
     assert row.status == ERROR and row.worst_point == tuple(POINTS[k])
+
+
+def test_repeated_runs_share_row_ids_and_rendered_lines():
+    """Two runs of one seed hand out the same string objects, so a caller that
+    keeps many runs' rows and lines holds one copy of each."""
+    name = prodconj.corpus_names()[0]
+    scn = prodconj.load_scenario(prodconj.runner.corpus_text(name), name=name)
+    first, second = (prodconj.run_scenario(scn, seed=3, samples=12) for _ in range(2))
+    lines_a, lines_b = first.render_lines(), second.render_lines()
+    assert lines_a == lines_b and len(lines_a) > 2
+    assert all(a is b for a, b in zip(lines_a, lines_b))
+    assert all(a.row_id is b.row_id for a, b in zip(first.rows, second.rows))
