@@ -22,7 +22,7 @@ from .connections import (
     CombinationOp,
     Sandwiched,
     SumConnection,
-    curvature_table,
+    frame_curvature,
     metricity_residual,
     nabla_metric,
     structure_derivative_twist,
@@ -169,8 +169,8 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 
     def item4(i, j, k):
         Z = frame[k]
-        lhs = endo_apply(curvature_table(ctx, conj)[i][j], Z)
-        rhs = endo_apply(E, endo_apply(curvature_table(ctx, base)[i][j], endo_apply(E, Z)))
+        lhs = frame_curvature(ctx, conj, i, j, Z)
+        rhs = endo_apply(E, frame_curvature(ctx, base, i, j, endo_apply(E, Z)))
         return vsub(lhs, rhs)
 
     def item5(i, j, k):

@@ -22,14 +22,15 @@ composite builds its form once per context from its operands' forms, and
 stores its entries at order <= 1, the most an apply can use; no form
 applies an operator.
 
-Torsion and curvature on the coordinate frame are read from per-node
-tables.  `frame_torsion` is Γ(d_i, d_j) - Γ(d_j, d_i) of the frame-pair
-table.  `curvature_table` holds R[i][j], the matrix of R(d_i, d_j), built
-once per context: R(d_i, d_j)d_k = S(d_i, S(d_j, d_k)) - S(d_j, S(d_i, d_k)),
-one apply of the normal form per term, since the bracket of two frame
-fields is 0; on a connection, whose curvature is a tensor, R(d_i, d_j)z is
-endo_apply(R[i][j], z) for any z.  The composed `torsion` and `curvature`
-take any fields; the tests hold the tables to them.
+Torsion and curvature read per-node tables for every operand, since on a
+connection both are tensors.  `torsion` is Γ(x, y) - Γ(y, x) of the
+frame-pair table.  `frame_curvature` reads R(d_i, d_j)z from R[i][j], the
+matrix of R(d_i, d_j), built once per context for i < j:
+R(d_i, d_j)d_k = S(d_i, S(d_j, d_k)) - S(d_j, S(d_i, d_k)), one apply of
+the normal form per term, since the bracket of two frame fields is 0; it
+reads R_ji = -R_ij with a sign.  `curvature` contracts x and y against
+those images.  The composed definitions, with applies and a bracket, are
+the tests' oracles.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ import numpy as np
 from .errors import ConfigError
 from .expr import Expr
 from .fields import (EndoField, EvalContext, MetricField, Tensor12Field, Vec, Chart,
-                     bracket, contract, dirderiv, endo_apply, metric_pair, vadd, vscale,
-                     vsub, vvalues, worst)
+                     contract, dirderiv, endo_apply, metric_pair, vadd, vneg, vscale, vsub,
+                     vvalues, worst)
 from .jets import Jet, shift
 
 
@@ -301,38 +302,35 @@ class ZeroOp(ConnectionOp):
 
 
 def torsion(ctx: EvalContext, nabla: ConnectionOp, x: Vec, y: Vec) -> Vec:
-    return vsub(vsub(nabla.apply(ctx, x, y), nabla.apply(ctx, y, x)), bracket(x, y))
+    """T(x, y) = Γ(x, y) - Γ(y, x), read from the frame-pair table: the
+    torsion of a connection is a tensor, and at a frame pair the derivative
+    words and the bracket are 0.  `contract` reads the table as an apply
+    does, so a non-finite entry reaches the same components."""
+    _, table = nabla.normal_form(ctx)
+    return vsub(contract(table, x, y), contract(table, y, x))
 
 
 def curvature(ctx: EvalContext, nabla: ConnectionOp, x: Vec, y: Vec, z: Vec) -> Vec:
-    """R(x, y)z; consumes two jet orders, so feed order-2 inputs."""
-    t1 = nabla.apply(ctx, x, nabla.apply(ctx, y, z))
-    t2 = nabla.apply(ctx, y, nabla.apply(ctx, x, z))
-    t3 = nabla.apply(ctx, bracket(x, y), z)
-    return vsub(vsub(t1, t2), t3)
+    """R(x, y)z = sum x^i y^j R(d_i, d_j)z over the frame reader's images:
+    the curvature of a connection is a tensor."""
+    n = ctx.chart.dim
+    images = [[frame_curvature(ctx, nabla, i, j, z) for j in range(n)] for i in range(n)]
+    table = [[[images[i][j][m] for j in range(n)] for i in range(n)] for m in range(n)]
+    return contract(table, x, y)
 
 
-def frame_torsion(ctx: EvalContext, nabla: ConnectionOp, i: int, j: int) -> Vec:
-    """T(d_i, d_j) = Γ(d_i, d_j) - Γ(d_j, d_i), read from the frame-pair
-    table: a frame field has no derivative, and the bracket of two is 0.
-    `contract` reads the table as an apply does, so a non-finite entry
-    reaches the same components."""
-    _, table = nabla.normal_form(ctx)
-    frame = ctx.frame()
-    return vsub(contract(table, frame[i], frame[j]), contract(table, frame[j], frame[i]))
-
-
-def curvature_table(ctx: EvalContext, nabla: ConnectionOp) -> list:
-    """R[i][j], the matrix of R(d_i, d_j), built once per context.  On a
-    connection, whose curvature is a tensor, R(d_i, d_j)z is
-    endo_apply(R[i][j], z) for any z."""
-    return ctx.cached((nabla, "curvature"), lambda: _curvature_table(ctx, nabla))
+def frame_curvature(ctx: EvalContext, nabla: ConnectionOp, i: int, j: int, z: Vec) -> Vec:
+    """R(d_i, d_j)z from the node's table, built once per context: R_ij z
+    for i <= j and -R_ji z for i > j, since the table stores R_ij once."""
+    R = ctx.cached((nabla, "curvature"), lambda: _curvature_table(ctx, nabla))
+    return endo_apply(R[i][j], z) if i <= j else vneg(endo_apply(R[j][i], z))
 
 
 def _curvature_table(ctx: EvalContext, nabla: ConnectionOp) -> list:
-    """R(d_i, d_j)d_k = A_ijk - A_jik with A_ijk = S(d_i, S(d_j, d_k)), one
-    apply of the normal form each, since the bracket of two frame fields is
-    0.  Built for i < j only: R_ji = -R_ij and R_ii = 0.  Entries are values
+    """R[i][j], the matrix of R(d_i, d_j), for i < j: R(d_i, d_j)d_k =
+    A_ijk - A_jik with A_ijk = S(d_i, S(d_j, d_k)), one apply of the normal
+    form each, since the bracket of two frame fields is 0.  R_ii is the
+    shared zero matrix and R_ji (= -R_ij) is None.  Entries are values
     (order 0), kept as `_stored` keeps them, an exact zero as the constant
     0, so that `endo_apply` reads the matrix as it is."""
     weight, table = nabla.normal_form(ctx)
@@ -348,11 +346,10 @@ def _curvature_table(ctx: EvalContext, nabla: ConnectionOp) -> list:
         return _evaluate(ctx, weight, values, frame[i], pairs[j][k])
     zero = Jet.constant(0.0, n, 0, (ctx.count,))
     zeros = [[zero] * n for _ in range(n)]
-    R = [[zeros] * n for _ in range(n)]
+    R = [[zeros if i == j else None for j in range(n)] for i in range(n)]
     for i, j in combinations(range(n), 2):
         columns = [vsub(A(i, j, k), A(j, i, k)) for k in range(n)]
         R[i][j] = [[_stored(column[m]) or zero for column in columns] for m in range(n)]
-        R[j][i] = [[-e for e in row] for row in R[i][j]]
     return R
 
 
@@ -381,8 +378,8 @@ def symmetric_product(ctx: EvalContext, nabla: ConnectionOp, x: Vec, y: Vec) -> 
 
 
 def torsion_residual(ctx: EvalContext, nabla: ConnectionOp):
-    label = ctx.chart.frame_label
-    return worst(ctx, ((label(i, j), frame_torsion(ctx, nabla, i, j))
+    label, frame = ctx.chart.frame_label, ctx.frame()
+    return worst(ctx, ((label(i, j), torsion(ctx, nabla, frame[i], frame[j]))
                        for i, j in combinations(range(nabla.chart.dim), 2)))
 
 

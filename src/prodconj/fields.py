@@ -13,7 +13,9 @@ takes its order.  A coordinate frame vector is a list of constant jets, so
 a frame operand leaves out most terms, and the jet products already skip
 its exact ones (see `jets`).  The frame-triple scan hands its callback the
 frame indices, so a suite reads per-node tables by index and indexes
-`frame()` where it needs the vectors.
+`frame()` where it needs the vectors.  Torsion and curvature read those
+tables for any operand, so `bracket` serves only the statements that name
+a bracket.
 """
 
 from __future__ import annotations
@@ -443,7 +445,7 @@ def frame_pair_residual(ctx: EvalContext, fn) -> Residual:
 def frame_triple_residual(ctx: EvalContext, fn) -> Residual:
     """Worst fn(i, j, k) over the index triples of the coordinate frame;
     fn indexes ctx.frame() where it needs the vectors, and reads per-node
-    tables such as `connections.curvature_table` by the same indices."""
+    tables such as `connections.frame_curvature` by the same indices."""
     label = ctx.chart.frame_label
     return worst(ctx, ((label(*ijk), fn(*ijk))
                        for ijk in product(range(ctx.chart.dim), repeat=3)))

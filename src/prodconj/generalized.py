@@ -29,7 +29,7 @@ from .connections import (
     Sandwiched,
     ZeroOp,
     curvature,
-    curvature_table,
+    frame_curvature,
     leibniz_defect_residual,
     structure_derivative_twist,
     torsion,
@@ -257,16 +257,16 @@ def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 
 
 def _curvature_scan(ctx: EvalContext, defect, probes: list[Vec] | None) -> Residual:
-    """Max |defect(X, Y, Z, R)| over coordinate frame triples, where R reads
-    the curvature tables, and over probe pairs (X, Y) against every frame Z
-    when probes are supplied, where R is the composed `curvature`, since
-    coordinate frames never exercise the bracket term."""
+    """Max |defect(X, Y, Z, R)| over coordinate frame triples, and over probe
+    pairs (X, Y) against every frame Z when probes are supplied, since
+    coordinate frames never exercise the closed form's bracket term.  R
+    reads the node's curvature table: `frame_curvature` on the frame,
+    `curvature` on the probes."""
     frame, label = ctx.frame(), ctx.chart.frame_label
 
     def on_frame(i: int, j: int, k: int) -> Vec:
-        def R(op: ConnectionOp, W: Vec) -> Vec:
-            return endo_apply(curvature_table(ctx, op)[i][j], W)
-        return defect(frame[i], frame[j], frame[k], R)
+        return defect(frame[i], frame[j], frame[k],
+                      lambda op, W: frame_curvature(ctx, op, i, j, W))
 
     def on_probes(X: Vec, Y: Vec, Z: Vec) -> Vec:
         return defect(X, Y, Z, lambda op, W: curvature(ctx, op, X, Y, W))

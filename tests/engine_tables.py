@@ -2,8 +2,9 @@
 for comparing against the oracles and closed forms in the tests.
 
 Unlike oracles.py this module uses the engine: it applies a connection to
-the coordinate frame and stacks the values, or applies an operator tree
-node by node.
+the coordinate frame and stacks the values, applies an operator tree node
+by node, or composes torsion and curvature from applies and brackets by
+their definitions.
 """
 
 from functools import reduce
@@ -12,7 +13,8 @@ import numpy as np
 
 from prodconj.connections import (ChristoffelConnection, CombinationOp, Sandwiched,
                                   ZeroOp)
-from prodconj.fields import Tensor12Field, contract, dirderiv, endo_apply, vadd, vscale, vvalues
+from prodconj.fields import (Tensor12Field, bracket, contract, dirderiv, endo_apply, vadd,
+                             vscale, vsub, vvalues)
 
 
 def materialize_christoffels(ctx, nabla) -> np.ndarray:
@@ -47,3 +49,17 @@ def composed_apply(ctx, op, x, y):
         return contract(ctx.tensor_components(op), x, y)
     assert isinstance(op, ZeroOp), op
     return [x[0].like_constant(0.0)] * op.chart.dim
+
+
+def composed_torsion(ctx, nabla, x, y):
+    """T(x, y) = nabla_x y - nabla_y x - [x, y] by the definition."""
+    return vsub(vsub(nabla.apply(ctx, x, y), nabla.apply(ctx, y, x)), bracket(x, y))
+
+
+def composed_curvature(ctx, nabla, x, y, z):
+    """R(x, y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z by the
+    definition; consumes two jet orders, so feed order-2 inputs."""
+    t1 = nabla.apply(ctx, x, nabla.apply(ctx, y, z))
+    t2 = nabla.apply(ctx, y, nabla.apply(ctx, x, z))
+    t3 = nabla.apply(ctx, bracket(x, y), z)
+    return vsub(vsub(t1, t2), t3)

@@ -30,10 +30,14 @@ ANCHOR_TEST = "tests/test_mutant_table.py"
 
 # (name, file under src/prodconj, old text, new text)
 MUTANTS = [
-    ("torsion_bracket_sign", "connections.py",
-     "nabla.apply(ctx, y, x)), bracket(x, y))", "nabla.apply(ctx, y, x)), bracket(y, x))"),
-    ("curvature_bracket_sign", "connections.py",
-     "t3 = nabla.apply(ctx, bracket(x, y), z)", "t3 = nabla.apply(ctx, bracket(y, x), z)"),
+    ("torsion_slots_unswapped", "connections.py",
+     "contract(table, y, x)", "contract(table, x, y)"),
+    ("curvature_tensor_transposed", "connections.py",
+     "images[i][j][m]", "images[j][i][m]"),
+    ("closed_form_bracket_sign", "generalized.py",
+     "C(ctx, bracket(X, Y), Z)", "C(ctx, bracket(Y, X), Z)"),
+    ("frame_curvature_unsigned", "connections.py",
+     "vneg(endo_apply(R[j][i], z))", "endo_apply(R[j][i], z)"),
     ("weak_counterexample", "checks.py",
      "status = PASS if res.value > floor else FAIL",
      "status = PASS if res.value > tol else FAIL"),

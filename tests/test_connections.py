@@ -27,7 +27,6 @@ from prodconj.fields import (
     VectorField,
     bracket,
     context_for,
-    endo_apply,
     vscale,
     vsub,
     vvalues,
@@ -41,9 +40,8 @@ from prodconj.connections import (
     ZeroOp,
     connection_laws_residual,
     curvature,
-    curvature_table,
     flat_connection,
-    frame_torsion,
+    frame_curvature,
     leibniz_defect_residual,
     metricity_residual,
     structure_derivative_twist,
@@ -57,7 +55,8 @@ from prodconj.runner import corpus_names, corpus_text, run_scenario
 from prodconj.sampling import SamplePlan
 from prodconj.scenario import load_scenario
 
-from engine_tables import composed_apply, materialize_christoffels
+from engine_tables import (composed_apply, composed_curvature, composed_torsion,
+                           materialize_christoffels)
 from oracles import christoffel_fd, riemann_fd
 
 BOX = ((-1.0, 1.0), (-1.0, 1.0))
@@ -325,9 +324,11 @@ def test_derived_tensors_are_bilinear_over_functions(name):
 
 @pytest.mark.parametrize("conjugated", [False, True], ids=["levi_civita", "conjugate"])
 def test_torsion_and_curvature_are_tensorial_off_the_frame(conjugated):
-    """T(fX, Y) = f T(X, Y) and R(fX, Y)Y = f R(X, Y)Y where the bracket
-    [fX, Y] = f[X, Y] - Y(f)X is not f[X, Y]: on frame pairs every bracket
-    vanishes, so only non-frame fields see the bracket's sign."""
+    """The composed definitions give T(fX, Y) = f T(X, Y) and
+    R(fX, Y)Y = f R(X, Y)Y where the bracket [fX, Y] = f[X, Y] - Y(f)X is
+    not f[X, Y]: on frame pairs every bracket vanishes, so only non-frame
+    fields see the bracket's sign.  The library's tensor reads are held to
+    these oracles below."""
     nabla = LeviCivitaConnection(WARPED)
     if conjugated:
         nabla = ConjugateConnection(nabla, SHEAR_PAIR.structure)
@@ -336,11 +337,53 @@ def test_torsion_and_curvature_are_tensorial_off_the_frame(conjugated):
     fx = vscale(f, x)
     shortfall = vvalues(vsub(bracket(fx, y), vscale(f, bracket(x, y))))
     assert np.max(np.abs(shortfall)) > 1e-2, "a tensorial bracket makes the check vacuous"
-    for got, at_x in ((torsion(ctx, nabla, fx, y), torsion(ctx, nabla, x, y)),
-                      (curvature(ctx, nabla, fx, y, y), curvature(ctx, nabla, x, y, y))):
+    for got, at_x in ((composed_torsion(ctx, nabla, fx, y), composed_torsion(ctx, nabla, x, y)),
+                      (composed_curvature(ctx, nabla, fx, y, y),
+                       composed_curvature(ctx, nabla, x, y, y))):
         got, expect = vvalues(got), vvalues(vscale(f, at_x))
         scale = max(1.0, np.max(np.abs(got)), np.max(np.abs(expect)))
         assert np.max(np.abs(got - expect)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["levi_civita", "conjugate"])
+def test_tensor_reads_equal_the_definitions_off_the_frame(conjugated):
+    """`torsion` and `curvature` read the node's tables; on non-frame fields
+    with a non-vanishing bracket they equal the composed definitions to
+    1e-12 relative (to 1 at least, the size of the fields).  The corpus's
+    probe pairs read R = 0, so a transposed contraction shows only here."""
+    nabla = LeviCivitaConnection(WARPED)
+    if conjugated:
+        nabla = ConjugateConnection(nabla, SHEAR_PAIR.structure)
+    ctx = _ctx(CHART, count=30)
+    x, y, _ = _off_frame(ctx)
+    R = curvature(ctx, nabla, x, y, y)
+    assert np.max(np.abs(vvalues(R))) > 1e-2, "a vanishing curvature makes the check vacuous"
+    for got, want in ((torsion(ctx, nabla, x, y), composed_torsion(ctx, nabla, x, y)),
+                      (R, composed_curvature(ctx, nabla, x, y, y)),
+                      (curvature(ctx, nabla, y, x, x), composed_curvature(ctx, nabla, y, x, x))):
+        got, want = vvalues(got), vvalues(want)
+        scale = max(1.0, np.max(np.abs(got)), np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_frame_pair_torsion_makes_no_apply(monkeypatch):
+    """With a conjugate's normal form built, `torsion` at a frame pair reads
+    the table and applies nothing; the definition makes two applies."""
+    conj = ConjugateConnection(LeviCivitaConnection(WARPED), SHEAR_PAIR.structure)
+    ctx = _ctx(CHART, count=10)
+    conj.normal_form(ctx)
+    frame = ctx.frame()
+    applies = []
+    apply = connections.ConnectionOp.apply
+
+    def counted(self, *args):
+        applies.append(self)
+        return apply(self, *args)
+    monkeypatch.setattr(connections.ConnectionOp, "apply", counted)
+    T = torsion(ctx, conj, frame[0], frame[1])
+    assert applies == []
+    monkeypatch.undo()
+    assert np.array_equal(vvalues(T), vvalues(composed_torsion(ctx, conj, frame[0], frame[1])))
 
 
 def _leaves(op):
@@ -700,16 +743,15 @@ def _cancelled(ctx, op, X, Y, Z, at):
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(data=st.data())
 def test_curvature_and_torsion_tables_equal_the_composed_route(dim, data):
-    """endo_apply(curvature_table(op)[i][j], z) equals the composed
-    `curvature(op, d_i, d_j, z)` for every frame triple, and for an order-2
-    z that is not a frame vector where op's curvature is a tensor in z;
-    `frame_torsion` equals the composed `torsion` on every frame pair.  The
-    trees may hold an overflowing leaf; the samples at its overflow edge,
-    where the two routes square different entries, are left out.  R_ii is
-    the constant 0, where the composed route reads inf - inf as NaN, so a
-    diagonal pair is compared where the composed route is finite; a scan
-    over every triple is still non-finite at the same samples on both
-    routes."""
+    """`frame_curvature(op, i, j, z)` equals `composed_curvature(op, d_i,
+    d_j, z)` for every frame triple, and for an order-2 z that is not a
+    frame vector where op's curvature is a tensor in z; `torsion` equals
+    `composed_torsion` on every frame pair.  The trees may hold an
+    overflowing leaf; the samples at its overflow edge, where the two
+    routes square different entries, are left out.  R_ii is the constant 0,
+    where the composed route reads inf - inf as NaN, so a diagonal pair is
+    compared where the composed route is finite; a scan over every triple
+    is still non-finite at the same samples on both routes."""
     chart, leaves, endos = CURVATURE_PARTS[dim]
     op = data.draw(_trees(leaves, endos), label="operator")
     ctx = _ctx(chart, count=25)
@@ -723,11 +765,11 @@ def test_curvature_and_torsion_tables_equal_the_composed_route(dim, data):
         tensorial = all(word == ((), ()) for word in op.normal_form(ctx)[0])
         operands = [*enumerate(frame)] + ([("z", ctx.vector(CURVATURE_OPERANDS[dim]))]
                                           if tensorial else [])
-        R = curvature_table(ctx, op)
         for i, X in enumerate(frame):
             for j, Y in enumerate(frame):
                 for k, Z in operands:
-                    got, want = endo_apply(R[i][j], Z), curvature(ctx, op, X, Y, Z)
+                    got = frame_curvature(ctx, op, i, j, Z)
+                    want = composed_curvature(ctx, op, X, Y, Z)
                     for route, v in (("table", got), ("composed", want)):
                         poisoned[route] |= ~np.isfinite(vvalues(v)).all(axis=1)
                     if i == j:
@@ -737,20 +779,21 @@ def test_curvature_and_torsion_tables_equal_the_composed_route(dim, data):
                         # a table holds values (order 0): values only
                         _same_jets(got, want, ("curvature", i, j, k, op), ("value",), at,
                                    _cancelled(ctx, op, X, Y, Z, at))
-                _same_jets(frame_torsion(ctx, op, i, j), torsion(ctx, op, X, Y),
+                _same_jets(torsion(ctx, op, X, Y), composed_torsion(ctx, op, X, Y),
                            ("torsion", i, j, op), at=at)
     assert np.array_equal(poisoned["table"][at], poisoned["composed"][at])
 
 
 def test_the_curvature_tables_reach_nan():
     """The NaN case of the curvature table test is not vacuous: a
-    combination with each overflowing tensor has NaN in its table."""
+    combination with each overflowing tensor reads NaN from its table."""
     for chart, leaves, _ in CURVATURE_PARTS.values():
         op = CombinationOp(((1.0, leaves[0]), (0.5, leaves[-1])))
         ctx = _ctx(chart, count=25)
         with np.errstate(all="ignore"):
-            R = curvature_table(ctx, op)
-        assert any(np.isnan(e.value).any() for Rij in R[0][1:] for row in Rij for e in row)
+            images = [vvalues(frame_curvature(ctx, op, 0, j, Z))
+                      for j in range(1, chart.dim) for Z in ctx.frame()]
+        assert any(np.isnan(v).any() for v in images)
 
 
 def _symmetric_christoffel(chart, parse, texts):
@@ -780,16 +823,15 @@ TORSION_FREE = {
 def test_curvature_tables_keep_the_first_bianchi_identity(name):
     """On a torsion-free node, R(d_i, d_j)d_k + R(d_j, d_k)d_i +
     R(d_k, d_i)d_j = 0 from the tables, which never see the identity;
-    R_ij = -R_ji and R_ii = 0 entry by entry.  The curvature is not 0, so
-    the sum cancels."""
+    R_ji z = -R_ij z exactly and R_ii z is the constant 0.  The curvature
+    is not 0, so the sum cancels."""
     nabla = TORSION_FREE[name]
     ctx = _ctx(nabla.chart, count=20)
     frame, n = ctx.frame(), nabla.chart.dim
     assert torsion_residual(ctx, nabla).value == 0.0
-    R = curvature_table(ctx, nabla)
 
     def r(i, j, k):
-        return vvalues(endo_apply(R[i][j], frame[k]))
+        return vvalues(frame_curvature(ctx, nabla, i, j, frame[k]))
     size = max(np.max(np.abs(r(i, j, k))) for i in range(n) for j in range(n) for k in range(n))
     assert size > 1e-2
     for i in range(n):
@@ -797,24 +839,25 @@ def test_curvature_tables_keep_the_first_bianchi_identity(name):
             for k in range(n):
                 cyclic = r(i, j, k) + r(j, k, i) + r(k, i, j)
                 assert np.max(np.abs(cyclic)) <= 1e-12 * size, (i, j, k)
-            for row, opposite in zip(R[i][j], R[j][i]):
-                for e, f in zip(row, opposite):
-                    assert np.array_equal(e.value, -f.value)
-                    if i == j:
-                        assert e.const == 0.0
+                assert np.array_equal(r(i, j, k), -r(j, i, k))
+                if i == j:
+                    assert all(e.const == 0.0
+                               for e in frame_curvature(ctx, nabla, i, i, frame[k]))
 
 
 def test_one_curvature_table_per_node_and_context(monkeypatch):
     """The shear scenario's prop11, generalized_identities and
     curvature_transcription checks read the flat base's table, and the
     last two the twisted operator's: each node's table is built once in
-    the scenario's context."""
+    the scenario's context, and it stores R_ij for i < j only."""
     builds = []
     build = connections._curvature_table
 
     def counted(ctx, nabla):
         builds.append((id(ctx), nabla))
-        return build(ctx, nabla)
+        R = build(ctx, nabla)
+        assert all(R[i][j] is None for i in range(len(R)) for j in range(i)), "R_ji stored"
+        return R
     monkeypatch.setattr(connections, "_curvature_table", counted)
     scn = load_scenario(corpus_text("shear"), name="shear")
     assert not run_scenario(scn).failed
