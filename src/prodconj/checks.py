@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .conjugation import (
@@ -86,7 +85,6 @@ _GRID = (
 )
 
 
-@dataclass(frozen=True)
 class ParamSpec:
     """One check parameter: its resolution role and default.
 
@@ -97,22 +95,23 @@ class ParamSpec:
     one is.
     """
 
-    role: str
-    required: bool = False
-    default: object = None
-    choices: tuple[str, ...] | None = None
-    needs: str | None = None
+    def __init__(self, role: str, required: bool = False, default: object = None,
+                 choices: tuple[str, ...] | None = None, needs: str | None = None):
+        self.role = role
+        self.required = required
+        self.default = default
+        self.choices = choices
+        self.needs = needs
 
 
-@dataclass(frozen=True)
 class AnchorBy:
     """A row anchor picked by the value of one check parameter."""
 
-    param: str
-    by_value: dict[str, str]
+    def __init__(self, param: str, by_value: dict[str, str]):
+        self.param = param
+        self.by_value = by_value
 
 
-@dataclass(frozen=True)
 class CheckKind:
     """One runnable check: its runner, parameters, anchors and judging.
 
@@ -127,17 +126,23 @@ class CheckKind:
     involution probe.
     """
 
-    name: str
-    summary: str
-    runner: Callable
-    params: dict[str, ParamSpec] = field(default_factory=dict)
-    anchors: dict[str, str | AnchorBy] = field(default_factory=dict)
-    default_anchor: str = "plumbing"
-    invertible: frozenset = frozenset()
-    row_tols: dict[str, float] = field(default_factory=dict)
-    hypotheses: frozenset = frozenset()
-    hypotheses_need: str | None = None
-    probe_exempt: bool = False
+    def __init__(self, name: str, summary: str, runner: Callable,
+                 params: dict[str, ParamSpec] | None = None,
+                 anchors: dict[str, str | AnchorBy] | None = None,
+                 default_anchor: str = "plumbing", invertible: frozenset = frozenset(),
+                 row_tols: dict[str, float] | None = None, hypotheses: frozenset = frozenset(),
+                 hypotheses_need: str | None = None, probe_exempt: bool = False):
+        self.name = name
+        self.summary = summary
+        self.runner = runner  # in the instance's dict, where a tracer can wrap it
+        self.params = {} if params is None else params
+        self.anchors = {} if anchors is None else anchors
+        self.default_anchor = default_anchor
+        self.invertible = invertible
+        self.row_tols = {} if row_tols is None else row_tols
+        self.hypotheses = hypotheses
+        self.hypotheses_need = hypotheses_need
+        self.probe_exempt = probe_exempt
 
     def anchor_for(self, row_name: str, params: dict) -> str:
         anchor = self.anchors.get(row_name, self.default_anchor)

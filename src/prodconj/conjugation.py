@@ -13,7 +13,6 @@ None residual marks a row skipped by a failed hypothesis gate
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -259,25 +258,21 @@ def recurrent_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 # ---- pencils ----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class Pencil:
     """alpha E1 + beta E2 for skew-commuting structures, (alpha, beta) on
     the unit circle.  The circle constraint is exact rational arithmetic,
     so it never competes with the residual tolerances."""
 
-    first: EndoField
-    second: EndoField
-    alpha: Fraction
-    beta: Fraction
-
-    def __post_init__(self):
-        if self.first.chart is not self.second.chart:
+    def __init__(self, first: EndoField, second: EndoField, alpha: Fraction, beta: Fraction):
+        if first.chart is not second.chart:
             raise ConfigError("pencil members live on different charts")
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.alpha ** 2 + self.beta ** 2 != 1:
-            raise ConfigError(
-                f"pencil weights ({self.alpha}, {self.beta}) are off the unit circle")
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        if alpha ** 2 + beta ** 2 != 1:
+            raise ConfigError(f"pencil weights ({alpha}, {beta}) are off the unit circle")
+        self.first = first
+        self.second = second
+        self.alpha = alpha
+        self.beta = beta
 
     @cached_property
     def endo(self) -> EndoField:

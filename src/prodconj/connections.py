@@ -36,7 +36,6 @@ the tests' oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -47,6 +46,7 @@ from .fields import (EndoField, EvalContext, MetricField, Tensor12Field, Vec, Ch
                      contract, dirderiv, endo_apply, metric_pair, vadd, vneg, vscale, vsub,
                      vvalues, worst)
 from .jets import Jet, shift
+from .reporting import Keyed
 
 
 class ConnectionOp:
@@ -214,23 +214,25 @@ def _slot(f: EndoField | None) -> tuple:
     return () if f is None else (f,)
 
 
-@dataclass(frozen=True)
-class Sandwiched(ConnectionOp):
+class Sandwiched(Keyed, ConnectionOp):
     """out(op_{along x}(arg y)) for endomorphism fields out, arg and along.
 
     A None slot is the identity.  op is a connection or a (1,2)-tensor; a
     connection stays one when out after arg is the identity (E nabla E).
     """
 
-    op: ConnectionOp | Tensor12Field
-    out: EndoField | None = None
-    arg: EndoField | None = None
-    along: EndoField | None = None
-    label: str = field(default="nabla", compare=False)
-
-    def __post_init__(self):
-        pieces = [f for f in (self.op, self.out, self.arg, self.along) if f is not None]
-        object.__setattr__(self, "chart", _same_chart(pieces, "operator and endomorphisms"))
+    def __init__(self, op: ConnectionOp | Tensor12Field, out: EndoField | None = None,
+                 arg: EndoField | None = None, along: EndoField | None = None,
+                 label: str = "nabla"):
+        pieces = [f for f in (op, out, arg, along) if f is not None]
+        self.chart = _same_chart(pieces, "operator and endomorphisms")
+        self.op = op
+        self.out = out
+        self.arg = arg
+        self.along = along
+        self.label = label
+        self._key = (op, out, arg, along)
+        self._hash = hash(self._key)
 
     def _normal_form(self, ctx: EvalContext) -> tuple[dict, list]:
         """Each word (P, Q) of op becomes (O·P·R, Q·L), and
@@ -250,8 +252,7 @@ class Sandwiched(ConnectionOp):
         return words, _tabulated(ctx, entry)
 
 
-@dataclass(frozen=True)
-class CombinationOp(ConnectionOp):
+class CombinationOp(Keyed, ConnectionOp):
     """Pointwise linear combination of operators and (1,2)-tensors.
 
     A connection only when the connection terms' coefficients sum to one;
@@ -259,15 +260,15 @@ class CombinationOp(ConnectionOp):
     which for coefficient sum s equals (s - 1) * X(f) * Y exactly.
     """
 
-    terms: tuple
-    label: str = field(default="combination", compare=False)
-
-    def __post_init__(self):
-        terms = tuple((float(c), op) for c, op in self.terms)
+    def __init__(self, terms: tuple, label: str = "combination"):
+        terms = tuple((float(c), op) for c, op in terms)
         if not terms:
             raise ConfigError("combination needs at least one term")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "chart", _same_chart([op for _, op in terms], "combination terms"))
+        self.chart = _same_chart([op for _, op in terms], "combination terms")
+        self.terms = terms
+        self.label = label
+        self._key = terms
+        self._hash = hash(self._key)
 
     def _normal_form(self, ctx: EvalContext) -> tuple[dict, list]:
         """W = sum c·W_t, with words that cancel dropped, and Γ = sum c·Γ_t
@@ -288,11 +289,13 @@ class SumConnection(CombinationOp):
         super().__init__(((1.0, base), (1.0, tensor)), label)
 
 
-@dataclass(frozen=True)
-class ZeroOp(ConnectionOp):
+class ZeroOp(Keyed, ConnectionOp):
     """The zero bilinear map; what degenerate combinations collapse to."""
 
-    chart: Chart
+    def __init__(self, chart: Chart):
+        self.chart = chart
+        self._key = (chart,)
+        self._hash = hash(self._key)
 
     def _normal_form(self, ctx: EvalContext) -> tuple[dict, list]:
         return {}, _empty_table(self.chart.dim)

@@ -14,7 +14,6 @@ complementary projector.  Zero residual means the same thing either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -51,21 +50,19 @@ from .fields import (
     worst,
 )
 from .jets import Jet
-from .reporting import Residual
+from .reporting import Keyed, Residual
 
 Rows = list
 
 _RANK_RTOL = 1e-8  # singular values below this fraction of the largest are rank drops
 
 
-@dataclass(frozen=True, eq=False)
 class ProjectorPair:
-    h: EndoField
-    v: EndoField
-
-    def __post_init__(self):
-        if self.h.chart is not self.v.chart:
+    def __init__(self, h: EndoField, v: EndoField):
+        if h.chart is not v.chart:
             raise ConfigError("projector pair members live on different charts")
+        self.h = h
+        self.v = v
 
     @cached_property
     def structure(self) -> EndoField:
@@ -136,24 +133,24 @@ def _projector_ranks(P: list[list[Jet]]) -> np.ndarray:
     return _ranks(M)
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(Keyed):
     """A distribution given by spanning fields or by one side of a pair;
     equal by (span, pair, side), whatever its label."""
 
-    label: str = field(compare=False)
-    span: tuple[VectorField, ...] | None = None
-    pair: ProjectorPair | None = None
-    side: str | None = None
-
-    def __post_init__(self):
-        label, span, pair = self.label, self.span, self.pair
+    def __init__(self, label: str, span: tuple[VectorField, ...] | None = None,
+                 pair: ProjectorPair | None = None, side: str | None = None):
         if (span is None) == (pair is None):
             raise ConfigError(f"distribution {label!r} needs spanning fields or a pair side, not both")
-        if pair is not None and self.side not in ("horizontal", "vertical"):
+        if pair is not None and side not in ("horizontal", "vertical"):
             raise ConfigError(f"distribution {label!r} side must be horizontal or vertical")
         if span is not None and len(span) == 0:
             raise ConfigError(f"distribution {label!r} has an empty spanning list")
+        self.label = label
+        self.span = span
+        self.pair = pair
+        self.side = side
+        self._key = (span, pair, side)
+        self._hash = hash(self._key)
 
     @staticmethod
     def from_span(fields, label: str = "D") -> "DistributionSpec":

@@ -2,14 +2,13 @@
 
 An expression is a finite tree over: chart coordinates, rational constants,
 n-ary sum and product, negation, nonnegative integer powers, quotients, and
-the analytic heads sin/cos/exp.  Trees are immutable; identity (not
-structure) is what caches key on, so `eq=False` everywhere.
+the analytic heads sin/cos/exp.  Trees are never changed once built, and
+caches key on identity, not structure, so nodes compare by identity.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -19,68 +18,77 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Coord(Expr):
-    index: int
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 0:
-            raise ConfigError(f"coordinate index must be a nonnegative integer, got {self.index!r}")
+    def __init__(self, index: int):
+        if not isinstance(index, int) or index < 0:
+            raise ConfigError(f"coordinate index must be a nonnegative integer, got {index!r}")
+        self.index = index
 
 
-@dataclass(frozen=True, eq=False)
 class Const(Expr):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction):
+        self.value = value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True, eq=False)
 class Sum(Expr):
-    terms: tuple[Expr, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[Expr, ...]):
+        self.terms = terms
 
 
-@dataclass(frozen=True, eq=False)
 class Product(Expr):
-    factors: tuple[Expr, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Expr, ...]):
+        self.factors = factors
 
 
-@dataclass(frozen=True, eq=False)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True, eq=False)
 class Power(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool) or self.exponent < 0:
-            raise ConfigError(f"power exponent must be a nonnegative integer, got {self.exponent!r}")
+    def __init__(self, base: Expr, exponent: int):
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
+            raise ConfigError(f"power exponent must be a nonnegative integer, got {exponent!r}")
+        self.base = base
+        self.exponent = exponent
 
 
-@dataclass(frozen=True, eq=False)
 class Quotient(Expr):
-    numer: Expr
-    denom: Expr
+    __slots__ = ("numer", "denom")
+
+    def __init__(self, numer: Expr, denom: Expr):
+        self.numer = numer
+        self.denom = denom
 
 
-@dataclass(frozen=True, eq=False)
-class Sin(Expr):
-    arg: Expr
+class _Unary(Expr):
+    """A head applied to one argument; each head is its own subclass."""
+
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self.arg = arg
 
 
-@dataclass(frozen=True, eq=False)
-class Cos(Expr):
-    arg: Expr
+class Neg(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Exp(Expr):
-    arg: Expr
+class Sin(_Unary):
+    __slots__ = ()
+
+
+class Cos(_Unary):
+    __slots__ = ()
+
+
+class Exp(_Unary):
+    __slots__ = ()
 
 
 ZERO = Const(Fraction(0))

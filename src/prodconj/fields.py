@@ -20,7 +20,6 @@ a bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 
@@ -35,19 +34,17 @@ from .sampling import SamplePlan, sample_points
 Vec = list  # list[Jet], one entry per chart coordinate
 
 
-@dataclass(frozen=True, eq=False)
 class Chart:
-    dim: int
-    names: tuple[str, ...]
-    box: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError(f"chart dimension must be positive, got {self.dim}")
-        if len(self.names) != self.dim or len(set(self.names)) != self.dim:
-            raise ConfigError(f"chart needs {self.dim} distinct coordinate names, got {self.names!r}")
-        if len(self.box) != self.dim:
-            raise ConfigError(f"chart box needs {self.dim} intervals, got {len(self.box)}")
+    def __init__(self, dim: int, names: tuple[str, ...], box: tuple[tuple[float, float], ...]):
+        if dim < 1:
+            raise ConfigError(f"chart dimension must be positive, got {dim}")
+        if len(names) != dim or len(set(names)) != dim:
+            raise ConfigError(f"chart needs {dim} distinct coordinate names, got {names!r}")
+        if len(box) != dim:
+            raise ConfigError(f"chart box needs {dim} intervals, got {len(box)}")
+        self.dim = dim
+        self.names = names
+        self.box = box
 
     def frame_label(self, *indices: int) -> str:
         return "(" + ",".join("d" + self.names[i] for i in indices) + ")"
@@ -58,60 +55,52 @@ def _validated(chart: Chart, exprs) -> None:
         validate_expr(e, chart.dim)
 
 
-@dataclass(frozen=True, eq=False)
 class VectorField:
-    chart: Chart
-    components: tuple[Expr, ...]
-    label: str = "X"
+    def __init__(self, chart: Chart, components: tuple[Expr, ...], label: str = "X"):
+        if len(components) != chart.dim:
+            raise ConfigError(f"vector field {label!r} needs {chart.dim} components")
+        _validated(chart, components)
+        self.chart = chart
+        self.components = components
+        self.label = label
 
-    def __post_init__(self):
-        if len(self.components) != self.chart.dim:
-            raise ConfigError(f"vector field {self.label!r} needs {self.chart.dim} components")
-        _validated(self.chart, self.components)
 
-
-@dataclass(frozen=True, eq=False)
 class OneFormField:
-    chart: Chart
-    components: tuple[Expr, ...]
-    label: str = "w"
+    def __init__(self, chart: Chart, components: tuple[Expr, ...], label: str = "w"):
+        if len(components) != chart.dim:
+            raise ConfigError(f"one-form {label!r} needs {chart.dim} components")
+        _validated(chart, components)
+        self.chart = chart
+        self.components = components
+        self.label = label
 
-    def __post_init__(self):
-        if len(self.components) != self.chart.dim:
-            raise ConfigError(f"one-form {self.label!r} needs {self.chart.dim} components")
-        _validated(self.chart, self.components)
 
-
-@dataclass(frozen=True, eq=False)
 class EndoField:
     """A (1,1)-tensor field; entries[k][j] multiplies input component j into output k."""
 
-    chart: Chart
-    entries: tuple[tuple[Expr, ...], ...]
-    label: str = "E"
+    def __init__(self, chart: Chart, entries: tuple[tuple[Expr, ...], ...], label: str = "E"):
+        n = chart.dim
+        if len(entries) != n or any(len(row) != n for row in entries):
+            raise ConfigError(f"endomorphism field {label!r} needs a {n}x{n} entry grid")
+        for row in entries:
+            _validated(chart, row)
+        self.chart = chart
+        self.entries = entries
+        self.label = label
 
-    def __post_init__(self):
-        n = self.chart.dim
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise ConfigError(f"endomorphism field {self.label!r} needs a {n}x{n} entry grid")
-        for row in self.entries:
-            _validated(self.chart, row)
 
-
-@dataclass(frozen=True, eq=False)
 class MetricField:
     """Symmetric (0,2)-tensor field; only the upper triangle is stored."""
 
-    chart: Chart
-    upper: tuple[tuple[Expr, ...], ...]
-    label: str = "g"
-
-    def __post_init__(self):
-        n = self.chart.dim
-        if len(self.upper) != n or any(len(self.upper[i]) != n - i for i in range(n)):
-            raise ConfigError(f"metric {self.label!r} needs upper-triangle rows of lengths {n}..1")
-        for row in self.upper:
-            _validated(self.chart, row)
+    def __init__(self, chart: Chart, upper: tuple[tuple[Expr, ...], ...], label: str = "g"):
+        n = chart.dim
+        if len(upper) != n or any(len(upper[i]) != n - i for i in range(n)):
+            raise ConfigError(f"metric {label!r} needs upper-triangle rows of lengths {n}..1")
+        for row in upper:
+            _validated(chart, row)
+        self.chart = chart
+        self.upper = upper
+        self.label = label
 
     def entry(self, i: int, j: int) -> Expr:
         if i > j:
@@ -119,13 +108,14 @@ class MetricField:
         return self.upper[i][j - i]
 
 
-@dataclass(frozen=True, eq=False)
 class Tensor12Field:
     """A (1,2)-tensor by its components: components[k][i][j] = T^k_ij."""
 
-    chart: Chart
-    components: tuple[tuple[tuple[Expr, ...], ...], ...]
-    label: str = "T"
+    def __init__(self, chart: Chart, components: tuple[tuple[tuple[Expr, ...], ...], ...],
+                 label: str = "T"):
+        self.chart = chart
+        self.components = components
+        self.label = label
 
     @staticmethod
     def from_components(chart: Chart, components, label: str = "T") -> "Tensor12Field":

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,7 +98,6 @@ def filled(c: float, shape: tuple[int, ...]) -> np.ndarray:
     return np.ndarray(shape, float, _PACK(c), 0, (0,) * len(shape))
 
 
-@dataclass(eq=False)
 class Jet:
     """Order-k truncated Taylor data of one scalar, k in {0, 1, 2}.
 
@@ -110,21 +108,21 @@ class Jet:
     mutated after construction, so jets may share them.
     """
 
-    dim: int
-    order: int
-    value: np.ndarray
-    grad: np.ndarray | None = None
-    hess: np.ndarray | None = None
-    const: float | None = None
-    _finite: bool | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.order not in (0, 1, 2):
-            raise OrderError(f"jet order must be 0, 1, or 2, got {self.order}")
-        if self.order >= 1 and self.grad is None:
+    def __init__(self, dim: int, order: int, value: np.ndarray, grad: np.ndarray | None = None,
+                 hess: np.ndarray | None = None, const: float | None = None):
+        if order not in (0, 1, 2):
+            raise OrderError(f"jet order must be 0, 1, or 2, got {order}")
+        if order >= 1 and grad is None:
             raise OrderError("order >= 1 jet needs a gradient")
-        if self.order >= 2 and self.hess is None:
+        if order >= 2 and hess is None:
             raise OrderError("order 2 jet needs a Hessian")
+        self.dim = dim
+        self.order = order
+        self.value = value
+        self.grad = grad
+        self.hess = hess
+        self.const = const
+        self._finite = None  # unknown until `finite` scans or a source lends it
 
     # ---- constructors -------------------------------------------------
 

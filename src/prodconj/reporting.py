@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
@@ -18,13 +17,36 @@ def _worse(a: float, b: float) -> bool:
     return a > b or (math.isnan(a) and not math.isnan(b))
 
 
-@dataclass
-class Residual:
+class Keyed:
+    """A value: equal to an instance of its own class with an equal `_key`
+    tuple; what the key leaves out, a label say, takes no part.  A class
+    whose instances never change sets `_key` and `_hash` in `__init__`, so
+    the hash is computed once; a record that may change reads `_key` as a
+    property and has no hash."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key == self._key
+
+    def __hash__(self):
+        return self._hash
+
+
+class Residual(Keyed):
     """Worst absolute residual over a sample batch, with its witness."""
 
-    value: float
-    worst_point: tuple[float, ...] | None = None
-    frame: str | None = None
+    __hash__ = None
+
+    def __init__(self, value: float, worst_point: tuple[float, ...] | None = None,
+                 frame: str | None = None):
+        self.value = value
+        self.worst_point = worst_point
+        self.frame = frame
+
+    @property
+    def _key(self) -> tuple:
+        return self.value, self.worst_point, self.frame
 
     def within(self, tol: float) -> bool:
         """Whether the residual is at most tol; false on NaN, so gates fail closed."""
@@ -37,32 +59,38 @@ class Residual:
         return other if _worse(other.value, self.value) else self
 
 
-@dataclass
-class CheckRow:
+class CheckRow(Keyed):
     """One report record: a single residual judged against a tolerance."""
 
-    row_id: str
-    anchor: str
-    residual: float
-    status: str
-    worst_point: tuple[float, ...] | None = None
-    frame: str | None = None
-    note: str = ""
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, row_id: str, anchor: str, residual: float, status: str,
+                 worst_point: tuple[float, ...] | None = None, frame: str | None = None,
+                 note: str = ""):
         # Row ids repeat run after run; one shared string per id keeps a
         # caller that holds many runs' rows from holding a copy each.
-        self.row_id = sys.intern(self.row_id)
+        self.row_id = sys.intern(row_id)
+        self.anchor = anchor
+        self.residual = residual
+        self.status = status
+        self.worst_point = worst_point
+        self.frame = frame
+        self.note = note
+
+    @property
+    def _key(self) -> tuple:
+        return (self.row_id, self.anchor, self.residual, self.status, self.worst_point,
+                self.frame, self.note)
 
 
-@dataclass
 class Report:
     """All rows of one scenario run, plus the inputs that produced them."""
 
-    scenario: str
-    seed: int
-    count: int
-    rows: list[CheckRow] = field(default_factory=list)
+    def __init__(self, scenario: str, seed: int, count: int, rows: list[CheckRow] | None = None):
+        self.scenario = scenario
+        self.seed = seed
+        self.count = count
+        self.rows = [] if rows is None else rows
 
     def sorted_rows(self) -> list[CheckRow]:
         return sorted(self.rows, key=lambda r: r.row_id)

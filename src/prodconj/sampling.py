@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -16,24 +14,22 @@ _INSET = 1e-6
 _MAX_COUNT = 10**6
 
 
-@dataclass(frozen=True)
 class SamplePlan:
     """Seeded uniform draw of `count` points from an axis-aligned box."""
 
-    seed: int
-    count: int
-    box: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"sample seed must be nonnegative, got {self.seed}")
-        if not 1 <= self.count <= _MAX_COUNT:
-            raise ConfigError(f"sample count must be in 1..{_MAX_COUNT}, got {self.count}")
-        if not self.box:
+    def __init__(self, seed: int, count: int, box: tuple[tuple[float, float], ...]):
+        if seed < 0:
+            raise ConfigError(f"sample seed must be nonnegative, got {seed}")
+        if not 1 <= count <= _MAX_COUNT:
+            raise ConfigError(f"sample count must be in 1..{_MAX_COUNT}, got {count}")
+        if not box:
             raise ConfigError("sample box must have at least one coordinate interval")
-        for lo, hi in self.box:
+        for lo, hi in box:
             if not (hi > lo):
                 raise ConfigError(f"empty box interval [{lo}, {hi}]")
+        self.seed = seed
+        self.count = count
+        self.box = box
 
     def replace(self, seed: int | None = None, count: int | None = None) -> "SamplePlan":
         return SamplePlan(self.seed if seed is None else seed,

@@ -38,7 +38,6 @@ together as one ScenarioError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -108,45 +107,49 @@ _TABLES = {"connection": "connections", "structure": "endos", "endo": "endos",
            "distribution": "distributions"}
 
 
-@dataclass
 class CheckSpec:
-    name: str
-    kind: CheckKind
-    params: dict
-    expect: str
-    floor: float
-    tol: float | None
-    line: int
+    def __init__(self, name: str, kind: CheckKind, params: dict, expect: str,
+                 floor: float, tol: float | None, line: int):
+        self.name = name
+        self.kind = kind
+        self.params = params
+        self.expect = expect
+        self.floor = floor
+        self.tol = tol
+        self.line = line
 
 
-@dataclass
 class Scenario:
-    name: str
-    chart: Chart
-    plan: SamplePlan
-    tol: float
-    connections: dict[str, ConnectionOp] = field(default_factory=dict)
-    endos: dict[str, EndoField] = field(default_factory=dict)
-    metrics: dict[str, MetricField] = field(default_factory=dict)
-    oneforms: dict[str, OneFormField] = field(default_factory=dict)
-    vectors: dict[str, VectorField] = field(default_factory=dict)
-    tensors: dict[str, Tensor12Field | ConnectionOp] = field(default_factory=dict)
-    pairs: dict[str, ProjectorPair] = field(default_factory=dict)
-    pencils: dict[str, Pencil] = field(default_factory=dict)
-    distributions: dict[str, DistributionSpec] = field(default_factory=dict)
-    checks: list[CheckSpec] = field(default_factory=list)
+    """A loaded scenario: its chart, plan and tolerance, each declared
+    object by name in its table, and its checks in file order."""
+
+    def __init__(self, name: str, chart: Chart, plan: SamplePlan, tol: float):
+        self.name = name
+        self.chart = chart
+        self.plan = plan
+        self.tol = tol
+        self.connections: dict[str, ConnectionOp] = {}
+        self.endos: dict[str, EndoField] = {}
+        self.metrics: dict[str, MetricField] = {}
+        self.oneforms: dict[str, OneFormField] = {}
+        self.vectors: dict[str, VectorField] = {}
+        self.tensors: dict[str, Tensor12Field | ConnectionOp] = {}
+        self.pairs: dict[str, ProjectorPair] = {}
+        self.pencils: dict[str, Pencil] = {}
+        self.distributions: dict[str, DistributionSpec] = {}
+        self.checks: list[CheckSpec] = []
 
 
 _Entry = tuple[str, str, int]  # key, value, line: one `key = value` line
 
 
-@dataclass
 class _Section:
-    type: str
-    name: str | None
-    line: int
-    entries: list[_Entry]
-    kind: _Entry | None = None  # the first `kind` entry
+    def __init__(self, type: str, name: str | None, line: int, entries: list[_Entry]):
+        self.type = type
+        self.name = name
+        self.line = line
+        self.entries = entries
+        self.kind: _Entry | None = None  # the first `kind` entry
 
     @property
     def title(self) -> str:

@@ -71,20 +71,13 @@ MUTANTS = [
     ("suite_args_reversed", "checks.py",
      "for a in args))", "for a in reversed(args)))"),
     ("equality_ignores_along", "connections.py",
-     "along: EndoField | None = None",
-     "along: EndoField | None = field(default=None, compare=False)"),
+     "self._key = (op, out, arg, along)", "self._key = (op, out, arg)"),
     ("equality_ignores_coefficients", "connections.py",
-     '_same_chart([op for _, op in terms], "combination terms"))\n',
-     '_same_chart([op for _, op in terms], "combination terms"))\n\n'
-     "    def __eq__(self, other):\n"
-     "        return type(self) is type(other) and \\\n"
-     "            [t for _, t in self.terms] == [t for _, t in other.terms]\n\n"
-     "    def __hash__(self):\n"
-     "        return hash(tuple(t for _, t in self.terms))\n"),
+     "self._key = terms\n", "self._key = tuple(op for _, op in terms)\n"),
     ("equality_compares_label", "connections.py",
-     'label: str = field(default="combination", compare=False)', 'label: str = "combination"'),
+     "self._key = terms\n", "self._key = terms, label\n"),
     ("distribution_equality_compares_label", "distributions.py",
-     "label: str = field(compare=False)", "label: str"),
+     "self._key = (span, pair, side)", "self._key = (label, span, pair, side)"),
     ("skip_note_dropped", "checks.py",
      'suffix = "skip expected here"', 'suffix = ""'),
     ("leibniz_scale_dropped", "connections.py",

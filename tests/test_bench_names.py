@@ -14,6 +14,7 @@ from pathlib import Path
 
 import prodconj
 from prodconj.checks import REGISTRY
+from prodconj.jets import Jet
 from prodconj.runner import corpus_names, corpus_text, run_scenario
 from prodconj.scenario import load_scenario
 
@@ -44,3 +45,21 @@ def test_traced_metrics_cover_the_listed_names_and_are_finite():
     assert listed - set(metrics) - set(TRACE_METRICS) == set()
     assert all(math.isfinite(value) for value, _ in metrics.values())
     assert metrics["checks.kind.prop11_s"][0] > 0
+
+
+# the arithmetic `bench/spans.py` wraps in `Jet`'s own class body
+JET_DUNDERS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+               "__neg__", "__truediv__", "__rtruediv__")
+
+
+def test_the_tracer_finds_what_it_wraps_where_it_looks():
+    """The tracer replaces each kind's `runner` in the kind's own dict and
+    each `Jet` dunder in the class's own dict; a runner that moved to a
+    class, or a dunder inherited or generated elsewhere, would stop it."""
+    assert all("runner" in vars(kind) for kind in REGISTRY.values())
+    assert all(name in vars(Jet) for name in JET_DUNDERS)
+    tracer = _bench_run().Tracer()
+    with tracer:
+        wrapped = {attr for owner, attr, _ in tracer._patches if owner is Jet}
+        kinds = {owner.name for owner, attr, _ in tracer._patches if attr == "runner"}
+    assert wrapped == set(JET_DUNDERS) and kinds == set(REGISTRY)

@@ -419,11 +419,11 @@ def test_a_second_run_builds_no_zero_jet(monkeypatch):
     scn = load_scenario(corpus_text("involutivity_r3"), name="involutivity_r3")
     run_scenario(scn, samples=200)
     zeros = []
-    post_init = Jet.__post_init__
+    init = Jet.__init__
 
-    def counted(jet):
-        post_init(jet)
+    def counted(jet, *args, **kwargs):
+        init(jet, *args, **kwargs)
         zeros.append(jet.const == 0.0)
-    monkeypatch.setattr(Jet, "__post_init__", counted)
+    monkeypatch.setattr(Jet, "__init__", counted)
     assert not run_scenario(scn, samples=200).failed
     assert zeros and not any(zeros)

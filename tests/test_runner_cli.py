@@ -168,17 +168,33 @@ def test_cli_has_no_jobs_flag(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_import_leaves_the_thread_pool_unloaded():
-    """Checks run serially, so importing the package loads no thread pool:
-    neither `concurrent.futures` nor the `logging` it pulls in."""
+def _fresh_output(code: str) -> str:
+    """What `code` prints in a new interpreter that imports this package."""
     src = str(Path(prodconj.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    """Checks run serially, so importing the package loads no thread pool:
+    neither `concurrent.futures` nor the `logging` it pulls in."""
     probe = ("import sys, prodconj; "
              "print(*[m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == ""
+    assert _fresh_output(probe).strip() == ""
+
+
+def test_import_generates_no_record_code():
+    """The package's records are plain classes with written-out
+    constructors: beside numpy, importing it loads neither `dataclasses`
+    nor the `copy` that module pulls in, so no process pays for methods
+    generated at import."""
+    probe = ("import sys, numpy; before = set(sys.modules); import prodconj; "
+             "print(*sorted(set(sys.modules) - before))")
+    loaded = _fresh_output(probe).split()
+    assert "prodconj.scenario" in loaded
+    assert "dataclasses" not in loaded and "copy" not in loaded
 
 
 # ---- a non-finite entry in one coefficient reaches exactly the rows it spoils
@@ -300,10 +316,10 @@ def test_runs_leave_no_context_alive(monkeypatch):
     monkeypatch.setattr(EvalContext, "__init__", tracked_init)
     monkeypatch.setattr(EvalContext, "cached", tracked_cached)
     for cls in (Sandwiched, CombinationOp, DistributionSpec):
-        def tracked_post_init(self, post_init=cls.__post_init__):
-            post_init(self)
+        def tracked_node_init(self, *args, init=cls.__init__, **kwargs):
+            init(self, *args, **kwargs)
             nodes.append(weakref.ref(self))
-        monkeypatch.setattr(cls, "__post_init__", tracked_post_init)
+        monkeypatch.setattr(cls, "__init__", tracked_node_init)
     for name in ("involutivity_r3", "warped"):
         assert not run_scenario(load_scenario(corpus_text(name), name=name)).failed
     gc.collect()
