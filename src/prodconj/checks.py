@@ -216,8 +216,7 @@ def _row(row_name: str, fn, *args, note: str = "", **specs):
 
 def _laws_residual(ctx, connection, weight):
     """The connection laws on the first and last coordinate fields."""
-    frame = ctx.frame()
-    return connection_laws_residual(ctx, connection, weight, frame[0], frame[-1])
+    return connection_laws_residual(ctx, connection, weight, 0, ctx.chart.dim - 1)
 
 
 def _psi_laws_residual(ctx, connection, structure, weight):

@@ -21,6 +21,7 @@ from .connections import (
     CombinationOp,
     Sandwiched,
     SumConnection,
+    frame_apply,
     frame_curvature,
     metricity_residual,
     nabla_metric,
@@ -82,7 +83,7 @@ def parallel_structure_residual(ctx: EvalContext, base: ConnectionOp,
                                 structure: EndoField) -> Residual:
     """Max |(nabla_X E)Y| over frame pairs; zero iff the structure is parallel."""
     dE = structure_derivative_twist(base, structure)
-    return frame_pair_residual(ctx, lambda X, Y: dE.apply(ctx, X, Y))
+    return frame_pair_residual(ctx, lambda i, j: frame_apply(ctx, dE, i, j))
 
 
 def projector_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
@@ -97,12 +98,12 @@ def projector_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     psi_shifted = psi_connection(shifted, structure)
     dE_psi = structure_derivative_twist(psi1, structure)
 
-    def rows(X, Y):
-        p1, c1 = psi1.apply(ctx, X, Y), chi1.apply(ctx, X, Y)
-        yield "psi_idempotent", vsub(psi2.apply(ctx, X, Y), p1)
-        yield "chi_idempotent", vsub(chi2.apply(ctx, X, Y), c1)
-        yield "affinity", vsub(psi_shifted.apply(ctx, X, Y), vadd(p1, c1))
-        yield "image_parallel", dE_psi.apply(ctx, X, Y)
+    def rows(i, j):
+        p1, c1 = frame_apply(ctx, psi1, i, j), frame_apply(ctx, chi1, i, j)
+        yield "psi_idempotent", vsub(frame_apply(ctx, psi2, i, j), p1)
+        yield "chi_idempotent", vsub(frame_apply(ctx, chi2, i, j), c1)
+        yield "affinity", vsub(frame_apply(ctx, psi_shifted, i, j), vadd(p1, c1))
+        yield "image_parallel", frame_apply(ctx, dE_psi, i, j)
 
     notes = {"image_parallel": "psi lands in the parallel class for any input"}
     return [(name, res, notes.get(name, ""))
@@ -117,11 +118,11 @@ def mean_decomposition_suite(ctx: EvalContext, base: ConnectionOp,
     psi1 = psi_connection(base, structure)
     expansion = expansion_form(base, structure)
 
-    def rows(X, Y):
-        conj_xy = conj.apply(ctx, X, Y)
-        yield "halving", vsub(psi1.apply(ctx, X, Y),
-                              vscale(0.5, vadd(base.apply(ctx, X, Y), conj_xy)))
-        yield "forms_agreement", vsub(conj_xy, expansion.apply(ctx, X, Y))
+    def rows(i, j):
+        conj_xy = frame_apply(ctx, conj, i, j)
+        yield "halving", vsub(frame_apply(ctx, psi1, i, j),
+                              vscale(0.5, vadd(frame_apply(ctx, base, i, j), conj_xy)))
+        yield "forms_agreement", vsub(conj_xy, frame_apply(ctx, expansion, i, j))
 
     return [(name, res, "") for name, res in frame_pair_rows(ctx, rows).items()]
 
@@ -133,9 +134,9 @@ def membership_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField)
     dE = structure_derivative_twist(base, structure)
     psi1 = psi_connection(base, structure)
 
-    def rows(X, Y):
-        yield "parallel_structure", dE.apply(ctx, X, Y)
-        yield "fixed_point", vsub(psi1.apply(ctx, X, Y), base.apply(ctx, X, Y))
+    def rows(i, j):
+        yield "parallel_structure", frame_apply(ctx, dE, i, j)
+        yield "fixed_point", vsub(frame_apply(ctx, psi1, i, j), frame_apply(ctx, base, i, j))
 
     return [(name, res, "") for name, res in frame_pair_rows(ctx, rows).items()]
 
@@ -154,16 +155,18 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     dE_conj = structure_derivative_twist(conj, structure)
     E, frame = ctx.endo(structure), ctx.frame()
 
-    def pair_rows(X, Y):
-        EY, base_xy = endo_apply(E, Y), base.apply(ctx, X, Y)
-        d = dE.apply(ctx, X, Y)
-        yield "structure_flip", vadd(dE_conj.apply(ctx, X, Y), d)
+    def pair_rows(i, j):
+        X, Y = frame[i], frame[j]
+        EY, base_xy = endo_apply(E, Y), frame_apply(ctx, base, i, j)
+        d = frame_apply(ctx, dE, i, j)
+        yield "structure_flip", vadd(frame_apply(ctx, dE_conj, i, j), d)
         # Measured under two names and merged after the pass, as two scans
         # would be, so a tie keeps transport_out's witness.
         yield "transport_out", vsub(conj.apply(ctx, X, EY), endo_apply(E, base_xy))
-        yield "transport_in", vsub(endo_apply(E, conj.apply(ctx, X, Y)), base.apply(ctx, X, EY))
-        yield "involution", vsub(double.apply(ctx, X, Y), base_xy)
-        rhs = vadd(torsion(ctx, base, X, Y), endo_apply(E, vsub(d, dE.apply(ctx, Y, X))))
+        yield "transport_in", vsub(endo_apply(E, frame_apply(ctx, conj, i, j)),
+                                   base.apply(ctx, X, EY))
+        yield "involution", vsub(frame_apply(ctx, double, i, j), base_xy)
+        rhs = vadd(torsion(ctx, base, X, Y), endo_apply(E, vsub(d, frame_apply(ctx, dE, j, i))))
         yield "torsion_shift", vsub(torsion(ctx, conj, X, Y), rhs)
 
     def item4(i, j, k):
@@ -174,8 +177,10 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 
     def item5(i, j, k):
         X, Y, Z = frame[i], frame[j], frame[k]
-        lhs = nabla_metric(ctx, conj, G, X, endo_apply(E, Y), endo_apply(E, Z))
-        return lhs - nabla_metric(ctx, base, G, X, Y, Z)
+        EY, EZ = endo_apply(E, Y), endo_apply(E, Z)
+        lhs = nabla_metric(G, X, EY, EZ, conj.apply(ctx, X, EY), conj.apply(ctx, X, EZ))
+        return lhs - nabla_metric(G, X, Y, Z, frame_apply(ctx, base, i, j),
+                                  frame_apply(ctx, base, i, k))
 
     res = frame_pair_rows(ctx, pair_rows)
     rows = [
@@ -201,8 +206,8 @@ def metric_consequence_suite(ctx: EvalContext, base: ConnectionOp, structure: En
     collapses the conjugate back onto the base."""
     conj = ConjugateConnection(base, structure)
 
-    def collapse(X, Y):
-        return vsub(conj.apply(ctx, X, Y), base.apply(ctx, X, Y))
+    def collapse(i, j):
+        return vsub(frame_apply(ctx, conj, i, j), frame_apply(ctx, base, i, j))
 
     compat = metric_compat_residual(ctx, metric, structure)
     par = parallel_structure_residual(ctx, base, structure)
@@ -227,18 +232,20 @@ def recurrent_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     """
     if mode not in ("structure", "identity"):
         raise ConfigError(f"unknown recurrence mode {mode!r}")
-    E = ctx.endo(structure)
+    E, frame = ctx.endo(structure), ctx.frame()
     w = ctx.oneform(eta)
     conj = ConjugateConnection(base, structure)
     dE = structure_derivative_twist(base, structure)
 
-    def hyp(X, Y):
-        lhs = dE.apply(ctx, X, Y)
+    def hyp(i, j):
+        X, Y = frame[i], frame[j]
+        lhs = frame_apply(ctx, dE, i, j)
         scale = oneform_apply(w, X)
         target = endo_apply(E, Y) if mode == "structure" else Y
         return vsub(lhs, vscale(scale, target))
 
-    def shape(X, Y):
+    def shape(i, j):
+        X, Y = frame[i], frame[j]
         lhs = torsion(ctx, conj, X, Y)
         a, b = oneform_apply(w, X), oneform_apply(w, Y)
         if mode == "structure":
@@ -300,6 +307,7 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
     is supplied."""
     E1, E2 = pencil.first, pencil.second
     J1, J2 = ctx.endo(E1), ctx.endo(E2)
+    frame = ctx.frame()
     conj1 = ConjugateConnection(base, E1)
     conj2 = ConjugateConnection(base, E2)
     mixed = ConjugateConnection(base, pencil.endo)
@@ -319,16 +327,17 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
     # The axis endos carry exact weights, so these residuals must be exact zeros.
     axis1, axis2 = (ConjugateConnection(base, E) for E in pencil.axes)
 
-    def rows(X, Y):
-        c1, c2 = conj1.apply(ctx, X, Y), conj2.apply(ctx, X, Y)
+    def rows(i, j):
+        X, Y = frame[i], frame[j]
+        c1, c2 = frame_apply(ctx, conj1, i, j), frame_apply(ctx, conj2, i, j)
         cross = vadd(endo_apply(J1, base.apply(ctx, X, endo_apply(J2, Y))),
                      endo_apply(J2, base.apply(ctx, X, endo_apply(J1, Y))))
         rhs = vadd(vadd(vscale(a2, c1), vscale(b2, c2)), vscale(ab, cross))
-        yield "mixing_rule", vsub(mixed.apply(ctx, X, Y), rhs)
-        yield "axis_reduction_first", vsub(axis1.apply(ctx, X, Y), c1)
-        yield "axis_reduction_second", vsub(axis2.apply(ctx, X, Y), c2)
+        yield "mixing_rule", vsub(frame_apply(ctx, mixed, i, j), rhs)
+        yield "axis_reduction_first", vsub(frame_apply(ctx, axis1, i, j), c1)
+        yield "axis_reduction_second", vsub(frame_apply(ctx, axis2, i, j), c2)
         for k, (dEA, JB) in enumerate(recurrences):
-            yield f"recurrence{k}", vsub(dEA.apply(ctx, X, Y),
+            yield f"recurrence{k}", vsub(frame_apply(ctx, dEA, i, j),
                                          vscale(oneform_apply(w, X), endo_apply(JB, Y)))
 
     out = [("skew_commutation", skew_commutation_residual(ctx, E1, E2), "")]
@@ -339,21 +348,21 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
         return out
     if case == "recurrent":
         # Both structures recurrent with one shared one-form.
-        def conclusions(X, Y):
-            c1 = conj1.apply(ctx, X, Y)
-            yield "conjugates_coincide", vsub(c1, conj2.apply(ctx, X, Y))
-            yield "pencil_invariance", vsub(mixed.apply(ctx, X, Y), c1)
+        def conclusions(i, j):
+            c1 = frame_apply(ctx, conj1, i, j)
+            yield "conjugates_coincide", vsub(c1, frame_apply(ctx, conj2, i, j))
+            yield "pencil_invariance", vsub(frame_apply(ctx, mixed, i, j), c1)
         label, names = "recurrence", ("conjugates_coincide", "pencil_invariance")
     else:
         coeff = float(pencil.alpha ** 2 - pencil.beta ** 2)
 
-        def conclusions(X, Y):
-            base_xy = base.apply(ctx, X, Y)
-            yield "average", vsub(base_xy, vscale(0.5, vadd(conj1.apply(ctx, X, Y),
-                                                            conj2.apply(ctx, X, Y))))
-            prod = endo_apply(J1, endo_apply(J2, Y))
-            rhs = vadd(base_xy, vscale(coeff, vscale(oneform_apply(w, X), prod)))
-            yield "pencil_shift", vsub(mixed.apply(ctx, X, Y), rhs)
+        def conclusions(i, j):
+            base_xy = frame_apply(ctx, base, i, j)
+            yield "average", vsub(base_xy, vscale(0.5, vadd(frame_apply(ctx, conj1, i, j),
+                                                            frame_apply(ctx, conj2, i, j))))
+            prod = endo_apply(J1, endo_apply(J2, frame[j]))
+            rhs = vadd(base_xy, vscale(coeff, vscale(oneform_apply(w, frame[i]), prod)))
+            yield "pencil_shift", vsub(frame_apply(ctx, mixed, i, j), rhs)
         label, names = "mixed", ("average", "pencil_shift")
     hyp = res["recurrence0"].merged(res["recurrence1"])
     return out + [(f"hypothesis_{label}", hyp, "")] + gated(
@@ -391,16 +400,16 @@ def splitting_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField) 
     B = virtual_tensor(base, structure)
     Cc = structural_tensor(conj, structure)
     Bc = virtual_tensor(conj, structure)
-    E = ctx.endo(structure)
+    E, frame = ctx.endo(structure), ctx.frame()
 
-    def rows(X, Y):
-        CXY, BXY = C.apply(ctx, X, Y), B.apply(ctx, X, Y)
-        yield "structural_flip", vadd(Cc.apply(ctx, X, Y), CXY)
-        yield "virtual_flip", vadd(Bc.apply(ctx, X, Y), BXY)
-        yield "decomposition", vsub(conj.apply(ctx, X, Y),
-                                    vadd(vsub(base.apply(ctx, X, Y), CXY), BXY))
+    def rows(i, j):
+        CXY, BXY = frame_apply(ctx, C, i, j), frame_apply(ctx, B, i, j)
+        yield "structural_flip", vadd(frame_apply(ctx, Cc, i, j), CXY)
+        yield "virtual_flip", vadd(frame_apply(ctx, Bc, i, j), BXY)
+        yield "decomposition", vsub(frame_apply(ctx, conj, i, j),
+                                    vadd(vsub(frame_apply(ctx, base, i, j), CXY), BXY))
         # Rotating both arguments keeps the structural half and flips the virtual one.
-        EX, EY = endo_apply(E, X), endo_apply(E, Y)
+        EX, EY = endo_apply(E, frame[i]), endo_apply(E, frame[j])
         yield "structural_rotation", vsub(C.apply(ctx, EX, EY), CXY)
         yield "virtual_rotation", vadd(B.apply(ctx, EX, EY), BXY)
 
@@ -428,12 +437,14 @@ def projective_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     C1 = structural_tensor(shifted, structure)
     B0 = virtual_tensor(base, structure)
     B1 = virtual_tensor(shifted, structure)
-    E = ctx.endo(structure)
+    E, frame = ctx.endo(structure), ctx.frame()
     w = ctx.oneform(tau)
 
-    def rows(X, Y):
-        yield "structural_invariance", vsub(C1.apply(ctx, X, Y), C0.apply(ctx, X, Y))
-        lhs = vsub(B1.apply(ctx, X, Y), B0.apply(ctx, X, Y))
+    def rows(i, j):
+        X, Y = frame[i], frame[j]
+        yield "structural_invariance", vsub(frame_apply(ctx, C1, i, j),
+                                            frame_apply(ctx, C0, i, j))
+        lhs = vsub(frame_apply(ctx, B1, i, j), frame_apply(ctx, B0, i, j))
         rhs = vsub(vscale(oneform_apply(w, endo_apply(E, Y)), endo_apply(E, X)),
                    vscale(oneform_apply(w, Y), X))
         yield "virtual_difference", vsub(lhs, rhs)

@@ -22,9 +22,12 @@ composite builds its form once per context from its operands' forms, and
 stores its entries at order <= 1, the most an apply can use; no form
 applies an operator.
 
-Torsion and curvature read per-node tables for every operand, since on a
-connection both are tensors.  `torsion` is Γ(x, y) - Γ(y, x) of the
-frame-pair table.  `frame_curvature` reads R(d_i, d_j)z from R[i][j], the
+`frame_apply` reads S(d_i, d_j) from the table by frame index, with no
+derivative word, since each is 0 at a frame pair; the frame-pair scans
+hand their callbacks indices for it, and an apply is left for the other
+operands.  Torsion and curvature read per-node tables for every operand,
+since on a connection both are tensors.  `torsion` is Γ(x, y) - Γ(y, x) of
+the frame-pair table.  `frame_curvature` reads R(d_i, d_j)z from R[i][j], the
 matrix of R(d_i, d_j), built once per context for i < j:
 R(d_i, d_j)d_k = S(d_i, S(d_j, d_k)) - S(d_j, S(d_i, d_k)), one apply of
 the normal form per term, since the bracket of two frame fields is 0; it
@@ -304,6 +307,16 @@ class ZeroOp(Keyed, ConnectionOp):
 # ---- derived quantities ----------------------------------------------
 
 
+def frame_apply(ctx: EvalContext, node, i: int, j: int) -> Vec:
+    """S(d_i, d_j) read from the node's frame-pair table, as `torsion`
+    reads it: the derivative words are 0 at a frame pair, and `contract`
+    reads the table as an apply does, so a non-finite entry reaches the
+    same components.  At order <= 1, as an apply of a connection gives it."""
+    frame = ctx.frame()
+    _, table = node.normal_form(ctx)
+    return [_order1(e) for e in contract(table, frame[i], frame[j])]
+
+
 def torsion(ctx: EvalContext, nabla: ConnectionOp, x: Vec, y: Vec) -> Vec:
     """T(x, y) = Γ(x, y) - Γ(y, x), read from the frame-pair table: the
     torsion of a connection is a tensor, and at a frame pair the derivative
@@ -343,7 +356,7 @@ def _curvature_table(ctx: EvalContext, nabla: ConnectionOp) -> list:
               for plane in table]
     frame = ctx.frame()
     n = len(frame)
-    pairs = [[nabla.apply(ctx, Y, Z) for Z in frame] for Y in frame]
+    pairs = [[frame_apply(ctx, nabla, j, k) for k in range(n)] for j in range(n)]
 
     def A(i, j, k):
         return _evaluate(ctx, weight, values, frame[i], pairs[j][k])
@@ -364,12 +377,12 @@ def structure_derivative_twist(base: ConnectionOp, structure: EndoField,
                           (-1.0, Sandwiched(base, out=structure))), label)
 
 
-def nabla_metric(ctx: EvalContext, nabla: ConnectionOp, G: list[list[Jet]],
-                 x: Vec, v: Vec, w: Vec) -> Jet:
-    """(derivative of g along x)(v, w) by the product rule."""
+def nabla_metric(G: list[list[Jet]], x: Vec, v: Vec, w: Vec, xv: Vec, xw: Vec) -> Jet:
+    """(derivative of g along x)(v, w) by the product rule, given the
+    connection's xv = S(x, v) and xw = S(x, w)."""
     s = dirderiv(x, metric_pair(G, v, w))
-    s = s - metric_pair(G, nabla.apply(ctx, x, v), w)
-    s = s - metric_pair(G, v, nabla.apply(ctx, x, w))
+    s = s - metric_pair(G, xv, w)
+    s = s - metric_pair(G, v, xw)
     return s
 
 
@@ -391,26 +404,32 @@ def metricity_residual(ctx: EvalContext, nabla: ConnectionOp, g: MetricField):
     ctx.metric_values(g)
     frame, label = ctx.frame(), ctx.chart.frame_label
     n = nabla.chart.dim
-    return worst(ctx, ((label(i, a, b), nabla_metric(ctx, nabla, G, frame[i], frame[a], frame[b]))
+    return worst(ctx, ((label(i, a, b), nabla_metric(G, frame[i], frame[a], frame[b],
+                                                     frame_apply(ctx, nabla, i, a),
+                                                     frame_apply(ctx, nabla, i, b)))
                        for i in range(n)
                        for a, b in combinations_with_replacement(range(n), 2)))
 
 
-def connection_laws_residual(ctx: EvalContext, nabla: ConnectionOp,
-                             f: Expr, x: Vec, y: Vec):
-    """Direction tensoriality and the Leibniz rule against one weight function."""
+def connection_laws_residual(ctx: EvalContext, nabla: ConnectionOp, f: Expr, i: int, j: int):
+    """Direction tensoriality and the Leibniz rule against one weight
+    function, at the frame pair (d_i, d_j)."""
     fj = ctx.scalar(f)
-    direction = vvalues(nabla.apply(ctx, vscale(fj, x), y)) - \
-        vvalues(vscale(fj, nabla.apply(ctx, x, y)))
+    frame = ctx.frame()
+    direction = vvalues(nabla.apply(ctx, vscale(fj, frame[i]), frame[j])) - \
+        vvalues(vscale(fj, frame_apply(ctx, nabla, i, j)))
     return worst(ctx, [("direction", direction)]).merged(
-        leibniz_defect_residual(ctx, nabla, 1.0, f, x, y, label="argument"))
+        leibniz_defect_residual(ctx, nabla, 1.0, f, i, j, label="argument"))
 
 
 def leibniz_defect_residual(ctx: EvalContext, op: ConnectionOp, coefficient_sum: float,
-                            f: Expr, x: Vec, y: Vec, label: str = "leibniz-defect"):
-    """|nabla_x(fy) - f nabla_x y - s X(f) y| with the defect scale s pinned."""
+                            f: Expr, i: int, j: int, label: str = "leibniz-defect"):
+    """|nabla_x(fy) - f nabla_x y - s X(f) y| at the frame pair
+    (x, y) = (d_i, d_j), with the defect scale s pinned."""
     fj = ctx.scalar(f)
+    frame = ctx.frame()
+    x, y = frame[i], frame[j]
     lhs = op.apply(ctx, x, vscale(fj, y))
     xf = dirderiv(x, fj)
-    rhs = vadd(vscale(fj, op.apply(ctx, x, y)), vscale(xf * coefficient_sum, y))
+    rhs = vadd(vscale(fj, frame_apply(ctx, op, i, j)), vscale(xf * coefficient_sum, y))
     return worst(ctx, [(label, vvalues(lhs) - vvalues(rhs))])

@@ -19,8 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .connections import (CombinationOp, ConnectionOp, Sandwiched, structure_derivative_twist,
-                          symmetric_product, torsion_residual)
+from .connections import (CombinationOp, ConnectionOp, Sandwiched, frame_apply,
+                          structure_derivative_twist, symmetric_product, torsion_residual)
 from .conjugation import (
     ConjugateConnection,
     skew_commutation_residual,
@@ -276,14 +276,16 @@ def hv_form_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair) -> 
     """Direct conjugation by h - v against the four projected blocks."""
     H, V = ctx.endo(pair.h), ctx.endo(pair.v)
     conj = ConjugateConnection(nabla, pair.structure)
+    frame = ctx.frame()
 
-    def four_term(X, Y):
+    def four_term(i, j):
+        X, Y = frame[i], frame[j]
         hY, vY = endo_apply(H, Y), endo_apply(V, Y)
         a = endo_apply(H, nabla.apply(ctx, X, hY))
         b = endo_apply(H, nabla.apply(ctx, X, vY))
         c = endo_apply(V, nabla.apply(ctx, X, hY))
         d = endo_apply(V, nabla.apply(ctx, X, vY))
-        return vsub(conj.apply(ctx, X, Y), vadd(vsub(vsub(a, b), c), d))
+        return vsub(frame_apply(ctx, conj, i, j), vadd(vsub(vsub(a, b), c), d))
 
     return [("four_term_form", frame_pair_residual(ctx, four_term), "")]
 
@@ -296,10 +298,12 @@ def restriction_collapse_rows(ctx: EvalContext, nabla: ConnectionOp,
     Dv = DistributionSpec.from_pair(pair, "vertical", label="Dv")
     conj = ConjugateConnection(nabla, pair.structure)
     H, V = ctx.endo(pair.h), ctx.endo(pair.v)
+    frame = ctx.frame()
 
-    def conclusions(X, Y):
-        conj_xy = conj.apply(ctx, X, Y)
-        yield "conjugate_collapse", vsub(conj_xy, nabla.apply(ctx, X, Y))
+    def conclusions(i, j):
+        X, Y = frame[i], frame[j]
+        conj_xy = frame_apply(ctx, conj, i, j)
+        yield "conjugate_collapse", vsub(conj_xy, frame_apply(ctx, nabla, i, j))
         yield "split_form", vsub(conj_xy, vadd(nabla.apply(ctx, X, endo_apply(H, Y)),
                                                nabla.apply(ctx, X, endo_apply(V, Y))))
 
@@ -330,12 +334,12 @@ def schouten_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair,
     Dv = DistributionSpec.from_pair(pair, "vertical", label="Dv")
     conj_s = ConjugateConnection(s, E)
 
-    def pair_rows(X, Y):
-        yield "parallel_structure", dE.apply(ctx, X, Y)
-        yield "self_conjugate", vsub(conj_s.apply(ctx, X, Y), s.apply(ctx, X, Y))
+    def pair_rows(i, j):
+        yield "parallel_structure", frame_apply(ctx, dE, i, j)
+        yield "self_conjugate", vsub(frame_apply(ctx, conj_s, i, j), frame_apply(ctx, s, i, j))
 
-    def reduction(X, Y):
-        return vsub(s.apply(ctx, X, Y), nabla.apply(ctx, X, Y))
+    def reduction(i, j):
+        return vsub(frame_apply(ctx, s, i, j), frame_apply(ctx, nabla, i, j))
 
     rows = [("restricts_h", restriction_residual(ctx, s, Dh), ""),
             ("restricts_v", restriction_residual(ctx, s, Dv), "")]
@@ -402,8 +406,9 @@ def splitting_block_rows(ctx: EvalContext, nabla: ConnectionOp,
     B = virtual_tensor(nabla, E)
     T, A = fundamental_tensors(nabla, pair)
     H, V = ctx.endo(pair.h), ctx.endo(pair.v)
+    frame = ctx.frame()
 
-    def half(X, Y, S, sign, live, dead, fundamental, names):
+    def half(i, j, S, sign, live, dead, fundamental, names):
         # S lives on the `live` blocks, where each equals sign * Q(nabla_a b),
         # and vanishes on the `dead` ones.  The *_vanishing and *_blocks rows
         # measure two blocks at once: both blocks' components form one list,
@@ -412,7 +417,8 @@ def splitting_block_rows(ctx: EvalContext, nabla: ConnectionOp,
         # S.apply; the dead blocks are freed when `vanishing` returns.
         antisym, vanish, fund, split, formula, blocks = names
         yield from vanishing(S, dead, antisym, vanish)
-        SXY = S.apply(ctx, X, Y)
+        SXY = frame_apply(ctx, S, i, j)
+        X = frame[i]
         y1, y2 = fundamental
         yield fund, vsub(SXY, vscale(sign, vadd(T.apply(ctx, X, y1), A.apply(ctx, X, y2))))
         s = [S.apply(ctx, a, b) for a, b, _ in live]
@@ -426,15 +432,15 @@ def splitting_block_rows(ctx: EvalContext, nabla: ConnectionOp,
         yield antisym, vadd(*d)
         yield vanish, [*d[0], *d[1]]
 
-    def rows(X, Y):
-        hX, vX, hY, vY = (endo_apply(P, W) for W in (X, Y) for P in (H, V))
-        yield from half(X, Y, C, 2.0, ((hX, hY, V), (vX, vY, H)), ((hX, vY), (vX, hY)),
+    def rows(i, j):
+        hX, vX, hY, vY = (endo_apply(P, W) for W in (frame[i], frame[j]) for P in (H, V))
+        yield from half(i, j, C, 2.0, ((hX, hY, V), (vX, vY, H)), ((hX, vY), (vX, hY)),
                         (vY, hY), ("cross_antisymmetry", "cross_vanishing",
                                    "fundamental_structural", "structural_split",
                                    "structural_formula", "structural_blocks"))
         # The virtual half lives entirely on the mixed blocks; its diagonal
         # blocks vanish, so its split runs over the cross terms.
-        yield from half(X, Y, B, -2.0, ((hX, vY, H), (vX, hY, V)), ((hX, hY), (vX, vY)),
+        yield from half(i, j, B, -2.0, ((hX, vY, H), (vX, hY, V)), ((hX, hY), (vX, vY)),
                         (hY, vY), ("diagonal_antisymmetry", "diagonal_vanishing",
                                    "fundamental_virtual", "virtual_split",
                                    "virtual_formula", "virtual_blocks"))

@@ -11,8 +11,9 @@ operand alike and leave out each term with a constant-zero factor whose
 other factors are finite, since that term is the constant 0; the sum still
 takes its order.  A coordinate frame vector is a list of constant jets, so
 a frame operand leaves out most terms, and the jet products already skip
-its exact ones (see `jets`).  The frame-triple scan hands its callback the
-frame indices, so a suite reads per-node tables by index and indexes
+its exact ones (see `jets`).  The frame-pair and frame-triple scans hand
+their callbacks the frame indices, so a suite reads per-node tables by
+index, S(d_i, d_j) among them (`connections.frame_apply`), and indexes
 `frame()` where it needs the vectors.  Torsion and curvature read those
 tables for any operand, so `bracket` serves only the statements that name
 a bracket.
@@ -412,15 +413,17 @@ def gated(tol: float, hypotheses, conclusions, measure) -> list:
 def frame_pair_rows(ctx: EvalContext, rows) -> dict:
     """Worst output per name over coordinate frame pairs, in first-yield order.
 
-    rows(X, Y) yields (name, output) for one pair.  Each output is reduced as
-    it is yielded and merged into its name's running residual, so a name
+    rows(i, j) yields (name, output) for the frame pair (d_i, d_j); it reads
+    per-node tables such as `connections.frame_apply` by the indices and
+    indexes ctx.frame() where it needs the vectors.  Each output is reduced
+    as it is yielded and merged into its name's running residual, so a name
     keeps `worst`'s rules: the first maximum wins ties, the first NaN stays.
     """
-    frame, label = ctx.frame(), ctx.chart.frame_label
+    n, label = ctx.chart.dim, ctx.chart.frame_label
     out: dict = {}
-    for i, X in enumerate(frame):
-        for j, Y in enumerate(frame):
-            for name, value in rows(X, Y):
+    for i in range(n):
+        for j in range(n):
+            for name, value in rows(i, j):
                 res = _sample_max(ctx, value, label(i, j))
                 del value  # not held while rows computes the next output
                 out[name] = out[name].merged(res) if name in out else res
@@ -428,8 +431,8 @@ def frame_pair_rows(ctx: EvalContext, rows) -> dict:
 
 
 def frame_pair_residual(ctx: EvalContext, fn) -> Residual:
-    """Worst fn(X, Y) over coordinate frame pairs."""
-    return frame_pair_rows(ctx, lambda X, Y: [(None, fn(X, Y))])[None]
+    """Worst fn(i, j) over the index pairs of the coordinate frame."""
+    return frame_pair_rows(ctx, lambda i, j: [(None, fn(i, j))])[None]
 
 
 def frame_triple_residual(ctx: EvalContext, fn) -> Residual:

@@ -29,6 +29,7 @@ from .connections import (
     Sandwiched,
     ZeroOp,
     curvature,
+    frame_apply,
     frame_curvature,
     leibniz_defect_residual,
     structure_derivative_twist,
@@ -93,25 +94,27 @@ def duality_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     same algebra.  The two closure rows confirm the canonical solution and
     the rotation symmetry of the solution space.
     """
-    E = ctx.endo(structure)
+    E, frame = ctx.endo(structure), ctx.frame()
     gen = GeneralizedConjugate(base, structure, twist)
     gen2 = GeneralizedConjugate(gen, structure, twist)
     canonical = structure_derivative_twist(base, structure)
     rotated = rotated_twist(canonical, structure)
 
-    def halves(C, X: Vec, Y: Vec) -> tuple[Vec, Vec]:
-        """E(C(X, EY)) and C(X, Y): the defect is their sum."""
-        return endo_apply(E, C.apply(ctx, X, endo_apply(E, Y))), C.apply(ctx, X, Y)
+    def halves(C, i: int, j: int) -> tuple[Vec, Vec]:
+        """E(C(X, EY)) and C(X, Y) at (X, Y) = (d_i, d_j): the defect is
+        their sum."""
+        return (endo_apply(E, C.apply(ctx, frame[i], endo_apply(E, frame[j]))),
+                frame_apply(ctx, C, i, j))
 
-    def pair_rows(X: Vec, Y: Vec):
-        rot, plain = halves(twist, X, Y)
+    def pair_rows(i: int, j: int):
+        rot, plain = halves(twist, i, j)
         yield "defect", vadd(rot, plain)
-        square, base_xy = gen2.apply(ctx, X, Y), base.apply(ctx, X, Y)
+        square, base_xy = frame_apply(ctx, gen2, i, j), frame_apply(ctx, base, i, j)
         yield "double_application", vsub(square, base_xy)
         # squared operator minus [base + E(C(X, EY)) + C(X, Y)], term by term
         yield "expansion", vsub(square, vadd(vadd(base_xy, rot), plain))
-        yield "canonical_solution", vadd(*halves(canonical, X, Y))
-        yield "rotation_closure", vadd(*halves(rotated, X, Y))
+        yield "canonical_solution", vadd(*halves(canonical, i, j))
+        yield "rotation_closure", vadd(*halves(rotated, i, j))
 
     notes = {"defect": f"twist={twist.label}",
              "double_application": "squared operator against the base",
@@ -153,22 +156,22 @@ def family_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 
     special = _SPECIAL_MEMBERS.get((float(lam), float(mu)))
 
-    def pair_rows(X: Vec, Y: Vec):
-        member_xy = member.apply(ctx, X, Y)
-        yield "route_agreement", vsub(member_xy, by_expansion.apply(ctx, X, Y))
+    def pair_rows(i: int, j: int):
+        member_xy = frame_apply(ctx, member, i, j)
+        yield "route_agreement", vsub(member_xy, frame_apply(ctx, by_expansion, i, j))
         if special:
             cb, cc, _ = special
-            expect = vadd(vscale(cb, base.apply(ctx, X, Y)), vscale(cc, conj.apply(ctx, X, Y)))
+            expect = vadd(vscale(cb, frame_apply(ctx, base, i, j)),
+                          vscale(cc, frame_apply(ctx, conj, i, j)))
             yield "reduction", vsub(member_xy, expect)
 
     res = frame_pair_rows(ctx, pair_rows)
-    frame = ctx.frame()
     rows: Rows = [
         ("route_agreement", res["route_agreement"],
          "combination operator against the expanded form"),
         ("leibniz_scaling",
          leibniz_defect_residual(ctx, member, (1.0 + mu) + lam,
-                                 weight, frame[0], frame[-1]),
+                                 weight, 0, ctx.chart.dim - 1),
          f"defect scale {(1.0 + mu) + lam:g}"),
     ]
     if special:
@@ -257,19 +260,22 @@ def sweep_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 
 
 def _curvature_scan(ctx: EvalContext, defect, probes: list[Vec] | None) -> Residual:
-    """Max |defect(X, Y, Z, R)| over coordinate frame triples, and over probe
-    pairs (X, Y) against every frame Z when probes are supplied, since
+    """Max |defect(X, Y, Z, R, SZ)| over coordinate frame triples, and over
+    probe pairs (X, Y) against every frame Z when probes are supplied, since
     coordinate frames never exercise the closed form's bracket term.  R
     reads the node's curvature table: `frame_curvature` on the frame,
-    `curvature` on the probes."""
+    `curvature` on the probes.  SZ(op) is (op(X, Z), op(Y, Z)), read by
+    `frame_apply` on the frame."""
     frame, label = ctx.frame(), ctx.chart.frame_label
 
     def on_frame(i: int, j: int, k: int) -> Vec:
         return defect(frame[i], frame[j], frame[k],
-                      lambda op, W: frame_curvature(ctx, op, i, j, W))
+                      lambda op, W: frame_curvature(ctx, op, i, j, W),
+                      lambda op: (frame_apply(ctx, op, i, k), frame_apply(ctx, op, j, k)))
 
     def on_probes(X: Vec, Y: Vec, Z: Vec) -> Vec:
-        return defect(X, Y, Z, lambda op, W: curvature(ctx, op, X, Y, W))
+        return defect(X, Y, Z, lambda op, W: curvature(ctx, op, X, Y, W),
+                      lambda op: (op.apply(ctx, X, Z), op.apply(ctx, Y, Z)))
 
     res = frame_triple_residual(ctx, on_frame)
     if not probes:
@@ -281,28 +287,29 @@ def _curvature_scan(ctx: EvalContext, defect, probes: list[Vec] | None) -> Resid
 
 def _curvature_form_defect(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
                            twist: Tensor12Field, shortened: bool = False):
-    """(X, Y, Z, R) -> curvature of the twisted operator minus its closed
-    form, obtained by expanding the definition, where R(op, W) is op's
-    R(X, Y)W.  The shortened form differentiates the twist of (Y, Z) along
-    Y instead of X and drops the twist squares."""
+    """(X, Y, Z, R, SZ) -> curvature of the twisted operator minus its
+    closed form, obtained by expanding the definition, where R(op, W) is
+    op's R(X, Y)W and SZ(op) is (op(X, Z), op(Y, Z)).  The shortened form
+    differentiates the twist of (Y, Z) along Y instead of X and drops the
+    twist squares."""
     E = ctx.endo(structure)
     gen = GeneralizedConjugate(base, structure, twist)
     C = twist.apply
 
-    def defect(X: Vec, Y: Vec, Z: Vec, R) -> Vec:
+    def defect(X: Vec, Y: Vec, Z: Vec, R, SZ) -> Vec:
         lhs = R(gen, Z)
         EZ = endo_apply(E, Z)
+        CXZ, CYZ = SZ(twist)
         terms = [
             endo_apply(E, R(base, EZ)),
             C(ctx, X, endo_apply(E, base.apply(ctx, Y, EZ))),
             vscale(-1.0, C(ctx, Y, endo_apply(E, base.apply(ctx, X, EZ)))),
             vscale(-1.0, C(ctx, bracket(X, Y), Z)),
-            endo_apply(E, base.apply(ctx, Y if shortened else X,
-                                     endo_apply(E, C(ctx, Y, Z)))),
-            vscale(-1.0, endo_apply(E, base.apply(ctx, Y, endo_apply(E, C(ctx, X, Z))))),
+            endo_apply(E, base.apply(ctx, Y if shortened else X, endo_apply(E, CYZ))),
+            vscale(-1.0, endo_apply(E, base.apply(ctx, Y, endo_apply(E, CXZ)))),
         ]
         if not shortened:
-            terms += [C(ctx, X, C(ctx, Y, Z)), vscale(-1.0, C(ctx, Y, C(ctx, X, Z)))]
+            terms += [C(ctx, X, CYZ), vscale(-1.0, C(ctx, Y, CXZ))]
         return vsub(lhs, reduce(vadd, terms))
     return defect
 
@@ -319,27 +326,28 @@ def generalized_identity_rows(ctx: EvalContext, base: ConnectionOp,
     sense when the twist is symmetric and the structure parallel, so both
     hypotheses gate it.
     """
-    E = ctx.endo(structure)
+    E, frame = ctx.endo(structure), ctx.frame()
     gen = GeneralizedConjugate(base, structure, twist)
     dE = structure_derivative_twist(base, structure)
     dE_gen = structure_derivative_twist(gen, structure)
-    C = twist.apply
 
-    def pair_rows(X: Vec, Y: Vec):
+    def pair_rows(i: int, j: int):
         # The two gate measurements, the twist's skew part and the
         # structure derivative, ride along with the rows that use them.
-        d = dE.apply(ctx, X, Y)
-        rhs = vadd(vsub(C(ctx, X, endo_apply(E, Y)), d),
-                   vscale(-1.0, endo_apply(E, C(ctx, X, Y))))
-        yield "structure_derivative", vsub(dE_gen.apply(ctx, X, Y), rhs)
+        X, Y = frame[i], frame[j]
+        d, cxy = frame_apply(ctx, dE, i, j), frame_apply(ctx, twist, i, j)
+        rhs = vadd(vsub(twist.apply(ctx, X, endo_apply(E, Y)), d),
+                   vscale(-1.0, endo_apply(E, cxy)))
+        yield "structure_derivative", vsub(frame_apply(ctx, dE_gen, i, j), rhs)
         yield "parallel", d
-        skew = vsub(C(ctx, X, Y), C(ctx, Y, X))
+        skew = vsub(cxy, frame_apply(ctx, twist, j, i))
         rhs = vadd(vadd(torsion(ctx, base, X, Y),
-                        endo_apply(E, vsub(d, dE.apply(ctx, Y, X)))), skew)
+                        endo_apply(E, vsub(d, frame_apply(ctx, dE, j, i)))), skew)
         yield "torsion_form", vsub(torsion(ctx, gen, X, Y), rhs)
         yield "skew", skew
 
-    def collapse(X: Vec, Y: Vec) -> Vec:
+    def collapse(i: int, j: int) -> Vec:
+        X, Y = frame[i], frame[j]
         return vsub(torsion(ctx, gen, X, Y), torsion(ctx, base, X, Y))
 
     res = frame_pair_rows(ctx, pair_rows)
@@ -380,7 +388,7 @@ def degeneration_rows(ctx: EvalContext, base: ConnectionOp,
     gen = GeneralizedConjugate(base, structure, ZeroOp(base.chart))
     conj = ConjugateConnection(base, structure)
 
-    def defect(X: Vec, Y: Vec) -> Vec:
-        return vsub(gen.apply(ctx, X, Y), conj.apply(ctx, X, Y))
+    def defect(i: int, j: int) -> Vec:
+        return vsub(frame_apply(ctx, gen, i, j), frame_apply(ctx, conj, i, j))
     return [("zero_twist", frame_pair_residual(ctx, defect),
              "twisted operator with no twist equals the conjugate")]

@@ -51,7 +51,8 @@ MUTANTS = [
      "if all(res.within(tol) for _, res in hypotheses):",
      "if any(res.within(tol) for _, res in hypotheses):"),
     ("lower_triangle_frame_scan", "fields.py",
-     "for j, Y in enumerate(frame):", "for j, Y in enumerate(frame[:i + 1]):"),
+     "        for j in range(n):\n            for name, value in rows(i, j):",
+     "        for j in range(i + 1):\n            for name, value in rows(i, j):"),
     ("levi_civita_half_weight", "connections.py",
      "gammas[k][i][j] = gammas[k][j][i] = total * 0.5",
      "gammas[k][i][j] = gammas[k][j][i] = total * 0.5000001"),
@@ -118,6 +119,8 @@ MUTANTS = [
      "rank = counts.max()", "rank = counts[0]"),
     ("curvature_table_indices_swapped", "connections.py",
      "columns = [vsub(A(i, j, k), A(j, i, k))", "columns = [vsub(A(j, i, k), A(i, j, k))"),
+    ("frame_read_transposed", "connections.py",
+     "contract(table, frame[i], frame[j])", "contract(table, frame[j], frame[i])"),
     ("curvature_table_without_gamma_gamma", "connections.py",
      "return _evaluate(ctx, weight, values, frame[i], pairs[j][k])",
      "return _evaluate(ctx, weight, _empty_table(n), frame[i], pairs[j][k])"),

@@ -72,12 +72,17 @@ def eval_scalar(e, point):
 
 
 def fd_grad(e, point, h=1e-5):
+    """The gradient by the fourth-order central difference, whose error is
+    h^4/30 times the fifth partial.  The second-order one leaves h^2/6
+    times the third, which read up to 1e-7 on the generated structures
+    whose entries have degree up to 6."""
     point = np.asarray(point, dtype=float)
     out = np.empty(point.size)
     for i in range(point.size):
         hi = np.zeros_like(point)
         hi[i] = h
-        out[i] = (eval_scalar(e, point + hi) - eval_scalar(e, point - hi)) / (2 * h)
+        f = [eval_scalar(e, point + s * hi) for s in (2, 1, -1, -2)]
+        out[i] = (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h)
     return out
 
 

@@ -92,8 +92,10 @@ def test_double_conjugation_restores_base(corpus):
                 if almost_product_residual(ctx, E).value > 1e-12:
                     continue
                 twice = ConjugateConnection(ConjugateConnection(op, E), E)
+                frame = ctx.frame()
 
-                def drift(X, Y, twice=twice, op=op):
+                def drift(i, j, twice=twice, op=op, frame=frame):
+                    X, Y = frame[i], frame[j]
                     return [a - b for a, b in zip(twice.apply(ctx, X, Y),
                                                   op.apply(ctx, X, Y))]
 

@@ -5,11 +5,13 @@ finite-difference reconstructions in oracles.py; numbers at fixed points
 are frozen so regressions move a literal, not a tolerance.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prodconj import connections
+from prodconj import connections, fields
 from prodconj.errors import ConfigError
 from prodconj.expr import ZERO, parse_expr
 from prodconj.conjugation import (ConjugateConnection, chi_tensor, expansion_form,
@@ -27,6 +29,8 @@ from prodconj.fields import (
     VectorField,
     bracket,
     context_for,
+    dirderiv,
+    vadd,
     vscale,
     vsub,
     vvalues,
@@ -41,6 +45,7 @@ from prodconj.connections import (
     connection_laws_residual,
     curvature,
     flat_connection,
+    frame_apply,
     frame_curvature,
     leibniz_defect_residual,
     metricity_residual,
@@ -59,6 +64,7 @@ from engine_tables import (composed_apply, composed_curvature, composed_torsion,
                            materialize_christoffels)
 from oracles import christoffel_fd, riemann_fd
 
+DATA = Path(__file__).resolve().parent / "data"
 BOX = ((-1.0, 1.0), (-1.0, 1.0))
 CHART = Chart(2, ("x", "y"), BOX)
 SPHERE_BOX = ((0.3, 1.2), (-1.0, 1.0))
@@ -207,26 +213,46 @@ def _args(ctx):
     return x, y
 
 
+FRAME_PAIRS = [(i, j) for i in range(2) for j in range(2)]
+
+
+def _law_defects(ctx, op, s, x, y):
+    """max |op(fx, y) - f op(x, y)| and max |op(x, fy) - f op(x, y) - s x(f) y|
+    for the fields x, y, which the library's frame-pair laws do not take."""
+    f = ctx.scalar(WEIGHT)
+    xy = op.apply(ctx, x, y)
+    direction = vvalues(op.apply(ctx, vscale(f, x), y)) - vvalues(vscale(f, xy))
+    leibniz = vvalues(op.apply(ctx, x, vscale(f, y))) - \
+        vvalues(vadd(vscale(f, xy), vscale(dirderiv(x, f) * s, y)))
+    return np.abs(direction).max(), np.abs(leibniz).max()
+
+
 def test_connection_laws_hold_for_tables():
     ctx = _ctx(CHART)
-    x, y = _args(ctx)
-    assert connection_laws_residual(ctx, _rolled(), WEIGHT, x, y).value < 1e-12
+    for i, j in FRAME_PAIRS:
+        assert connection_laws_residual(ctx, _rolled(), WEIGHT, i, j).value < 1e-12
+    assert max(_law_defects(ctx, _rolled(), 1.0, *_args(ctx))) < 1e-12
 
 
 def test_connection_laws_reject_tensorial_op():
     ctx = _ctx(CHART)
-    x, y = _args(ctx)
-    res = connection_laws_residual(ctx, ZeroOp(CHART), WEIGHT, x, y)
-    assert res.value > 1e-3
-    assert res.frame == "argument"
+    for i, j in FRAME_PAIRS:
+        res = connection_laws_residual(ctx, ZeroOp(CHART), WEIGHT, i, j)
+        assert res.value > 1e-3
+        assert res.frame == "argument"
+    direction, leibniz = _law_defects(ctx, ZeroOp(CHART), 1.0, *_args(ctx))
+    assert leibniz > 1e-3 and direction < leibniz
 
 
 def test_leibniz_defect_scales_with_coefficient_sum():
     ctx = _ctx(CHART)
-    x, y = _args(ctx)
     half = CombinationOp([(0.5, flat_connection(CHART)), (2.0, _rolled())])
-    assert leibniz_defect_residual(ctx, half, 2.5, WEIGHT, x, y).value < 1e-12
-    assert leibniz_defect_residual(ctx, half, 1.0, WEIGHT, x, y).value > 1e-3
+    for i, j in FRAME_PAIRS:
+        assert leibniz_defect_residual(ctx, half, 2.5, WEIGHT, i, j).value < 1e-12
+        assert leibniz_defect_residual(ctx, half, 1.0, WEIGHT, i, j).value > 1e-3
+    x, y = _args(ctx)
+    assert _law_defects(ctx, half, 2.5, x, y)[1] < 1e-12
+    assert _law_defects(ctx, half, 1.0, x, y)[1] > 1e-3
 
 
 def test_sum_connection_equals_table_sum():
@@ -681,6 +707,80 @@ def test_a_frame_pair_apply_forms_few_products(monkeypatch):
                     products.clear()
                     assert len(op.apply(ctx, X, Y)) == n
                     assert len(products) <= 2 * n * n, op
+
+
+@pytest.mark.parametrize("dim", sorted(TREE_PARTS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_frame_pair_reads_equal_the_composed_route(dim, data):
+    """`frame_apply` reads S(d_i, d_j) from the table with no derivative
+    word, and equals both the composed route and `op.apply` on every frame
+    pair, in value and gradient, non-finite samples included."""
+    chart, leaves, endos = TREE_PARTS[dim]
+    op = data.draw(_trees(leaves, endos), label="operator")
+    ctx = _ctx(chart, count=25)
+    frame = ctx.frame()
+    with np.errstate(all="ignore"):
+        for i in range(dim):
+            for j in range(dim):
+                got = frame_apply(ctx, op, i, j)
+                _same_jets(got, composed_apply(ctx, op, frame[i], frame[j]), ((i, j), op))
+                _same_jets(got, op.apply(ctx, frame[i], frame[j]), ((i, j), op))
+
+
+def test_a_frame_pair_read_makes_no_apply(monkeypatch):
+    """Once a node's normal form is built, `frame_apply` applies nothing
+    and takes no directional derivative, on a leaf connection, a tensor and
+    composites of both."""
+    chart, leaves, (E, *_) = TREE_PARTS[3]
+    base, tau = leaves[0], leaves[3]
+    ops = [base, tau, ConjugateConnection(base, E), SumConnection(base, tau),
+           structure_derivative_twist(base, E)]
+    ctx = _ctx(chart, count=10)
+    with np.errstate(all="ignore"):
+        for op in ops:
+            op.normal_form(ctx)
+    calls = []
+    apply, dirderiv = connections.ConnectionOp.apply, connections.dirderiv
+
+    def counted_apply(self, *args):
+        calls.append("apply")
+        return apply(self, *args)
+
+    def counted_dirderiv(*args):
+        calls.append("dirderiv")
+        return dirderiv(*args)
+    monkeypatch.setattr(connections.ConnectionOp, "apply", counted_apply)
+    monkeypatch.setattr(connections, "dirderiv", counted_dirderiv)
+    monkeypatch.setattr(fields, "dirderiv", counted_dirderiv)
+    with np.errstate(all="ignore"):
+        for op in ops:
+            for i in range(3):
+                for j in range(3):
+                    assert len(frame_apply(ctx, op, i, j)) == 3
+    assert calls == []
+
+
+def test_no_apply_meets_two_frame_vectors(monkeypatch):
+    """Every S(d_i, d_j) of the shipped corpus and of split_r4 is read by
+    frame index: no `ConnectionOp.apply` gets two of its context's frame
+    vectors."""
+    apply = connections.ConnectionOp.apply
+    calls, frame_pairs = [], []
+
+    def watched(self, ctx, x, y):
+        frame = ctx.frame()
+        calls.append(self)
+        if any(x is f for f in frame) and any(y is f for f in frame):
+            frame_pairs.append(self.label)
+        return apply(self, ctx, x, y)
+    monkeypatch.setattr(connections.ConnectionOp, "apply", watched)
+    texts = [(name, corpus_text(name)) for name in corpus_names()]
+    texts.append(("split_r4", (DATA / "split_r4.scn").read_text()))
+    for name, text in texts:
+        run_scenario(load_scenario(text, name=name))
+    assert calls, "the guard watched no apply"
+    assert frame_pairs == []
 
 
 # ---- curvature and torsion tables against the composed route --------

@@ -179,10 +179,11 @@ def test_coordinate_frame_commutes():
 
 def test_frame_pair_residual_reports_worst_pair():
     ctx = _ctx(count=10)
+    frame = ctx.frame()
 
-    def fn(X, Y):
+    def fn(i, j):
         # nonzero only when both inputs are the second frame field
-        s = X[1] * Y[1]
+        s = frame[i][1] * frame[j][1]
         return [s, s]
 
     res = frame_pair_residual(ctx, fn)

@@ -159,9 +159,9 @@ def test_one_pass_rows_match_separate_scans(suite, monkeypatch):
     ctx = _ctx(count=12)
     got = run(ctx)
     [rows] = passes
-    assert [name for name, _, _ in got] == list(dict(rows(*ctx.frame()[:2])))
+    assert [name for name, _, _ in got] == list(dict(rows(0, 1)))
     for name, res, _ in got:
-        alone = frame_pair_residual(ctx, lambda X, Y: dict(rows(X, Y))[name])
+        alone = frame_pair_residual(ctx, lambda i, j: dict(rows(i, j))[name])
         assert res.value == alone.value, name
         assert (res.frame, res.worst_point) == (alone.frame, alone.worst_point), name
 

@@ -2,16 +2,20 @@
 
 A Hypothesis strategy writes scenario text for charts of dimension 2-4: a
 Christoffel table of random polynomials of degree <= 2 with integer
-coefficients in -2..2, and the structure E = I - 2 v (x) e^0 with
-v = (1, p_1, ..., p_{n-1}) for random polynomials p_k, so that E^2 = I
-holds exactly and no division is needed.  The text goes through
+coefficients in -2..2, and the structure E = I - 2 v (x) w with
+w = (1, w_1, ..., w_{n-1}) and v = (1 - sum w_k p_k, p_1, ..., p_{n-1}) for
+random polynomials p_k, so that w(v) = 1 and E^2 = I hold exactly and no
+division is needed.  Half the instances take w = e^0, whose kernel is a
+coordinate hyperplane, so E is integrable; the others draw the w_k too,
+and from dimension 3 on ker w, the +1 side of E, is then seldom
+integrable, so the Nijenhuis tensor N_E is not 0.  The text goes through
 `load_scenario`, so the loader is on the route.  Every row of the kinds
 whose statements hold for every instance must pass, and the conjugate's
 coefficients and the tables of nabla E and of the structural and virtual
 tensors must match the pointwise expansions in tests/oracles.py.
 
-Some instances also carry the projector pair h = I - v (x) e^0, which is
-idempotent because e^0 . v = 1 and whose difference structure h - (I - h)
+Some instances also carry the projector pair h = I - v (x) w, which is
+idempotent because w(v) = 1 and whose difference structure h - (I - h)
 is the same E, and a random one-form eta.  The pair kinds must pass on
 them; the gated kinds may find their hypotheses false, but every row they
 report is a finite measurement, and no conclusion fails.  Those instances
@@ -33,11 +37,11 @@ not the line of v.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, find, given, settings, strategies as st
 
 from prodconj.conjugation import ConjugateConnection, structural_tensor, virtual_tensor
 from prodconj.connections import structure_derivative_twist
-from prodconj.fields import EvalContext, vmax_abs
+from prodconj.fields import EvalContext, bracket, endo_apply, vadd, vmax_abs, vsub
 from prodconj.checks import REGISTRY
 from prodconj.reporting import PASS, SKIP
 from prodconj.runner import run_scenario
@@ -76,6 +80,13 @@ def _transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def _identity_minus(c, v, w):
+    """The rows of I - c v (x) w; column j is the identity's where w_j is 0."""
+    n = len(v)
+    return [[str(int(k == j)) if w[j] == "0" else f"(- {int(k == j)} (* {c} {v[k]} {w[j]}))"
+             for j in range(n)] for k in range(n)]
+
+
 def _metric_and_split(draw, dim, E) -> list[str]:
     """Sections for the metric g, its Levi-Civita connection lc, and the
     pair Q = (h_Q, I - h_Q), given the structure's matrix E."""
@@ -103,12 +114,15 @@ def instances(draw, dim, with_pair=False, with_metric=False):
     """Scenario text for one random base connection and structure, with
     `with_pair` the projector pair P and a one-form eta, and with
     `with_metric` the metric g, lc and the pair Q as well; no checks."""
-    v = ["1"] + [draw(polynomials(dim)) for _ in range(dim - 1)]
+    p = [draw(polynomials(dim)) for _ in range(dim - 1)]
+    tilted = draw(st.booleans())
+    w = [draw(polynomials(dim)) for _ in p] if tilted else ["0"] * len(p)
+    # w(v) = (1 - sum w_k p_k) + sum w_k p_k = 1
+    v = [f"(- 1 (+ {' '.join(f'(* {a} {b})' for a, b in zip(w, p))}))" if tilted else "1"] + p
+    w = ["1"] + w
     lines = ["[chart]", f"dim = {dim}", f"names = {', '.join(NAMES[:dim])}", "",
              "[samples]", f"count = {SAMPLES}", "seed = 5", "", "[endo E]"]
-    # I - 2 v (x) e^0: only column 0 carries v
-    E = [[f"(- {int(k == 0)} (* 2 {v[k]}))"] + [str(int(k == j)) for j in range(1, dim)]
-         for k in range(dim)]
+    E = _identity_minus(2, v, w)
     lines += [f"row {k} = {' '.join(row)}" for k, row in enumerate(E)]
     lines += ["", "[connection base]", "kind = christoffel"]
     for k in range(dim):
@@ -117,10 +131,7 @@ def instances(draw, dim, with_pair=False, with_metric=False):
                 lines.append(f"gamma {k} {i} {j} = {draw(polynomials(dim))}")
     if with_pair:
         lines += ["", "[endo h]"]
-        for k in range(dim):
-            # row k of I - v (x) e^0
-            lines.append(f"row {k} = (- {int(k == 0)} {v[k]}) "
-                         + " ".join(str(int(k == j)) for j in range(1, dim)))
+        lines += [f"row {k} = {' '.join(row)}" for k, row in enumerate(_identity_minus(1, v, w))]
         eta = " ".join(draw(polynomials(dim)) for _ in range(dim))
         lines += ["", "[pair P]", "h = h", "", "[oneform eta]", f"components = {eta}"]
         for side in ("horizontal", "vertical"):
@@ -230,6 +241,30 @@ def _oracle_derivative_tables(scn, point):
     along = np.einsum("mi,kmj->kij", E, D)
     rotated = np.einsum("kim,mj->kij", D, E)
     return {"nabla_E": D, "structural": (along + rotated) / 2, "virtual": (along - rotated) / 2}
+
+
+def nijenhuis(scn) -> float:
+    """max |N_E(d_i, d_j)| of the scenario's E over frame pairs and samples,
+    N_E(X, Y) = [EX, EY] - E[EX, Y] - E[X, EY] + [X, Y], by the engine's
+    `bracket`."""
+    ctx = make_context(scn)
+    E, frame = ctx.endo(scn.endos["E"]), ctx.frame()
+    worst = 0.0
+    for X in frame:
+        for Y in frame:
+            EX, EY = endo_apply(E, X), endo_apply(E, Y)
+            N = vadd(vsub(bracket(EX, EY), endo_apply(E, vadd(bracket(EX, Y), bracket(X, EY)))),
+                     bracket(X, Y))
+            worst = max(worst, float(np.max(vmax_abs(N))))
+    return worst
+
+
+@pytest.mark.parametrize("dim", (3, 4))
+def test_the_generator_reaches_a_non_integrable_structure(dim):
+    """The drawn structures are not all integrable: from dimension 3 on,
+    a tilted w gives an E whose Nijenhuis tensor is not 0."""
+    find(instances(dim), lambda text: nijenhuis(load_scenario(text, name="generated")) > 1e-3,
+         settings=settings(FIXED, max_examples=20))
 
 
 @pytest.mark.parametrize("dim", (2, 3, 4))

@@ -60,7 +60,9 @@ def test_merged_keeps_a_nan_on_either_side():
 
 def test_frame_pair_residual_takes_per_sample_arrays():
     ctx = EvalContext(Chart(2, ("x", "y"), ((0.0, 20.0), (0.0, 20.0))), POINTS)
-    res = frame_pair_residual(ctx, lambda X, Y: X[0].value * Y[1].value * POINTS[:, 0])
+    frame = ctx.frame()
+    res = frame_pair_residual(
+        ctx, lambda i, j: frame[i][0].value * frame[j][1].value * POINTS[:, 0])
     assert res.value == 10.0
     assert res.frame == "(dx,dy)" and res.worst_point == (10.0, 11.0)
 
@@ -130,21 +132,18 @@ def test_frame_pair_rows_matches_one_scan_per_name(case):
     points = np.arange(6.0 * dim).reshape(6, dim)
     ctx = EvalContext(Chart(dim, ("x", "y", "z")[:dim], ((0.0, 20.0),) * dim), points)
 
-    def pair(X, Y):  # the frame indices (i, j) of a frame pair
-        return tuple(next(k for k, c in enumerate(V) if c.value[0] == 1.0) for V in (X, Y))
-
     calls = []
 
-    def rows(X, Y):
-        calls.append(pair(X, Y))
+    def rows(i, j):
+        calls.append((i, j))
         for key, out in outputs.items():
-            yield key, out(*pair(X, Y))
+            yield key, out(i, j)
 
     res = fields.frame_pair_rows(ctx, rows)
     assert calls == [(i, j) for i in range(dim) for j in range(dim)]
     assert list(res) == list(outputs)
     for key, out in outputs.items():
-        alone = frame_pair_residual(ctx, lambda X, Y: out(*pair(X, Y)))
+        alone = frame_pair_residual(ctx, out)
         assert _same(res[key].value, alone.value), key
         assert (res[key].frame, res[key].worst_point) == (alone.frame, alone.worst_point)
     assert _same(res[name].value, value)
@@ -212,9 +211,7 @@ def test_residual_scans_match_the_whole_batch_reduction(data):
         _same_residual(worst(ctx, items), _whole_batch_worst(ctx, items))
         # frame pair (i, j) yields the items from the (2i + j)-th on, each under its label
         per_pair = {(i, j): items[2 * i + j:] or items for i in range(2) for j in range(2)}
-        pair_of = {id(X): i for i, X in enumerate(ctx.frame())}
-        got = fields.frame_pair_rows(
-            ctx, lambda X, Y: per_pair[pair_of[id(X)], pair_of[id(Y)]])
+        got = fields.frame_pair_rows(ctx, lambda i, j: per_pair[i, j])
         want = {}
         for (i, j), pair_items in per_pair.items():
             for label, out in pair_items:
