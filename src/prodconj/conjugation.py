@@ -157,7 +157,7 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
 
     def pair_rows(i, j):
         X, Y = frame[i], frame[j]
-        EY, base_xy = endo_apply(E, Y), frame_apply(ctx, base, i, j)
+        EY, base_xy = ctx.frame_image(structure, j), frame_apply(ctx, base, i, j)
         d = frame_apply(ctx, dE, i, j)
         yield "structure_flip", vadd(frame_apply(ctx, dE_conj, i, j), d)
         # Measured under two names and merged after the pass, as two scans
@@ -172,12 +172,12 @@ def conjugate_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     def item4(i, j, k):
         Z = frame[k]
         lhs = frame_curvature(ctx, conj, i, j, Z)
-        rhs = endo_apply(E, frame_curvature(ctx, base, i, j, endo_apply(E, Z)))
+        rhs = endo_apply(E, frame_curvature(ctx, base, i, j, ctx.frame_image(structure, k)))
         return vsub(lhs, rhs)
 
     def item5(i, j, k):
         X, Y, Z = frame[i], frame[j], frame[k]
-        EY, EZ = endo_apply(E, Y), endo_apply(E, Z)
+        EY, EZ = ctx.frame_image(structure, j), ctx.frame_image(structure, k)
         lhs = nabla_metric(G, X, EY, EZ, conj.apply(ctx, X, EY), conj.apply(ctx, X, EZ))
         return lhs - nabla_metric(G, X, Y, Z, frame_apply(ctx, base, i, j),
                                   frame_apply(ctx, base, i, k))
@@ -232,7 +232,7 @@ def recurrent_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     """
     if mode not in ("structure", "identity"):
         raise ConfigError(f"unknown recurrence mode {mode!r}")
-    E, frame = ctx.endo(structure), ctx.frame()
+    frame = ctx.frame()
     w = ctx.oneform(eta)
     conj = ConjugateConnection(base, structure)
     dE = structure_derivative_twist(base, structure)
@@ -241,7 +241,7 @@ def recurrent_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
         X, Y = frame[i], frame[j]
         lhs = frame_apply(ctx, dE, i, j)
         scale = oneform_apply(w, X)
-        target = endo_apply(E, Y) if mode == "structure" else Y
+        target = ctx.frame_image(structure, j) if mode == "structure" else Y
         return vsub(lhs, vscale(scale, target))
 
     def shape(i, j):
@@ -251,7 +251,8 @@ def recurrent_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
         if mode == "structure":
             rhs = vsub(vscale(a, Y), vscale(b, X))
         else:
-            rhs = vsub(vscale(a, endo_apply(E, Y)), vscale(b, endo_apply(E, X)))
+            rhs = vsub(vscale(a, ctx.frame_image(structure, j)),
+                       vscale(b, ctx.frame_image(structure, i)))
         return vsub(lhs, rhs)
 
     hyp_res = frame_pair_residual(ctx, hyp)
@@ -319,8 +320,8 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
         raise ConfigError(f"pencil case {case!r} needs a recurrence one-form")
     # Each case's hypothesis merges two recurrences (nabla_X EA)Y = eta(X) EB Y.
     dE1, dE2 = structure_derivative_twist(base, E1), structure_derivative_twist(base, E2)
-    recurrences = {None: (), "recurrent": ((dE1, J1), (dE2, J2)),
-                   "mixed": ((dE1, J2), (dE2, J1))}.get(case)
+    recurrences = {None: (), "recurrent": ((dE1, E1), (dE2, E2)),
+                   "mixed": ((dE1, E2), (dE2, E1))}.get(case)
     if recurrences is None:
         raise ConfigError(f"unknown pencil case {case!r}")
     w = ctx.oneform(eta) if case else None
@@ -328,17 +329,17 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
     axis1, axis2 = (ConjugateConnection(base, E) for E in pencil.axes)
 
     def rows(i, j):
-        X, Y = frame[i], frame[j]
+        X = frame[i]
         c1, c2 = frame_apply(ctx, conj1, i, j), frame_apply(ctx, conj2, i, j)
-        cross = vadd(endo_apply(J1, base.apply(ctx, X, endo_apply(J2, Y))),
-                     endo_apply(J2, base.apply(ctx, X, endo_apply(J1, Y))))
+        cross = vadd(endo_apply(J1, base.apply(ctx, X, ctx.frame_image(E2, j))),
+                     endo_apply(J2, base.apply(ctx, X, ctx.frame_image(E1, j))))
         rhs = vadd(vadd(vscale(a2, c1), vscale(b2, c2)), vscale(ab, cross))
         yield "mixing_rule", vsub(frame_apply(ctx, mixed, i, j), rhs)
         yield "axis_reduction_first", vsub(frame_apply(ctx, axis1, i, j), c1)
         yield "axis_reduction_second", vsub(frame_apply(ctx, axis2, i, j), c2)
-        for k, (dEA, JB) in enumerate(recurrences):
+        for k, (dEA, EB) in enumerate(recurrences):
             yield f"recurrence{k}", vsub(frame_apply(ctx, dEA, i, j),
-                                         vscale(oneform_apply(w, X), endo_apply(JB, Y)))
+                                         vscale(oneform_apply(w, X), ctx.frame_image(EB, j)))
 
     out = [("skew_commutation", skew_commutation_residual(ctx, E1, E2), "")]
     res = frame_pair_rows(ctx, rows)
@@ -360,7 +361,7 @@ def pencil_suite(ctx: EvalContext, base: ConnectionOp, pencil: Pencil,
             base_xy = frame_apply(ctx, base, i, j)
             yield "average", vsub(base_xy, vscale(0.5, vadd(frame_apply(ctx, conj1, i, j),
                                                             frame_apply(ctx, conj2, i, j))))
-            prod = endo_apply(J1, endo_apply(J2, frame[j]))
+            prod = endo_apply(J1, ctx.frame_image(E2, j))
             rhs = vadd(base_xy, vscale(coeff, vscale(oneform_apply(w, frame[i]), prod)))
             yield "pencil_shift", vsub(frame_apply(ctx, mixed, i, j), rhs)
         label, names = "mixed", ("average", "pencil_shift")
@@ -400,7 +401,6 @@ def splitting_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField) 
     B = virtual_tensor(base, structure)
     Cc = structural_tensor(conj, structure)
     Bc = virtual_tensor(conj, structure)
-    E, frame = ctx.endo(structure), ctx.frame()
 
     def rows(i, j):
         CXY, BXY = frame_apply(ctx, C, i, j), frame_apply(ctx, B, i, j)
@@ -409,7 +409,7 @@ def splitting_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField) 
         yield "decomposition", vsub(frame_apply(ctx, conj, i, j),
                                     vadd(vsub(frame_apply(ctx, base, i, j), CXY), BXY))
         # Rotating both arguments keeps the structural half and flips the virtual one.
-        EX, EY = endo_apply(E, frame[i]), endo_apply(E, frame[j])
+        EX, EY = ctx.frame_image(structure, i), ctx.frame_image(structure, j)
         yield "structural_rotation", vsub(C.apply(ctx, EX, EY), CXY)
         yield "virtual_rotation", vadd(B.apply(ctx, EX, EY), BXY)
 
@@ -437,7 +437,7 @@ def projective_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     C1 = structural_tensor(shifted, structure)
     B0 = virtual_tensor(base, structure)
     B1 = virtual_tensor(shifted, structure)
-    E, frame = ctx.endo(structure), ctx.frame()
+    frame = ctx.frame()
     w = ctx.oneform(tau)
 
     def rows(i, j):
@@ -445,7 +445,8 @@ def projective_suite(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
         yield "structural_invariance", vsub(frame_apply(ctx, C1, i, j),
                                             frame_apply(ctx, C0, i, j))
         lhs = vsub(frame_apply(ctx, B1, i, j), frame_apply(ctx, B0, i, j))
-        rhs = vsub(vscale(oneform_apply(w, endo_apply(E, Y)), endo_apply(E, X)),
+        rhs = vsub(vscale(oneform_apply(w, ctx.frame_image(structure, j)),
+                          ctx.frame_image(structure, i)),
                    vscale(oneform_apply(w, Y), X))
         yield "virtual_difference", vsub(lhs, rhs)
 

@@ -22,12 +22,17 @@ composite builds its form once per context from its operands' forms, and
 stores its entries at order <= 1, the most an apply can use; no form
 applies an operator.
 
-`frame_apply` reads S(d_i, d_j) from the table by frame index, with no
-derivative word, since each is 0 at a frame pair; the frame-pair scans
-hand their callbacks indices for it, and an apply is left for the other
-operands.  Torsion and curvature read per-node tables for every operand,
-since on a connection both are tensors.  `torsion` is Γ(x, y) - Γ(y, x) of
-the frame-pair table.  `frame_curvature` reads R(d_i, d_j)z from R[i][j], the
+`frame_apply` reads S(d_i, d_j) by frame index from the node's frame-pair
+grid, built once per context beside its normal form as contract(Γ, d_i,
+d_j) at order <= 1, with no derivative word, since each is 0 at a frame
+pair; every read of one pair returns the grid's one Vec.  The frame-pair
+scans hand their callbacks indices for it, and an apply is left for the
+other operands.  A Sandwiched node reads E d_j for its along and argument
+slots from the context's column tables (`EvalContext.frame_image`).
+
+Torsion and curvature read per-node tables for every operand, since on a
+connection both are tensors.  `torsion` is Γ(x, y) - Γ(y, x) of the
+frame-pair table.  `frame_curvature` reads R(d_i, d_j)z from R[i][j], the
 matrix of R(d_i, d_j), built once per context for i < j:
 R(d_i, d_j)d_k = S(d_i, S(d_j, d_k)) - S(d_j, S(d_i, d_k)), one apply of
 the normal form per term, since the bracket of two frame fields is 0; it
@@ -217,6 +222,11 @@ def _slot(f: EndoField | None) -> tuple:
     return () if f is None else (f,)
 
 
+def _frame_image(ctx: EvalContext, f: EndoField | None, j: int) -> Vec:
+    """f d_j from the context's column table; d_j itself for a None slot."""
+    return ctx.frame()[j] if f is None else ctx.frame_image(f, j)
+
+
 class Sandwiched(Keyed, ConnectionOp):
     """out(op_{along x}(arg y)) for endomorphism fields out, arg and along.
 
@@ -242,10 +252,10 @@ class Sandwiched(Keyed, ConnectionOp):
         Γ'(d_i, d_j) = O·(sum c·P(d_{QL d_i}(R d_j)) + Γ(L d_i, R d_j)),
         where d_{QL d_i}(R d_j) derives R's column j, d_j being constant."""
         weight, table = self.op.normal_form(ctx)
-        frame = ctx.frame()
+        n = self.chart.dim
         # x at order 1 keeps every product at the order the table stores.
-        xs = [[_order1(c) for c in _word(ctx, _slot(self.along), e)] for e in frame]
-        ys = [_word(ctx, _slot(self.arg), e) for e in frame]
+        xs = [[_order1(c) for c in _frame_image(ctx, self.along, j)] for j in range(n)]
+        ys = [_frame_image(ctx, self.arg, j) for j in range(n)]
         out = _slot(self.out)
 
         def entry(i, j):
@@ -308,13 +318,21 @@ class ZeroOp(Keyed, ConnectionOp):
 
 
 def frame_apply(ctx: EvalContext, node, i: int, j: int) -> Vec:
-    """S(d_i, d_j) read from the node's frame-pair table, as `torsion`
+    """S(d_i, d_j) from the node's frame-pair grid, built once per context
+    beside its normal form, so a read returns the same Vec."""
+    return ctx.cached((node, "frame pairs"), lambda: _frame_grid(ctx, node))[i][j]
+
+
+def _frame_grid(ctx: EvalContext, node) -> list:
+    """grid[i][j] = S(d_i, d_j), read from the frame-pair table as `torsion`
     reads it: the derivative words are 0 at a frame pair, and `contract`
     reads the table as an apply does, so a non-finite entry reaches the
     same components.  At order <= 1, as an apply of a connection gives it."""
     frame = ctx.frame()
     _, table = node.normal_form(ctx)
-    return [_order1(e) for e in contract(table, frame[i], frame[j])]
+    n = len(frame)
+    return [[[_order1(e) for e in contract(table, frame[i], frame[j])] for j in range(n)]
+            for i in range(n)]
 
 
 def torsion(ctx: EvalContext, nabla: ConnectionOp, x: Vec, y: Vec) -> Vec:

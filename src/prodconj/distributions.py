@@ -174,8 +174,7 @@ class DistributionSpec(Keyed):
         linearly dependent; residual scans just visit all of them."""
         if self.span is not None:
             return [ctx.vector(f) for f in self.span]
-        P = ctx.endo(self._onto())
-        return [endo_apply(P, X) for X in ctx.frame()]
+        return [ctx.frame_image(self._onto(), j) for j in range(ctx.chart.dim)]
 
     def certify(self, ctx: EvalContext) -> int:
         """Pointwise rank: full for spanning fields, and for a pair side the
@@ -279,8 +278,8 @@ def hv_form_rows(ctx: EvalContext, nabla: ConnectionOp, pair: ProjectorPair) -> 
     frame = ctx.frame()
 
     def four_term(i, j):
-        X, Y = frame[i], frame[j]
-        hY, vY = endo_apply(H, Y), endo_apply(V, Y)
+        X = frame[i]
+        hY, vY = ctx.frame_image(pair.h, j), ctx.frame_image(pair.v, j)
         a = endo_apply(H, nabla.apply(ctx, X, hY))
         b = endo_apply(H, nabla.apply(ctx, X, vY))
         c = endo_apply(V, nabla.apply(ctx, X, hY))
@@ -297,15 +296,14 @@ def restriction_collapse_rows(ctx: EvalContext, nabla: ConnectionOp,
     Dh = DistributionSpec.from_pair(pair, "horizontal", label="Dh")
     Dv = DistributionSpec.from_pair(pair, "vertical", label="Dv")
     conj = ConjugateConnection(nabla, pair.structure)
-    H, V = ctx.endo(pair.h), ctx.endo(pair.v)
     frame = ctx.frame()
 
     def conclusions(i, j):
-        X, Y = frame[i], frame[j]
+        X = frame[i]
         conj_xy = frame_apply(ctx, conj, i, j)
         yield "conjugate_collapse", vsub(conj_xy, frame_apply(ctx, nabla, i, j))
-        yield "split_form", vsub(conj_xy, vadd(nabla.apply(ctx, X, endo_apply(H, Y)),
-                                               nabla.apply(ctx, X, endo_apply(V, Y))))
+        yield "split_form", vsub(conj_xy, vadd(nabla.apply(ctx, X, ctx.frame_image(pair.h, j)),
+                                               nabla.apply(ctx, X, ctx.frame_image(pair.v, j))))
 
     rh = restriction_residual(ctx, nabla, Dh)
     rv = restriction_residual(ctx, nabla, Dv)
@@ -433,7 +431,7 @@ def splitting_block_rows(ctx: EvalContext, nabla: ConnectionOp,
         yield vanish, [*d[0], *d[1]]
 
     def rows(i, j):
-        hX, vX, hY, vY = (endo_apply(P, W) for W in (frame[i], frame[j]) for P in (H, V))
+        hX, vX, hY, vY = (ctx.frame_image(P, w) for w in (i, j) for P in (pair.h, pair.v))
         yield from half(i, j, C, 2.0, ((hX, hY, V), (vX, vY, H)), ((hX, vY), (vX, hY)),
                         (vY, hY), ("cross_antisymmetry", "cross_vanishing",
                                    "fundamental_structural", "structural_split",

@@ -16,7 +16,15 @@ their callbacks the frame indices, so a suite reads per-node tables by
 index, S(d_i, d_j) among them (`connections.frame_apply`), and indexes
 `frame()` where it needs the vectors.  Torsion and curvature read those
 tables for any operand, so `bracket` serves only the statements that name
-a bracket.
+a bracket.  The image F d_j of a frame vector under an endomorphism field
+is read the same way, from a column table that `EvalContext.frame_image`
+builds once per context with `endo_apply`; each column shares its jets'
+arrays with F's entries wherever F is finite.
+
+A residual reduces each output to its largest per-sample magnitude
+(`_sample_max`).  An output whose components are all constant has one
+size, its largest |const|, with sample 0 as witness, as argmax gives on a
+uniform array, and builds no per-sample array.
 """
 
 from __future__ import annotations
@@ -221,6 +229,12 @@ class EvalContext:
                     for i in range(n)]
         return self.cached(("frame",), build)
 
+    def frame_image(self, F: EndoField, j: int) -> Vec:
+        """F d_j, column j of F, from a table of every column built once
+        per context by `endo_apply`, so a read returns the same Vec."""
+        return self.cached((F, "columns"), lambda: [
+            endo_apply(self.endo(F), e) for e in self.frame()])[j]
+
 
 def context_for(chart: Chart, plan: SamplePlan) -> EvalContext:
     if plan.box != chart.box:
@@ -382,7 +396,13 @@ def magnitude(out) -> np.ndarray:
 def _sample_max(ctx: EvalContext, out, label: str | None) -> Residual:
     """The largest magnitude of one output over the samples, with its sample
     point and label; argmax takes the first maximum and finds the first NaN.
-    A 0-d magnitude has no point."""
+    A 0-d magnitude has no point.  An output whose components are all
+    constant has one size, its largest |const|, and sample 0 as witness, as
+    argmax gives on a uniform array; it builds no per-sample array."""
+    jets = [out] if isinstance(out, Jet) else out if isinstance(out, list) else ()
+    if jets and all(e.const is not None for e in jets):
+        point = tuple(float(c) for c in ctx.points[0]) if jets[0].value.ndim else None
+        return Residual(max(abs(e.const) for e in jets), point, label)
     size = magnitude(out)
     if size.ndim == 0:
         return Residual(float(size), None, label)

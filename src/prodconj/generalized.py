@@ -103,7 +103,7 @@ def duality_rows(ctx: EvalContext, base: ConnectionOp, structure: EndoField,
     def halves(C, i: int, j: int) -> tuple[Vec, Vec]:
         """E(C(X, EY)) and C(X, Y) at (X, Y) = (d_i, d_j): the defect is
         their sum."""
-        return (endo_apply(E, C.apply(ctx, frame[i], endo_apply(E, frame[j]))),
+        return (endo_apply(E, C.apply(ctx, frame[i], ctx.frame_image(structure, j))),
                 frame_apply(ctx, C, i, j))
 
     def pair_rows(i: int, j: int):
@@ -336,7 +336,7 @@ def generalized_identity_rows(ctx: EvalContext, base: ConnectionOp,
         # structure derivative, ride along with the rows that use them.
         X, Y = frame[i], frame[j]
         d, cxy = frame_apply(ctx, dE, i, j), frame_apply(ctx, twist, i, j)
-        rhs = vadd(vsub(twist.apply(ctx, X, endo_apply(E, Y)), d),
+        rhs = vadd(vsub(twist.apply(ctx, X, ctx.frame_image(structure, j)), d),
                    vscale(-1.0, endo_apply(E, cxy)))
         yield "structure_derivative", vsub(frame_apply(ctx, dE_gen, i, j), rhs)
         yield "parallel", d

@@ -12,7 +12,10 @@ with such a jet skip the product-rule terms that are exactly zero, and
 adding a constant zero is the identity.  Each shortcut gives the full
 product rule's result up to the sign of zero, so a product skips them
 unless the other operand is finite (`Jet.finite`): there `inf * 0` would
-have made a NaN the shortcut leaves out.
+have made a NaN the shortcut leaves out.  A jet minus itself is the shared
+constant 0 of its order when the jet is finite, bit for bit the full
+difference, whose arrays are all +0; `inf - inf` is NaN, so a non-finite
+jet takes the full difference.
 
 A constant jet costs nothing per sample.  Its value is a read-only
 stride-0 array over one stored number, and constants of one batch shape
@@ -208,6 +211,8 @@ class Jet:
         )
 
     def __sub__(self, other):
+        if other is self and self.finite():
+            return self.like_constant(0.0)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -61,8 +61,8 @@ MUTANTS = [
     ("strict_within", "reporting.py",
      "return self.value <= tol", "return self.value < tol"),
     ("along_on_argument", "connections.py",
-     "ys = [_word(ctx, _slot(self.arg), e) for e in frame]",
-     "ys = [_word(ctx, _slot(self.arg) + _slot(self.along), e) for e in frame]"),
+     "ys = [_frame_image(ctx, self.arg, j) for j in range(n)]",
+     "ys = [_word(ctx, _slot(self.arg), _frame_image(ctx, self.along, j)) for j in range(n)]"),
     ("inverse_metric_gradient_sign", "connections.py",
      "dGinv = -np.einsum(", "dGinv = np.einsum("),
     ("structure_derivative_slot", "connections.py",
@@ -124,6 +124,13 @@ MUTANTS = [
     ("curvature_table_without_gamma_gamma", "connections.py",
      "return _evaluate(ctx, weight, values, frame[i], pairs[j][k])",
      "return _evaluate(ctx, weight, _empty_table(n), frame[i], pairs[j][k])"),
+    ("self_cancel_without_finite_guard", "jets.py",
+     "if other is self and self.finite():", "if other is self:"),
+    ("constant_residual_last_sample", "fields.py",
+     "ctx.points[0]) if jets[0].value.ndim", "ctx.points[-1]) if jets[0].value.ndim"),
+    ("column_read_transposed", "fields.py",
+     "endo_apply(self.endo(F), e) for e in self.frame()",
+     "endo_apply([list(r) for r in zip(*self.endo(F))], e) for e in self.frame()"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

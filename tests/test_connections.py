@@ -30,6 +30,7 @@ from prodconj.fields import (
     bracket,
     context_for,
     dirderiv,
+    endo_apply,
     vadd,
     vscale,
     vsub,
@@ -781,6 +782,96 @@ def test_no_apply_meets_two_frame_vectors(monkeypatch):
         run_scenario(load_scenario(text, name=name))
     assert calls, "the guard watched no apply"
     assert frame_pairs == []
+
+
+def test_a_second_read_returns_the_same_vec():
+    """`frame_apply` and `EvalContext.frame_image` read per-context tables:
+    a second read of one pair or one column is the same Vec."""
+    chart, leaves, endos = TREE_PARTS[3]
+    ctx = _ctx(chart, count=10)
+    nodes = [*leaves, ConjugateConnection(leaves[0], endos[2])]
+    with np.errstate(all="ignore"):
+        for node in nodes:
+            for i in range(3):
+                for j in range(3):
+                    assert frame_apply(ctx, node, i, j) is frame_apply(ctx, node, i, j)
+        for F in endos:
+            for j in range(3):
+                assert ctx.frame_image(F, j) is ctx.frame_image(F, j)
+
+
+# an endomorphism per chart with one overflowing entry and one not symmetric
+OVERFLOWING_ENDOS = {
+    2: EndoField(CHART, ((_p(OVERFLOW), _p("y")), (_p("(* x y)"), ZERO))),
+    3: EndoField(CHART3, tuple(tuple(_p3(e) for e in row) for row in (
+        (OVERFLOW, "0", "1"), ("x", "0", "z"), ("0", "y", "(* x x)")))),
+}
+
+
+def _bits(jet):
+    return jet.order, [None if a is None else np.asarray(a).tobytes()
+                       for a in (jet.value, jet.grad, jet.hess)]
+
+
+@pytest.mark.parametrize("dim", sorted(TREE_PARTS))
+def test_column_reads_equal_the_endomorphism_applied(dim):
+    """ctx.frame_image(F, j) equals endo_apply(F, d_j) in order and in
+    every bit, NaN included where an overflowing entry meets the frame's
+    zeros."""
+    chart, _, endos = TREE_PARTS[dim]
+    ctx = _ctx(chart, count=25)
+    frame = ctx.frame()
+    nan = False
+    with np.errstate(all="ignore"):
+        for F in (*endos, OVERFLOWING_ENDOS[dim]):
+            for j in range(dim):
+                got = ctx.frame_image(F, j)
+                want = endo_apply(ctx.endo(F), frame[j])
+                assert [_bits(e) for e in got] == [_bits(e) for e in want], (F.label, j)
+                nan = nan or any(np.isnan(e.value).any() for e in got)
+    assert nan
+
+
+def test_frame_tables_add_no_per_sample_array(monkeypatch):
+    """On the shipped corpus and split_r4, every jet of a frame-pair grid
+    over a finite plane, and every jet of a column table read from a finite
+    row, shares its value array with the table or endomorphism entry it
+    reads, or is a constant, whose value is one number at stride 0: the
+    tables add no per-sample array."""
+    built = []
+    cached = EvalContext.cached
+
+    def recorded(ctx, key, build):
+        if key[-1] not in ("frame pairs", "columns"):
+            return cached(ctx, key, build)
+
+        def build_recorded():
+            out = build()
+            built.append((ctx, key[0], key[-1], out))
+            return out
+        return cached(ctx, key, build_recorded)
+    monkeypatch.setattr(EvalContext, "cached", recorded)
+    texts = [(name, corpus_text(name)) for name in corpus_names()]
+    texts.append(("split_r4", (DATA / "split_r4.scn").read_text()))
+    for name, text in texts:
+        run_scenario(load_scenario(text, name=name))
+    read = {"frame pairs": 0, "columns": 0}
+    for ctx, owner, tag, out in built:
+        n = ctx.chart.dim
+        if tag == "columns":
+            E = ctx.endo(owner)
+            reads = [(out[j][k], E[k][j]) for k in range(n) if all(e.finite() for e in E[k])
+                     for j in range(n)]
+        else:
+            _, table = owner.normal_form(ctx)
+            reads = [(out[i][j][k], table[k][i][j]) for k, plane in enumerate(table)
+                     if all(e is None or e.finite() for row in plane for e in row)
+                     for i in range(n) for j in range(n)]
+        for jet, entry in reads:
+            one_number = jet.const is not None and not any(jet.value.strides)
+            assert one_number or (entry is not None and jet.value is entry.value), (owner, tag)
+        read[tag] += len(reads)
+    assert read["frame pairs"] and read["columns"], read
 
 
 # ---- curvature and torsion tables against the composed route --------

@@ -289,6 +289,41 @@ def test_constant_shortcuts_match_the_whole_product_rule(pair, scalar):
         _assert_const_contract(jet)
 
 
+def _bits(a):
+    return None if a is None else np.asarray(a).tobytes()
+
+
+@st.composite
+def _lone_operand(draw):
+    return draw(_operand(draw(st.integers(1, 4)), draw(st.sampled_from(BATCH_SHAPES))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lone_operand())
+def test_a_jet_minus_itself_is_the_full_difference(x):
+    """x - x equals the full x + (-x) in order and in every bit of its
+    value, gradient and Hessian; a finite x gives the shared constant 0 of
+    its order, and an inf or NaN in x keeps its NaN."""
+    with np.errstate(all="ignore"):
+        got, (order, *arrays) = x - x, full_sum(x, -x)
+    assert got.order == order
+    assert [_bits(a) for a in (got.value, got.grad, got.hess)] == [_bits(a) for a in arrays]
+    if all(a is None or np.isfinite(a).all() for a in (x.value, x.grad, x.hess)):
+        assert got is Jet.constant(0.0, x.dim, x.order, x.value.shape)
+    else:
+        assert got.const is None and any(np.isnan(a).any() for a in arrays if a is not None)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_jet_minus_itself_stays_nan(bad):
+    grad = np.zeros((3, 2))
+    grad[1, 0] = bad
+    x = Jet(2, 1, np.arange(3.0), grad)
+    with np.errstate(invalid="ignore"):
+        d = x - x
+    assert d.const is None and np.isnan(d.grad[1, 0]) and not d.grad[[0, 2]].any()
+
+
 def test_const_marks_only_finite_constants():
     c = Jet.constant(2.5, 2, 2, (3,))
     assert c.const == 2.5

@@ -238,6 +238,32 @@ def test_constant_components_fold_as_one_number(vec, value, sample):
     _same_residual(res, whole_batch_sample_max(CTX, vec, "v"))
 
 
+_CONSTANT_OUTPUTS = {
+    "vec": [Jet.constant(0.25, 2, 2, (6,)), Jet.constant(-3.0, 2, 1, (6,))],
+    "negative_zero_vec": [Jet.constant(-0.0, 2, 2, (6,)), Jet.constant(-0.0, 2, 0, (6,))],
+    "mixed_zeros": [Jet.constant(-0.0, 2, 1, (6,)), Jet.constant(0.0, 2, 2, (6,))],
+    "mixed_signs": [Jet.constant(-2.0, 2, 0, (6,)), Jet.constant(2.0, 2, 2, (6,)),
+                    Jet.constant(-1.5, 2, 2, (6,))],
+    "jet": Jet.constant(-7.5, 2, 2, (6,)),
+    "negative_zero_jet": Jet.constant(-0.0, 2, 0, (6,)),
+    "0-d_vec": [Jet.constant(-4.0, 2, 2, ()), Jet.constant(1.0, 2, 0, ())],
+    "0-d_jet": Jet.constant(-0.0, 2, 1, ()),
+}
+
+
+@pytest.mark.parametrize("out", _CONSTANT_OUTPUTS.values(), ids=_CONSTANT_OUTPUTS.keys())
+def test_a_constant_output_reads_its_size_from_its_constants(monkeypatch, out):
+    """An all-constant Vec or Jet gives the whole-batch reduction's value,
+    witness (sample 0, none for a 0-d batch) and label, and builds no
+    per-sample magnitude."""
+    want = whole_batch_sample_max(CTX, out, "c")
+
+    def unexpected(_):
+        raise AssertionError("a constant output built a per-sample magnitude")
+    monkeypatch.setattr(fields, "magnitude", unexpected)
+    _same_residual(fields._sample_max(CTX, out, "c"), want)
+
+
 def test_only_the_reducer_accumulates_residuals():
     """Every suite measures through `fields.worst`, which folds by
     `Residual.merged`; no module keeps a fold of its own."""

@@ -575,6 +575,17 @@ def test_cli_catalog(capsys):
         assert kind and anchors and summary
 
 
+def test_the_package_runs_as_a_module():
+    """`python -m prodconj catalog` runs the front end and prints the catalog."""
+    src = str(Path(prodconj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-m", "prodconj", "catalog"], env=env,
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines() == catalog_lines()
+
+
 def test_cli_corpus_green_and_stable(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
