@@ -22,13 +22,14 @@ composite builds its form once per context from its operands' forms, and
 stores its entries at order <= 1, the most an apply can use; no form
 applies an operator.
 
-`frame_apply` reads S(d_i, d_j) by frame index from the node's frame-pair
-grid, built once per context beside its normal form as contract(Γ, d_i,
-d_j) at order <= 1, with no derivative word, since each is 0 at a frame
-pair; every read of one pair returns the grid's one Vec.  The frame-pair
-scans hand their callbacks indices for it, and an apply is left for the
-other operands.  A Sandwiched node reads E d_j for its along and argument
-slots from the context's column tables (`EvalContext.frame_image`).
+`frame_apply` reads S(d_i, d_j) = Γ[k][i][j] by frame index, at order
+<= 1, with no derivative word, since each is 0 at a frame pair; a None
+entry reads the shared constant 0.  A read is its own entry, so an
+overflowing entry elsewhere in its plane does not reach it, as it would
+through 0·inf in a contraction with the frame.  The frame-pair scans hand
+their callbacks indices for it, and an apply is left for the other
+operands.  A Sandwiched node reads E d_j, column j of E, for its along and
+argument slots (`EvalContext.frame_image`).
 
 Torsion and curvature read per-node tables for every operand, since on a
 connection both are tensors.  `torsion` is Γ(x, y) - Γ(y, x) of the
@@ -167,7 +168,7 @@ class LeviCivitaConnection(ChristoffelConnection):
             for a in range(n):
                 for b in range(n):
                     dG[:, :, a, b] = G[a][b].grad
-            dGinv = -np.einsum("mab,mibc,mcd->miad", Ginv, dG, Ginv)
+            dGinv = -(Ginv[:, None] @ dG @ Ginv[:, None])
             inv_jets = [[Jet(n, 1, Ginv[:, a, b], dGinv[:, :, a, b])
                          for b in range(n)] for a in range(n)]
             dmet = [[[shift(G[a][b], i) for b in range(n)] for a in range(n)]
@@ -223,7 +224,7 @@ def _slot(f: EndoField | None) -> tuple:
 
 
 def _frame_image(ctx: EvalContext, f: EndoField | None, j: int) -> Vec:
-    """f d_j from the context's column table; d_j itself for a None slot."""
+    """f d_j, column j of f; d_j itself for a None slot."""
     return ctx.frame()[j] if f is None else ctx.frame_image(f, j)
 
 
@@ -318,21 +319,12 @@ class ZeroOp(Keyed, ConnectionOp):
 
 
 def frame_apply(ctx: EvalContext, node, i: int, j: int) -> Vec:
-    """S(d_i, d_j) from the node's frame-pair grid, built once per context
-    beside its normal form, so a read returns the same Vec."""
-    return ctx.cached((node, "frame pairs"), lambda: _frame_grid(ctx, node))[i][j]
-
-
-def _frame_grid(ctx: EvalContext, node) -> list:
-    """grid[i][j] = S(d_i, d_j), read from the frame-pair table as `torsion`
-    reads it: the derivative words are 0 at a frame pair, and `contract`
-    reads the table as an apply does, so a non-finite entry reaches the
-    same components.  At order <= 1, as an apply of a connection gives it."""
-    frame = ctx.frame()
+    """S(d_i, d_j) = Γ[k][i][j] of the node's normal form for each k, at
+    order <= 1, as an apply of a connection gives it; a None entry reads the
+    shared order-1 constant 0.  The derivative words are 0 at a frame pair."""
     _, table = node.normal_form(ctx)
-    n = len(frame)
-    return [[[_order1(e) for e in contract(table, frame[i], frame[j])] for j in range(n)]
-            for i in range(n)]
+    zero = Jet.constant(0.0, ctx.chart.dim, 1, (ctx.count,))
+    return [_order1(plane[i][j] or zero) for plane in table]
 
 
 def torsion(ctx: EvalContext, nabla: ConnectionOp, x: Vec, y: Vec) -> Vec:

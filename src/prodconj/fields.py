@@ -17,9 +17,8 @@ index, S(d_i, d_j) among them (`connections.frame_apply`), and indexes
 `frame()` where it needs the vectors.  Torsion and curvature read those
 tables for any operand, so `bracket` serves only the statements that name
 a bracket.  The image F d_j of a frame vector under an endomorphism field
-is read the same way, from a column table that `EvalContext.frame_image`
-builds once per context with `endo_apply`; each column shares its jets'
-arrays with F's entries wherever F is finite.
+is read the same way: `EvalContext.frame_image` returns column j of F's
+entry jets.
 
 A residual reduces each output to its largest per-sample magnitude
 (`_sample_max`).  An output whose components are all constant has one
@@ -230,10 +229,8 @@ class EvalContext:
         return self.cached(("frame",), build)
 
     def frame_image(self, F: EndoField, j: int) -> Vec:
-        """F d_j, column j of F, from a table of every column built once
-        per context by `endo_apply`, so a read returns the same Vec."""
-        return self.cached((F, "columns"), lambda: [
-            endo_apply(self.endo(F), e) for e in self.frame()])[j]
+        """F d_j, column j of F's entry jets."""
+        return [row[j] for row in self.endo(F)]
 
 
 def context_for(chart: Chart, plan: SamplePlan) -> EvalContext:
@@ -374,7 +371,7 @@ def vmax_abs(v: Vec) -> np.ndarray:
 
 
 def jets_matrix_values(M: list[list[Jet]]) -> np.ndarray:
-    return np.stack([np.stack([e.value for e in row], axis=-1) for row in M], axis=-2)
+    return np.moveaxis(np.array([[e.value for e in row] for row in M]), (0, 1), (-2, -1))
 
 
 # ---- residuals --------------------------------------------------------

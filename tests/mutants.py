@@ -64,7 +64,7 @@ MUTANTS = [
      "ys = [_frame_image(ctx, self.arg, j) for j in range(n)]",
      "ys = [_word(ctx, _slot(self.arg), _frame_image(ctx, self.along, j)) for j in range(n)]"),
     ("inverse_metric_gradient_sign", "connections.py",
-     "dGinv = -np.einsum(", "dGinv = np.einsum("),
+     "dGinv = -(Ginv", "dGinv = (Ginv"),
     ("structure_derivative_slot", "connections.py",
      "(1.0, Sandwiched(base, arg=structure))", "(1.0, Sandwiched(base, along=structure))"),
     ("suite_tolerance_unreplaced", "checks.py",
@@ -120,7 +120,7 @@ MUTANTS = [
     ("curvature_table_indices_swapped", "connections.py",
      "columns = [vsub(A(i, j, k), A(j, i, k))", "columns = [vsub(A(j, i, k), A(i, j, k))"),
     ("frame_read_transposed", "connections.py",
-     "contract(table, frame[i], frame[j])", "contract(table, frame[j], frame[i])"),
+     "plane[i][j] or zero", "plane[j][i] or zero"),
     ("curvature_table_without_gamma_gamma", "connections.py",
      "return _evaluate(ctx, weight, values, frame[i], pairs[j][k])",
      "return _evaluate(ctx, weight, _empty_table(n), frame[i], pairs[j][k])"),
@@ -129,8 +129,7 @@ MUTANTS = [
     ("constant_residual_last_sample", "fields.py",
      "ctx.points[0]) if jets[0].value.ndim", "ctx.points[-1]) if jets[0].value.ndim"),
     ("column_read_transposed", "fields.py",
-     "endo_apply(self.endo(F), e) for e in self.frame()",
-     "endo_apply([list(r) for r in zip(*self.endo(F))], e) for e in self.frame()"),
+     "[row[j] for row in self.endo(F)]", "list(self.endo(F)[j])"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
